@@ -1,0 +1,202 @@
+"""Golden reports: every non-timing field of `evaluate` and `rd_sweep`.
+
+The literals below were captured before the scheme interface refactor and
+must not be edited to follow a code change: a refactor of the schemes or of
+the harness has to reproduce them bit for bit.  A deliberate change to the
+numbers a scheme produces regenerates them and says why in CHANGES.md.
+"""
+
+import json
+
+import pytest
+
+from dpquant.harness import evaluate, rd_sweep
+from dpquant.lattice import hexagonal, scaled_integer
+from dpquant.prob import gaussian, laplace
+from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
+
+N = 10_000
+
+GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
+                        'moment_errors': {'mean': -0.011845973253239106,
+                                          'skewness': 0.006364159590360992,
+                                          'variance': -0.018687907054435238},
+                        'mse_per_dim': 0.42673850329292917,
+                        'mse_se': 0.005477044945532966,
+                        'n': 10000,
+                        'rate_nats_per_dim': 0.8047189562170501,
+                        'rate_se': 0.0,
+                        'scheme': {'kind': 'AwgnOracle',
+                                   'noise_var': 0.5,
+                                   'seed': 103,
+                                   'source': {'dim': 1,
+                                              'family': 'gaussian',
+                                              'params': [0.7, 2.0]}},
+                        'seed': 103},
+          'resample_laplace': {'ks_per_axis': [[0.006030584290878216, True]],
+                               'moment_errors': {'mean': -0.013392789463406394,
+                                                 'skewness': -0.17292131414776277,
+                                                 'variance': -0.013007195287984441},
+                               'mse_per_dim': 0.014759618104299594,
+                               'mse_se': 0.0001610744371798666,
+                               'n': 10000,
+                               'rate_nats_per_dim': 2.8974556000142733,
+                               'rate_se': 0.00871187098448499,
+                               'scheme': {'kind': 'ResampleDpq',
+                                          'seed': 102,
+                                          'source': {'dim': 1,
+                                                     'family': 'laplace',
+                                                     'params': [0.0, 1.0]},
+                                          'step': 0.3},
+                               'seed': 102},
+          'simple': {'ks_per_axis': [[0.007798989998803796, True]],
+                     'moment_errors': {'mean': 0.0019386245168730297,
+                                       'skewness': 0.008428634215444413,
+                                       'variance': 0.017340902816239456},
+                     'mse_per_dim': 2.0139498387867283,
+                     'mse_se': 0.02419841547442492,
+                     'n': 10000,
+                     'rate_nats_per_dim': 0.0,
+                     'rate_se': 0.0,
+                     'scheme': {'kind': 'SimpleDpq',
+                                'seed': 101,
+                                'source': {'dim': 1,
+                                           'family': 'gaussian',
+                                           'params': [0.0, 1.0]}},
+                     'seed': 101},
+          'sweep_awgn': {'ks_per_axis': [[0.013895711315625725, False]],
+                         'moment_errors': {'mean': -0.013458650268694444,
+                                           'skewness': -0.001438647762227312,
+                                           'variance': -0.028733910258637807},
+                         'mse_per_dim': 0.21084969724049893,
+                         'mse_se': 0.0028353896303671047,
+                         'n': 10000,
+                         'param': 0.25,
+                         'rate_nats_per_dim': 0.8047189562170501,
+                         'rate_se': 0.0,
+                         'scheme': {'kind': 'AwgnOracle',
+                                    'noise_var': 0.25,
+                                    'seed': 106,
+                                    'source': {'dim': 1,
+                                               'family': 'gaussian',
+                                               'params': [0.0, 1.0]}},
+                         'seed': 106},
+          'sweep_resample': {'ks_per_axis': [[0.012561697850695497, True]],
+                             'moment_errors': {'mean': -0.009222723497470019,
+                                               'skewness': 0.014518298905952139,
+                                               'variance': -0.005709244292176341},
+                             'mse_per_dim': 0.041515005633879436,
+                             'mse_se': 0.00047182313966027137,
+                             'n': 10000,
+                             'param': 0.5,
+                             'rate_nats_per_dim': 2.117126183437216,
+                             'rate_se': 0.005498269052409766,
+                             'scheme': {'kind': 'ResampleDpq',
+                                        'seed': 106,
+                                        'source': {'dim': 1,
+                                                   'family': 'gaussian',
+                                                   'params': [0.0, 1.0]},
+                                        'step': 0.5},
+                             'seed': 106},
+          'sweep_simple': {'ks_per_axis': [[0.007842458704846011, True]],
+                           'moment_errors': {'mean': -0.008191857572820788,
+                                             'skewness': -0.03810767418446616,
+                                             'variance': -0.00647489234247256},
+                           'mse_per_dim': 1.9710494308266866,
+                           'mse_se': 0.031086274368804248,
+                           'n': 10000,
+                           'param': 1.0,
+                           'rate_nats_per_dim': 0.0,
+                           'rate_se': 0.0,
+                           'scheme': {'kind': 'SimpleDpq',
+                                      'seed': 106,
+                                      'source': {'dim': 1,
+                                                 'family': 'gaussian',
+                                                 'params': [0.0, 1.0]}},
+                           'seed': 106},
+          'sweep_transform': {'ks_per_axis': [[0.010078770237905377, True]],
+                              'moment_errors': {'mean': -0.006088834223476751,
+                                                'skewness': 0.01781018838367391,
+                                                'variance': -0.010243645709819615},
+                              'mse_per_dim': 0.07857128422489126,
+                              'mse_se': 0.0006338577502148275,
+                              'n': 10000,
+                              'param': 1.0,
+                              'rate_nats_per_dim': 1.4579920383768616,
+                              'rate_se': 0.002453353844401988,
+                              'scheme': {'kind': 'TransformDpq',
+                                         'lattice': {'dim': 1,
+                                                     'kind': 'scaled_integer',
+                                                     'step': 1.0},
+                                         'seed': 106,
+                                         'source': {'dim': 1,
+                                                    'family': 'gaussian',
+                                                    'params': [0.0, 1.0]}},
+                              'seed': 106},
+          'transform_cube': {'ks_per_axis': [[0.007311939493319181, True]],
+                             'moment_errors': {'mean': 0.0008288884489709565,
+                                               'skewness': 0.024195928297395683,
+                                               'variance': -0.007493557417876051},
+                             'mse_per_dim': 0.02061418180537577,
+                             'mse_se': 0.0001890858087481966,
+                             'n': 10000,
+                             'rate_nats_per_dim': 2.121486423247464,
+                             'rate_se': 0.001423544894994626,
+                             'scheme': {'kind': 'TransformDpq',
+                                        'lattice': {'dim': 1,
+                                                    'kind': 'scaled_integer',
+                                                    'step': 0.5},
+                                        'seed': 104,
+                                        'source': {'dim': 1,
+                                                   'family': 'gaussian',
+                                                   'params': [0.0, 1.0]}},
+                             'seed': 104},
+          'transform_hex': {'ks_per_axis': [[0.009138233293598974, True],
+                                            [0.009522289885848911, True]],
+                            'moment_errors': {'mean': -0.00019890051328829336,
+                                              'skewness': -0.0015132001379900373,
+                                              'variance': -0.008588566103227446},
+                            'mse_per_dim': 0.017117934122470344,
+                            'mse_se': 0.00010866138176241104,
+                            'n': 10000,
+                            'rate_nats_per_dim': 2.1851344478699666,
+                            'rate_se': 0.0010731105097606629,
+                            'scheme': {'kind': 'TransformDpq',
+                                       'lattice': {'dim': 2,
+                                                   'kind': 'hexagonal',
+                                                   'step': 0.5},
+                                       'seed': 105,
+                                       'source': {'dim': 2,
+                                                  'family': 'gaussian',
+                                                  'params': [0.0, 1.0]}},
+                            'seed': 105}}
+
+
+def _fields(report) -> dict:
+    d = json.loads(report.to_json())
+    d.pop("wall_time")
+    return d
+
+
+EVALUATED = {
+    "simple": (SimpleDpq(gaussian(0, 1), 11), 101),
+    "resample_laplace": (ResampleDpq(laplace(0, 1), 12, 0.3), 102),
+    "awgn_mean": (AwgnOracle(gaussian(0.7, 2.0), 13, 0.5), 103),
+    "transform_cube": (TransformDpq(gaussian(0, 1), 14, scaled_integer(0.5)), 104),
+    "transform_hex": (TransformDpq(gaussian(0, 1, dim=2), 15, hexagonal(0.5)),
+                      105),
+}
+
+SWEPT = {"transform": 1.0, "resample": 0.5, "awgn": 0.25, "simple": 1.0}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATED))
+def test_evaluate_golden(case):
+    scheme, seed = EVALUATED[case]
+    assert _fields(evaluate(scheme, N, seed)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("family", sorted(SWEPT))
+def test_rd_sweep_golden(family):
+    [(param, report)] = rd_sweep(family, [SWEPT[family]], gaussian(0, 1), N, 106)
+    assert {"param": param, **_fields(report)} == GOLDEN[f"sweep_{family}"]
