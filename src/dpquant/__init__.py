@@ -13,6 +13,6 @@ from .schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                       transform_dpq_decode, transform_dpq_encode)
 from .transform import (BivariateGaussian, SmoothedModel, dpq_transform,
                         gaussian_smoothed_transform, rosenblatt_forward,
-                        rosenblatt_inverse, smoothed_cdf, smoothed_icdf)
+                        rosenblatt_inverse, smoothed_cdf)
 
 __version__ = "0.1.0"

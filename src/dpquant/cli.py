@@ -20,11 +20,11 @@ import sys
 import numpy as np
 
 from . import schemes as sch
-from .bounds import discrete_dp_rdf_curve, dp_rdf_gaussian
+from .bounds import discrete_dp_rdf_curve
 from .harness import (compare_to_bound, evaluate, rd_sweep, write_curve_csv,
                       write_reports_csv)
 from .lattice import hexagonal, scaled_integer
-from .prob import gaussian, laplace, uniform
+from .prob import Family, gaussian, laplace, uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,18 +124,16 @@ def _units_scale(units: str) -> float:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": "0.01:2:200",
+    cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": None,
                           "cost": "hamming", "units": "nats",
                           "out": "bounds.csv"})
     src = _parse_source(cfg["source"])
-    grid = _parse_grid(cfg["dgrid"])
     if isinstance(src, list):  # discrete pmf: solver-traced curve
+        if cfg.pop("dgrid") is not None:
+            raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
         if cfg["cost"] != "hamming":
             raise UsageError("only the hamming cost table is built in")
-        m = len(src)
-        cost = 1.0 - np.eye(m)
-        pts = discrete_dp_rdf_curve(src, cost)
-        scale = _units_scale(cfg["units"])
+        pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(len(src)))
         lines = [f"# {k}={v}" for k, v in sorted(cfg.items())]
         lines.append("D,rate_nats,rate_bits,source")
         for p in sorted(pts, key=lambda q: q.distortion):
@@ -143,32 +141,31 @@ def cmd_bounds(args) -> int:
                          f"{p.rate / LN2:.10g},dp_rdf_discrete")
         with open(cfg["out"], "w") as f:
             f.write("\n".join(lines) + "\n")
-        _ = scale
         return EXIT_OK
+    cfg["dgrid"] = cfg["dgrid"] or "0.01:2:200"
     var = src.params[1]
-    write_curve_csv(cfg["out"], var, grid, config=cfg)
+    write_curve_csv(cfg["out"], var, _parse_grid(cfg["dgrid"]), config=cfg)
     return EXIT_OK
 
 
-_SCHEME_PARAM = {"transform": "step", "resample": "step",
-                 "awgn": "noise_var", "simple": None}
-
-
-def _build_scheme(cfg, src, seed):
-    kind, _, rest = cfg["scheme"].partition(":")
-    kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
-    if kind == "simple":
-        return sch.SimpleDpq(source=src, seed=seed), 0.0
-    if kind == "resample":
-        step = float(kv.get("step", 0.05))
-        return sch.ResampleDpq(source=src, seed=seed, step=step), step
-    if kind == "transform":
-        lat = _parse_lattice(cfg["lattice"])
-        return sch.TransformDpq(source=src, seed=seed, lat=lat), lat.step
-    if kind == "awgn":
-        eta2 = float(kv.get("eta2", 1.0))
-        return sch.AwgnOracle(source=src, seed=seed, noise_var=eta2), eta2
-    raise UsageError(f"unknown scheme {cfg['scheme']!r}")
+def _build_scheme(cfg, seed):
+    """(scheme, parameter) from the `--scheme`, `--source`, `--lattice` specs."""
+    spec = cfg["scheme"]
+    name, _, rest = spec.partition(":")
+    _, key, param = sch.FAMILIES.get(name, (None,) * 3)  # unknown: build refuses it
+    try:
+        kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
+        if set(kv) - {key}:
+            raise ValueError(f"{name} takes {key or 'no parameter'}")
+        param = float(kv[key]) if key in kv else param
+    except ValueError as exc:
+        raise UsageError(f"bad scheme spec {spec!r}: {exc}") from exc
+    if name == "transform":  # its parameter is a lattice, reported by its step
+        param = _parse_lattice(cfg["lattice"])
+    src = _parse_source(cfg["source"], dim=getattr(param, "dim", 1))
+    if isinstance(src, list):
+        raise UsageError("eval requires a continuous source")
+    return sch.build(name, src, seed, param), getattr(param, "step", param)
 
 
 def cmd_eval(args) -> int:
@@ -177,11 +174,10 @@ def cmd_eval(args) -> int:
                           "seed": str(_default_seed()), "units": "nats",
                           "out": "report.json", "workers": "1",
                           "check_bound": "0"})
-    dim = 2 if cfg["lattice"].startswith("hex") and cfg["scheme"].startswith("transform") else 1
-    src = _parse_source(cfg["source"], dim=dim)
-    if isinstance(src, list):
-        raise UsageError("eval requires a continuous source")
-    scheme, param = _build_scheme(cfg, src, int(cfg["seed"]))
+    scheme, param = _build_scheme(cfg, int(cfg["seed"]))
+    check_bound = cfg["check_bound"] not in ("0", "", "false")
+    if check_bound and scheme.source.family is not Family.GAUSSIAN:
+        raise UsageError("--check-bound needs a Gaussian source")
     report = evaluate(scheme, int(cfg["n"]), int(cfg["seed"]),
                       workers=int(cfg["workers"]))
     payload = json.loads(report.to_json())
@@ -192,7 +188,7 @@ def cmd_eval(args) -> int:
     with open(cfg["out"], "w") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
-    if cfg["check_bound"] not in ("0", "", "false"):
+    if check_bound:
         verdict = compare_to_bound(report)
         if not verdict["above_bound"]:
             print(f"bound check FAILED: margin {verdict['margin_nats']:.6f} nats",
@@ -258,7 +254,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, sch.SchemeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schemes as sch
 from .bounds import dp_rdf_gaussian, rdf_gaussian
 from .ecdq import ecdq_rate_empirical
-from .lattice import scaled_integer
-from .prob import SourceModel, gaussian, ks_statistic, plugin_entropy
+from .prob import SourceModel, gaussian, ks_statistic
+from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
            "write_curve_csv", "write_reports_csv", "N_BATCHES"]
@@ -53,69 +52,11 @@ class EvalReport:
         return EvalReport(**d)
 
 
-def _scheme_descriptor(scheme) -> dict:
-    d = {"kind": type(scheme).__name__, "seed": scheme.seed,
-         "source": {"family": scheme.source.family.value,
-                    "params": list(scheme.source.params),
-                    "dim": scheme.source.dim}}
-    if isinstance(scheme, sch.ResampleDpq):
-        d["step"] = scheme.step
-    elif isinstance(scheme, sch.TransformDpq):
-        d["lattice"] = {"kind": scheme.lat.kind, "step": scheme.lat.step,
-                        "dim": scheme.lat.dim}
-    elif isinstance(scheme, sch.AwgnOracle):
-        d["noise_var"] = scheme.noise_var
-    return d
-
-
-def _apply_block(scheme, n_block: int, seed: int, block: int):
-    """One seed-indexed batch: sample the source, run the scheme.
-
-    Returns (x, x_tilde, indices or None)."""
-    model = scheme.source
-    x = model.sample(seed, n_block, stream=(_TAG_SOURCE << 8) + block).values
-    if isinstance(scheme, sch.SimpleDpq):
-        return x, sch.simple_dpq(scheme, x, block=block), None
-    if isinstance(scheme, sch.ResampleDpq):
-        j, xt = sch.resample_dpq(scheme, x, block=block)
-        return x, xt.reshape(x.shape), j
-    if isinstance(scheme, sch.TransformDpq):
-        idx = sch.transform_dpq_encode(scheme, x, block=block)
-        xt = sch.transform_dpq_decode(scheme, idx, block=block)
-        return x, xt, idx
-    if isinstance(scheme, sch.AwgnOracle):
-        return x, sch.awgn_oracle_apply(scheme, x, block=block), None
-    raise TypeError(f"unknown scheme: {type(scheme).__name__}")
-
-
-def _rate_estimate(scheme, indices_per_block, n: int, seed: int):
-    """Per-scheme rate, nats per dimension, with standard error."""
-    if isinstance(scheme, sch.SimpleDpq):
-        return 0.0, 0.0
-    if isinstance(scheme, sch.AwgnOracle):
-        var = scheme.source.params[1]
-        if scheme.noise_var == 0:
-            return math.inf, 0.0
-        return 0.5 * math.log((var + scheme.noise_var) / scheme.noise_var), 0.0
-    if isinstance(scheme, sch.ResampleDpq):
-        pooled = np.concatenate([j.ravel() for j in indices_per_block])
-        _, counts = np.unique(pooled, return_counts=True)
-        rate = plugin_entropy(counts)
-        per_block = []
-        for j in indices_per_block:
-            _, c = np.unique(j.ravel(), return_counts=True)
-            per_block.append(plugin_entropy(c))
-        se = float(np.std(per_block, ddof=1) / math.sqrt(len(per_block)))
-        return rate, se
-    if isinstance(scheme, sch.TransformDpq):
-        return ecdq_rate_empirical(scheme.lat, scheme.source, n,
-                                   m_dithers=16, seed=seed)
-    raise TypeError(f"unknown scheme: {type(scheme).__name__}")
-
-
 def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     """Monte-Carlo evaluation of one scheme at one parameter setting.
 
+    The evaluation seed replaces ``scheme.seed``: it drives the source
+    samples and the scheme's shared randomness, and the report records it.
     Identical (scheme, n, seed) gives an identical report except wall_time,
     for any worker count.
     """
@@ -123,11 +64,13 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
         raise ValueError("need n >= 1e4")
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
+    model = scheme.source
     sizes = [n // N_BATCHES + (1 if b < n % N_BATCHES else 0)
              for b in range(N_BATCHES)]
 
     def run(b):
-        return _apply_block(scheme, sizes[b], seed, b)
+        x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
+        return (x, *scheme.run(x, b))
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -135,17 +78,21 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     else:
         results = [run(b) for b in range(N_BATCHES)]
 
-    k = scheme.source.dim
+    k = model.dim
     batch_mse = np.array([np.mean((x - xt) ** 2) for x, xt, _ in results])
     mse = float(np.average(batch_mse, weights=sizes))
     mse_se = float(np.std(batch_mse, ddof=1) / math.sqrt(N_BATCHES))
 
     outputs = np.concatenate([np.atleast_2d(xt.reshape(-1, k))
                               for _, xt, _ in results])
-    indices = [idx for _, _, idx in results if idx is not None]
-    rate, rate_se = _rate_estimate(scheme, indices, n, seed)
+    if isinstance(scheme, TransformDpq):
+        # The ECDQ rate is re-measured on fresh samples, not taken from this
+        # run's indices, until a conditional codelength of those replaces it.
+        rate, rate_se = ecdq_rate_empirical(scheme.lat, model, n,
+                                            m_dithers=16, seed=seed)
+    else:
+        rate, rate_se = scheme.rate([p for _, _, p in results])
 
-    model = scheme.source
     ks = [ks_statistic(outputs[:, i], dataclasses.replace(model, dim=1))
           for i in range(k)]
 
@@ -158,8 +105,12 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
                "variance": m2 - model.variance(),
                "skewness": skew}  # all provided families are symmetric
 
+    source = {"family": model.family.value, "params": list(model.params),
+              "dim": model.dim}
     return EvalReport(
-        scheme=_scheme_descriptor(scheme), n=n, seed=seed,
+        scheme={"kind": type(scheme).__name__, "seed": seed, "source": source,
+                **scheme.describe()},
+        n=n, seed=seed,
         rate_nats_per_dim=float(rate), rate_se=float(rate_se),
         mse_per_dim=mse, mse_se=mse_se,
         ks_per_axis=[(float(d), bool(p)) for d, p in ks],
@@ -170,7 +121,7 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
 
 def rd_sweep(family: str, params, source: SourceModel, n: int, seed: int,
              workers: int = 1) -> list[tuple[float, EvalReport]]:
-    """Evaluate a scheme family over a parameter grid.
+    """Evaluate a scheme family of `schemes.FAMILIES` over a parameter grid.
 
     family: "transform" (cubic lattice step), "resample" (base step),
     "awgn" (noise variance), "simple" (parameter ignored).
@@ -178,20 +129,9 @@ def rd_sweep(family: str, params, source: SourceModel, n: int, seed: int,
     params = list(params)
     if not params:
         raise ValueError("empty parameter grid")
-    out = []
-    for p in params:
-        if family == "transform":
-            scheme = sch.TransformDpq(source=source, seed=seed,
-                                      lat=scaled_integer(p, source.dim))
-        elif family == "resample":
-            scheme = sch.ResampleDpq(source=source, seed=seed, step=p)
-        elif family == "awgn":
-            scheme = sch.AwgnOracle(source=source, seed=seed, noise_var=p)
-        elif family == "simple":
-            scheme = sch.SimpleDpq(source=source, seed=seed)
-        else:
-            raise ValueError(f"unknown scheme family: {family}")
-        out.append((float(p), evaluate(scheme, n, seed, workers=workers)))
+    schemes = [build(family, source, seed, p) for p in params]
+    out = [(float(p), evaluate(scheme, n, seed, workers=workers))
+           for p, scheme in zip(params, schemes)]
     out.sort(key=lambda t: t[1].mse_per_dim)
     return out
 
@@ -259,7 +199,8 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
     """Measured sweep points.
 
     Columns: scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass
-    (plus dp_rdf_nats,rdf_nats reference columns when reference=True).
+    (plus dp_rdf_nats,rdf_nats reference columns when reference=True; they
+    are left empty for a non-Gaussian source, which has no closed form).
     """
     lines = []
     if config:
@@ -275,10 +216,11 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
                 f"{rep.rate_nats_per_dim:.10g},{rep.rate_se:.10g},"
                 f"{rep.mse_per_dim:.10g},{rep.mse_se:.10g},"
                 f"{ks_max:.10g},{int(ks_pass)}")
-        if reference:
-            var = rep.scheme["source"]["params"][1]
-            line += (f",{dp_rdf_gaussian(var, rep.mse_per_dim):.10g}"
-                     f",{rdf_gaussian(var, rep.mse_per_dim):.10g}")
+        if reference and rep.scheme["source"]["family"] == "gaussian":
+            var, d = rep.scheme["source"]["params"][1], rep.mse_per_dim
+            line += f",{dp_rdf_gaussian(var, d):.10g},{rdf_gaussian(var, d):.10g}"
+        elif reference:  # the closed-form bounds are Gaussian only
+            line += ",,"
         lines.append(line)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -1,10 +1,12 @@
 """Quantizer-ensemble implementations.
 
-Four kinds behind one descriptor-plus-functions interface: the zero-rate
-synthesis scheme, resampling within the cells of a scalar quantizer, the
-transformation-based scheme built on ECDQ, and the scaled-AWGN construction
-that sits exactly on the Gaussian DP-RDF.  Encoder and decoder rebuild the
-shared randomness from the same 64-bit seed; decoding never sees the source.
+Four kinds behind one interface, ``run(x, block) -> (x_tilde, payload)``,
+``rate(payloads) -> (nats per dimension, se)`` and ``describe()``: the
+zero-rate synthesis scheme, resampling within the cells of a scalar quantizer,
+the transformation-based scheme built on ECDQ, and the scaled-AWGN
+construction that sits exactly on the Gaussian DP-RDF.  Encoder and decoder
+rebuild the shared randomness from the same 64-bit seed; decoding never sees
+the source.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import math
 import numpy as np
 
 from .ecdq import ecdq_decode, ecdq_encode
-from .lattice import Lattice
-from .prob import SourceModel
+from .lattice import Lattice, scaled_integer
+from .prob import Family, SourceModel, plugin_entropy
 from .rng import stream_rng
 from .transform import dpq_transform
 
@@ -25,6 +27,9 @@ __all__ = [
     "ResampleDpq",
     "TransformDpq",
     "AwgnOracle",
+    "FAMILIES",
+    "SchemeError",
+    "build",
     "simple_dpq",
     "resample_dpq",
     "transform_dpq_encode",
@@ -42,6 +47,15 @@ class SimpleDpq:
     source: SourceModel
     seed: int
 
+    def run(self, x, block):
+        return simple_dpq(self, x, block=block), None
+
+    def rate(self, payloads):
+        return 0.0, 0.0
+
+    def describe(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class ResampleDpq:
@@ -55,6 +69,21 @@ class ResampleDpq:
         if self.source.dim != 1:
             raise ValueError("resampling scheme is scalar")
 
+    def run(self, x, block):
+        j, x_tilde = resample_dpq(self, x, block=block)
+        return x_tilde.reshape(np.shape(x)), j
+
+    def rate(self, payloads):
+        """Plug-in entropy of the pooled cell indices; SE from the batches."""
+        per_block = [plugin_entropy(np.unique(j, return_counts=True)[1])
+                     for j in payloads]
+        se = float(np.std(per_block, ddof=1) / math.sqrt(len(per_block)))
+        pooled = np.unique(np.concatenate(payloads), return_counts=True)[1]
+        return plugin_entropy(pooled), se
+
+    def describe(self) -> dict:
+        return {"step": self.step}
+
 
 @dataclass(frozen=True, eq=False)
 class TransformDpq:
@@ -66,6 +95,17 @@ class TransformDpq:
         if self.source.dim != self.lat.dim:
             raise ValueError("source and lattice dimension mismatch")
 
+    def run(self, x, block):
+        indices = transform_dpq_encode(self, x, block=block)
+        return transform_dpq_decode(self, indices, block=block), indices
+
+    def rate(self, payloads):
+        raise NotImplementedError("harness.evaluate measures the ECDQ rate")
+
+    def describe(self) -> dict:
+        return {"lattice": {"kind": self.lat.kind, "step": self.lat.step,
+                            "dim": self.lat.dim}}
+
 
 @dataclass(frozen=True)
 class AwgnOracle:
@@ -74,11 +114,52 @@ class AwgnOracle:
     noise_var: float
 
     def __post_init__(self):
-        from .prob import Family
         if self.source.family is not Family.GAUSSIAN:
             raise ValueError("the AWGN construction requires a Gaussian source")
         if self.noise_var < 0:
             raise ValueError("noise variance must be >= 0")
+
+    def run(self, x, block):
+        return awgn_oracle_apply(self, x, block=block), None
+
+    def rate(self, payloads):
+        """Closed form 0.5 ln((var + eta^2) / eta^2), exact: SE 0."""
+        if self.noise_var == 0:
+            return math.inf, 0.0
+        var, eta2 = self.source.params[1], self.noise_var
+        return 0.5 * math.log((var + eta2) / eta2), 0.0
+
+    def describe(self) -> dict:
+        return {"noise_var": self.noise_var}
+
+
+def _transform(source: SourceModel, seed: int, lat) -> TransformDpq:
+    lat = lat if isinstance(lat, Lattice) else scaled_integer(lat, source.dim)
+    return TransformDpq(source, seed, lat)
+
+
+# name -> (make(source, seed, param), the param's key in a CLI `name:key=V`
+# spec, its default there); the transform's param is a Lattice or a cube step
+FAMILIES = {
+    "simple": (lambda source, seed, _: SimpleDpq(source, seed), None, 0.0),
+    "resample": (ResampleDpq, "step", 0.05),
+    "transform": (_transform, None, None),
+    "awgn": (AwgnOracle, "eta2", 1.0),
+}
+
+
+class SchemeError(ValueError):
+    """A family name, or a parameter or source, that no scheme accepts."""
+
+
+def build(family: str, source: SourceModel, seed: int, param):
+    """The scheme of one family at one parameter value."""
+    if family not in FAMILIES:
+        raise SchemeError(f"unknown scheme family: {family}")
+    try:
+        return FAMILIES[family][0](source, seed, param)
+    except ValueError as exc:
+        raise SchemeError(f"{family}: {exc}") from exc
 
 
 def simple_dpq(scheme: SimpleDpq, x, block: int = 0) -> np.ndarray:

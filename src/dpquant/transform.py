@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .lattice import Lattice
 from .prob import SourceModel, gaussian
@@ -24,7 +23,6 @@ __all__ = [
     "BivariateGaussian",
     "smoothed_cdf",
     "smoothed_pdf",
-    "smoothed_icdf",
     "rosenblatt_forward",
     "rosenblatt_inverse",
     "dpq_transform",
@@ -121,24 +119,6 @@ def smoothed_pdf(sm: SmoothedModel, x_hat):
     step = sm.cell.step
     x_hat = np.asarray(x_hat, dtype=float)
     return (sm.base.cdf(x_hat + step / 2.0) - sm.base.cdf(x_hat - step / 2.0)) / step
-
-
-def smoothed_icdf(sm: SmoothedModel, u: float) -> float:
-    """Inverse of the scalar smoothed cdf: safeguarded bisection + Newton polish."""
-    u = min(max(float(u), 1e-12), 1 - 1e-12)
-    step = sm.cell.step
-    x0 = float(sm.base.icdf(u))
-    lo, hi = x0 - step, x0 + step
-    while smoothed_cdf(sm, 0, lo) > u:
-        lo -= step
-    while smoothed_cdf(sm, 0, hi) < u:
-        hi += step
-    x = optimize.brentq(lambda x: float(smoothed_cdf(sm, 0, x)) - u, lo, hi,
-                        xtol=1e-10)
-    f = float(smoothed_pdf(sm, x)) if sm.cell.kind == "scaled_integer" else 0.0
-    if f > 0:
-        x -= (float(smoothed_cdf(sm, 0, x)) - u) / f
-    return x
 
 
 # ---- Rosenblatt transform pair -----------------------------------------------

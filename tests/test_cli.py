@@ -167,3 +167,48 @@ class TestUsageErrors:
 
     def test_missing_subcommand_exit(self):
         assert main([]) == EXIT_USAGE
+
+    def test_discrete_bounds_refuse_dgrid(self, tmp_path):
+        # the discrete solver traces its own lambda grid
+        assert main(["bounds", "--source", "pmf:0.5,0.5", "--dgrid", "0.1:0.4:4",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("scheme", ["resample:step", "resample:step=abc",
+                                        "awgn:eta2=-1", "awgn:step=1", "nope"])
+    def test_bad_scheme_spec_exit(self, tmp_path, scheme):
+        assert main(["eval", "--scheme", scheme, "-n", "10000",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+
+    def test_unknown_sweep_family_exit(self, tmp_path):
+        assert main(["sweep", "--family", "nope", "--grid", "1", "-n", "10000",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+
+    def test_bad_sweep_grid_value_exit(self, tmp_path):
+        # refused when the schemes are built, before any point is evaluated
+        assert main(["sweep", "--family", "awgn", "--grid", "0.5,-1",
+                     "-n", "10000", "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_check_bound_non_gaussian_exit(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "simple", "--source", "uniform:a=0,b=1",
+                     "-n", "10000", "--check-bound", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
+class TestSchemeSpecs:
+    def test_transform_lattice_sets_source_dim(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "transform", "--lattice",
+                     "cube:step=0.5,dim=2", "-n", "10000",
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["scheme"]["source"]["dim"] == 2
+        assert rep["param"] == 0.5 and len(rep["ks_per_axis"]) == 2
+
+    def test_defaults_and_reported_param(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "resample", "-n", "10000",
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["param"] == 0.05 and rep["scheme"]["step"] == 0.05

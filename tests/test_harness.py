@@ -7,7 +7,8 @@ import pytest
 from dpquant.harness import (EvalReport, compare_to_bound, evaluate, rd_sweep,
                              write_curve_csv, write_reports_csv)
 from dpquant.lattice import scaled_integer
-from dpquant.prob import gaussian
+from dpquant.bounds import dp_rdf_gaussian
+from dpquant.prob import gaussian, laplace, uniform
 from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
 
 
@@ -137,3 +138,21 @@ class TestCsv:
         assert float(cells[4]) == pytest.approx(
             transform_report.rate_nats_per_dim, rel=1e-9)
         assert cells[9] == "1"
+
+    @pytest.mark.parametrize("source", [uniform(2, 3), laplace(0, 1)])
+    def test_reports_csv_reference_empty_for_non_gaussian(self, tmp_path, source):
+        # params[1] is not the variance of these families; there is no
+        # closed-form DP-RDF to print
+        [(param, rep)] = rd_sweep("simple", [1.0], source, 10_000, seed=0)
+        p = tmp_path / "sweep.csv"
+        write_reports_csv(p, [(param, rep)], reference=True)
+        cells = p.read_text().splitlines()[1].split(",")
+        assert len(cells) == 12 and cells[10:] == ["", ""]
+
+    def test_reports_csv_reference_gaussian_variance(self, tmp_path):
+        [(param, rep)] = rd_sweep("simple", [1.0], gaussian(1, 4), 10_000, seed=0)
+        p = tmp_path / "sweep.csv"
+        write_reports_csv(p, [(param, rep)], reference=True)
+        cells = p.read_text().splitlines()[1].split(",")
+        assert float(cells[10]) == pytest.approx(dp_rdf_gaussian(4.0, rep.mse_per_dim),
+                                                 rel=1e-9)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dpquant.lattice import scaled_integer
+from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, ks_statistic, uniform
-from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
-                             awgn_oracle_apply, resample_dpq, simple_dpq,
-                             transform_dpq_decode, transform_dpq_encode)
+from dpquant.schemes import (FAMILIES, AwgnOracle, ResampleDpq, SchemeError,
+                             SimpleDpq, TransformDpq, awgn_oracle_apply, build,
+                             resample_dpq, simple_dpq, transform_dpq_decode,
+                             transform_dpq_encode)
 
 
 class TestSimpleDpq:
@@ -151,3 +152,62 @@ class TestAwgnOracle:
     def test_non_gaussian_refused(self):
         with pytest.raises(ValueError):
             AwgnOracle(source=uniform(0, 1), seed=0, noise_var=1.0)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_run_matches_module_functions(self, family):
+        m = gaussian(0, 1)
+        sc = build(family, m, 5, 0.5)
+        x = m.sample(5, 1000, stream=50).values
+        xt, payload = sc.run(x, 3)
+        assert xt.shape == x.shape
+        if isinstance(sc, TransformDpq):
+            idx = transform_dpq_encode(sc, x, block=3)
+            assert np.array_equal(payload, idx)
+            assert np.array_equal(xt, transform_dpq_decode(sc, idx, block=3))
+        elif isinstance(sc, ResampleDpq):
+            j, ref = resample_dpq(sc, x, block=3)
+            assert np.array_equal(payload, j) and np.array_equal(xt.ravel(), ref)
+        else:
+            ref = (simple_dpq if isinstance(sc, SimpleDpq) else awgn_oracle_apply)
+            assert payload is None and np.array_equal(xt, ref(sc, x, block=3))
+
+    def test_built_classes(self):
+        m = gaussian(0, 1)
+        assert type(build("simple", m, 0, None)) is SimpleDpq
+        assert build("resample", m, 0, 0.5).step == 0.5
+        assert build("awgn", m, 0, 0.5).noise_var == 0.5
+        assert build("transform", m, 0, 0.5).lat.step == 0.5
+        hex_scheme = build("transform", gaussian(0, 1, dim=2), 0, hexagonal(0.5))
+        assert hex_scheme.lat.kind == "hexagonal"
+
+    @pytest.mark.parametrize("family,source,param", [
+        ("nope", gaussian(0, 1), 1.0),
+        ("resample", gaussian(0, 1), 0.0),
+        ("awgn", gaussian(0, 1), -1.0),
+        ("awgn", uniform(0, 1), 1.0),
+        ("transform", gaussian(0, 1), -0.5),
+    ])
+    def test_bad_build_raises_scheme_error(self, family, source, param):
+        with pytest.raises(SchemeError):
+            build(family, source, 0, param)
+
+    def test_rates(self):
+        m = gaussian(0, 4)
+        assert SimpleDpq(m, 0).rate([None]) == (0.0, 0.0)
+        assert AwgnOracle(m, 0, 4.0).rate([None]) == (0.5 * math.log(2), 0.0)
+        assert AwgnOracle(m, 0, 0.0).rate([None]) == (math.inf, 0.0)
+        # two equiprobable cells in every batch: ln 2 with zero spread
+        j = np.array([0, 1, 0, 1])
+        assert ResampleDpq(m, 0, 1.0).rate([j, j, j]) == (math.log(2), 0.0)
+        with pytest.raises(NotImplementedError):
+            TransformDpq(m, 0, scaled_integer(0.5)).rate([j])
+
+    def test_describe(self):
+        m = gaussian(0, 1)
+        assert SimpleDpq(m, 0).describe() == {}
+        assert ResampleDpq(m, 0, 0.5).describe() == {"step": 0.5}
+        assert AwgnOracle(m, 0, 0.5).describe() == {"noise_var": 0.5}
+        assert TransformDpq(m, 0, scaled_integer(0.5)).describe() == {
+            "lattice": {"kind": "scaled_integer", "step": 0.5, "dim": 1}}

@@ -10,8 +10,7 @@ from dpquant.prob import gaussian, ks_statistic, laplace, uniform
 from dpquant.rng import stream_rng
 from dpquant.transform import (BivariateGaussian, SmoothedModel, dpq_transform,
                                gaussian_smoothed_transform, rosenblatt_forward,
-                               rosenblatt_inverse, smoothed_cdf, smoothed_icdf,
-                               smoothed_pdf)
+                               rosenblatt_inverse, smoothed_cdf, smoothed_pdf)
 
 PHI_1 = 0.841344746068543
 
@@ -72,12 +71,6 @@ class TestSmoothedCdf:
         sm = SmoothedModel(uniform(0, 1, dim=2), hexagonal(0.2))
         with pytest.raises(ValueError):
             smoothed_cdf(sm, 1, 0.5, cond=np.array([50.0]))
-
-    def test_icdf_inverts(self):
-        sm = SmoothedModel(gaussian(0, 1), scaled_integer(0.5, 1))
-        for u in (0.1, 0.5, 0.9, 0.999):
-            x = smoothed_icdf(sm, u)
-            assert float(smoothed_cdf(sm, 0, x)) == pytest.approx(u, abs=1e-9)
 
 
 class TestRosenblatt:
