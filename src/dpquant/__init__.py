@@ -11,7 +11,7 @@ from .prob import (EmpiricalSample, SourceModel, discrete_pmf, gaussian,
 from .schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                       awgn_oracle_apply, resample_dpq, simple_dpq,
                       transform_dpq_decode, transform_dpq_encode)
-from .transform import (BivariateGaussian, SmoothedModel, dpq_transform,
+from .transform import (BivariateGaussian, dpq_transform,
                         gaussian_smoothed_transform, rosenblatt_forward,
                         rosenblatt_inverse, smoothed_cdf)
 

@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["Lattice", "scaled_integer", "hexagonal"]
 
+_CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.int64)
+
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
@@ -60,23 +62,14 @@ class Lattice:
         return idx, pt
 
     def _nearest_hex(self, xb):
-        ginv = np.linalg.inv(self.generator)
-        base = np.floor(xb @ ginv.T).astype(np.int64)
-        offsets = np.array(list(itertools.product((0, 1), repeat=2)), dtype=np.int64)
-        # widen by one ring to be safe near cell corners
-        offsets = np.array(sorted(set(map(tuple, np.concatenate(
-            [offsets + d for d in itertools.product((-1, 0, 1), repeat=2)])))),
-            dtype=np.int64)
-        cand_idx = base[:, None, :] + offsets[None, :, :]          # (n, c, 2)
-        cand_pt = cand_idx @ self.generator.T                      # (n, c, 2)
-        d2 = np.sum((cand_pt - xb[:, None, :]) ** 2, axis=2)
-        # lexicographic tie-break: order candidates by index, take first argmin
-        order = np.lexsort((offsets[:, 1], offsets[:, 0]))
-        d2 = d2[:, order]
-        cand_idx = cand_idx[:, order, :]
-        cand_pt = cand_pt[:, order, :]
-        best = np.argmin(np.where(d2 <= d2.min(axis=1, keepdims=True) + 1e-12,
-                                  d2, np.inf), axis=1)
+        # The nearest point is a corner of the basis parallelogram that holds
+        # x (Conway & Sloane 1982).  The corners are listed in lexicographic
+        # order, so argmin's first minimum breaks ties towards the smallest
+        # index.
+        base = np.floor(xb @ np.linalg.inv(self.generator).T).astype(np.int64)
+        cand_idx = base[:, None, :] + _CORNERS[None, :, :]         # (n, 4, 2)
+        cand_pt = cand_idx @ self.generator.T                      # (n, 4, 2)
+        best = np.argmin(np.sum((cand_pt - xb[:, None, :]) ** 2, axis=2), axis=1)
         rows = np.arange(len(xb))
         return cand_idx[rows, best], cand_pt[rows, best]
 

@@ -19,17 +19,16 @@ from .lattice import Lattice
 from .prob import SourceModel, gaussian
 
 __all__ = [
-    "SmoothedModel",
     "BivariateGaussian",
     "smoothed_cdf",
-    "smoothed_pdf",
     "rosenblatt_forward",
     "rosenblatt_inverse",
     "dpq_transform",
     "gaussian_smoothed_transform",
 ]
 
-_CHUNK = 4096  # sample batch for the 2-D quadrature path
+_NODES = 32    # Gauss-Legendre nodes per integration axis
+_CHUNK = 4096  # sample batch for the hexagonal path
 
 
 @lru_cache(maxsize=32)
@@ -38,87 +37,60 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product Gauss-Legendre nodes/weights over the hexagonal Voronoi cell.
+def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chord rule over the hexagonal Voronoi cell: (a, h, w).
 
-    The hexagon {|x| <= s/2, |y| <= (s - |x|)/sqrt(3)} is split into two
-    trapezoids (x < 0 and x > 0), each mapped from [-1,1]^2.
+    The hexagon {|x| <= s/2, |y| <= h(x)}, h(x) = (s - |x|)/sqrt(3), is cut
+    into vertical chords.  `a` holds n Gauss-Legendre abscissae on each of
+    [-s/2, 0] and [0, s/2], `h` the half-chord at each and `w` their
+    weights, so that the cell integral of g is
+    sum_i w_i * h_i * sum_j t_w_j g(a_i, h_i t_j) for the [-1, 1] rule (t, t_w).
     """
     t, w = _gl_nodes(n)
-    s = scale
-    nodes, weights = [], []
-    for sign in (-1.0, 1.0):
-        x = sign * (s / 4.0) * (1.0 + t)            # (n,)
-        ymax = (s - np.abs(x)) / math.sqrt(3.0)     # (n,)
-        xx = np.repeat(x, n)
-        yy = (ymax[:, None] * t[None, :]).ravel()
-        ww = ((s / 4.0) * ymax[:, None] * np.outer(w, w)).ravel()
-        nodes.append(np.column_stack([xx, yy]))
-        weights.append(ww)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
+    h = (scale - np.abs(a)) / math.sqrt(3.0)
+    return a, h, np.tile((scale / 4.0) * w, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothedModel:
-    """Source model smoothed by uniform noise over a lattice basic cell.
+def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
+    """Cell-smoothed conditional cdf of every coordinate of x_hat.
 
     This is the law of the ECDQ output X_hat = X + N, N uniform over the
-    negated basic cell; its cdf is the source cdf averaged over the cell.
+    negated basic cell.  Cubic lattice with an independent-coordinate
+    source: the conditioning drops out and each value is the cell average of
+    the marginal cdf.  Hexagonal lattice: coordinate 0 averages the cdf over
+    the cell's x-projection; coordinate 1 is the ratio of cell integrals
+    conditioned on coordinate 0, both integrated along the cell's chords.
     """
-
-    base: SourceModel
-    cell: Lattice
-    nodes: int = 32
-
-    def __post_init__(self):
-        if not self.base.is_continuous:
-            raise ValueError("smoothed models require a continuous base")
-        if self.base.dim != self.cell.dim:
-            raise ValueError("base model and cell dimension mismatch")
-
-
-def smoothed_cdf(sm: SmoothedModel, axis: int, x_hat, cond=None):
-    """Cell-smoothed conditional cdf of coordinate `axis` at x_hat.
-
-    Cubic lattice with an independent-coordinate source: the conditioning
-    drops out and the value is the cell average of the marginal cdf.
-    Hexagonal lattice: the full ratio of cell integrals is evaluated by 2-D
-    product quadrature; `cond` carries the preceding coordinate(s) of x_hat.
-    """
+    if not model.is_continuous:
+        raise ValueError("smoothed models require a continuous base")
+    if model.dim != lat.dim:
+        raise ValueError("base model and cell dimension mismatch")
     x_hat = np.asarray(x_hat, dtype=float)
-    if sm.cell.kind == "scaled_integer":
-        step = sm.cell.step
-        t, w = _gl_nodes(sm.nodes)
+    if lat.kind == "scaled_integer":
+        t, w = _gl_nodes(_NODES)
         # (1/step) * int_{-step/2}^{step/2} F(x + tau) dtau
-        vals = sm.base.cdf(x_hat[..., None] + (step / 2.0) * t)
+        vals = model.cdf(x_hat[..., None] + (lat.step / 2.0) * t)
         return 0.5 * np.sum(w * vals, axis=-1)
 
-    nodes, weights = _hex_nodes(sm.cell.step, sm.nodes)
-    if axis == 0:
-        vals = sm.base.cdf(x_hat[..., None] + nodes[:, 0])
-        return np.sum(weights * vals, axis=-1) / sm.cell.cell_volume
-    if axis == 1:
-        if cond is None:
-            raise ValueError("axis 1 of the hexagonal path needs the first "
-                             "coordinate as conditioning")
-        x1 = np.asarray(cond, dtype=float)
-        f1 = sm.base.pdf(x1[..., None] + nodes[:, 0])
-        den = np.sum(weights * f1, axis=-1)
+    if x_hat.shape[-1:] != (2,):
+        raise ValueError("hexagonal path is 2-D")
+    a, h, w = _hex_nodes(lat.step, _NODES)
+    t, tw = _gl_nodes(_NODES)
+    xb = x_hat.reshape(-1, 2)
+    u = np.empty_like(xb)
+    for lo in range(0, len(xb), _CHUNK):
+        x1 = xb[lo:lo + _CHUNK, 0, None]
+        x2 = xb[lo:lo + _CHUNK, 1, None, None]
+        u[lo:lo + _CHUNK, 0] = (np.sum(w * 2.0 * h * model.cdf(x1 + a), axis=-1)
+                                / lat.cell_volume)
+        f1 = w * h * model.pdf(x1 + a)
+        den = np.sum(2.0 * f1, axis=-1)
         if np.any(den < 1e-300):
             raise ValueError("conditioning value outside the source support")
-        num = np.sum(weights * f1 * sm.base.cdf(x_hat[..., None] + nodes[:, 1]),
-                     axis=-1)
-        return num / den
-    raise ValueError("hexagonal path is 2-D")
-
-
-def smoothed_pdf(sm: SmoothedModel, x_hat):
-    """Marginal density of the smoothed model (cubic lattice path)."""
-    if sm.cell.kind != "scaled_integer":
-        raise ValueError("marginal pdf in closed form only for the cubic lattice")
-    step = sm.cell.step
-    x_hat = np.asarray(x_hat, dtype=float)
-    return (sm.base.cdf(x_hat + step / 2.0) - sm.base.cdf(x_hat - step / 2.0)) / step
+        chords = np.sum(tw * model.cdf(x2 + h[:, None] * t), axis=-1)
+        u[lo:lo + _CHUNK, 1] = np.sum(f1 * chords, axis=-1) / den
+    return u.reshape(x_hat.shape)
 
 
 # ---- Rosenblatt transform pair -----------------------------------------------
@@ -176,30 +148,14 @@ def rosenblatt_inverse(model, u):
 # ---- the DPQ transform ---------------------------------------------------------
 
 
-def dpq_transform(model: SourceModel, lat: Lattice, x_hat, nodes: int = 32):
+def dpq_transform(model: SourceModel, lat: Lattice, x_hat):
     """Map dithered-quantizer outputs onto the source law, coordinatewise.
 
     g_i(x_hat) = F_i^{-1}(smoothed conditional cdf of coordinate i).  For a
     product source over a cubic lattice the coordinates decouple; the
-    hexagonal lattice takes the sequential conditional path.
+    hexagonal lattice conditions coordinate 1 on coordinate 0.
     """
-    sm = SmoothedModel(base=model, cell=lat, nodes=nodes)
-    x_hat = np.asarray(x_hat, dtype=float)
-    single = x_hat.ndim == 1
-    xb = x_hat[None, :] if single else x_hat
-
-    if lat.kind == "scaled_integer":
-        u = smoothed_cdf(sm, 0, xb)
-        out = np.asarray(model.icdf(u))
-    else:
-        out = np.empty_like(xb)
-        for lo in range(0, len(xb), _CHUNK):
-            blk = xb[lo:lo + _CHUNK]
-            u1 = smoothed_cdf(sm, 0, blk[:, 0])
-            u2 = smoothed_cdf(sm, 1, blk[:, 1], cond=blk[:, 0])
-            out[lo:lo + _CHUNK, 0] = model.icdf(u1)
-            out[lo:lo + _CHUNK, 1] = model.icdf(u2)
-    return out[0] if single else out
+    return np.asarray(model.icdf(smoothed_cdf(model, lat, x_hat)))
 
 
 def gaussian_smoothed_transform(model: SourceModel, eta: float, x_hat,

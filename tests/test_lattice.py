@@ -52,6 +52,35 @@ class TestNearestPoint:
         d_got = np.linalg.norm(x - pt, axis=1)
         assert np.allclose(d_got, d_best, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 3.7])
+    def test_hex_corners_match_ring_search(self, scale):
+        # Exhaustive search over the 5x5 index ring around the parallelogram,
+        # candidates in lexicographic order, first minimum wins ties.
+        lat = hexagonal(scale)
+        g = lat.generator
+        rng = stream_rng(8, 0)
+        idx = rng.integers(-30, 30, size=(2000, 1, 2))
+        lattice_pts = idx @ g.T
+        b1, b2 = g[:, 0], g[:, 1]
+        t = rng.random((2000, 1, 1))
+        offsets = np.array([
+            0 * b1, b1 / 2, b2 / 2, (b1 + b2) / 2, (b2 - b1) / 2,  # edge midpoints
+            (b1 + b2) / 3, 2 * (b1 + b2) / 3, (2 * b1 - b2) / 3,  # Voronoi vertices
+            (2 * b2 - b1) / 3])
+        x = np.concatenate([
+            rng.uniform(-20 * scale, 20 * scale, size=(20_000, 2)),
+            (lattice_pts + offsets).reshape(-1, 2),
+            (lattice_pts + t * b1).reshape(-1, 2),  # parallelogram edges
+            (lattice_pts + t * b2).reshape(-1, 2),
+            (lattice_pts + b1 + t * b2).reshape(-1, 2)])
+        ring = np.array([(i, j) for i in range(-2, 3) for j in range(-2, 3)])
+        base = np.floor(x @ np.linalg.inv(g).T).astype(np.int64)
+        cand = base[:, None, :] + ring[None, :, :]
+        d2 = np.sum((cand @ g.T - x[:, None, :]) ** 2, axis=2)
+        want = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
+        got, _ = lat.nearest_point(x)
+        assert np.array_equal(got, want)
+
 
 class TestDither:
     def test_cube_moments(self):

@@ -2,75 +2,104 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
+from scipy.special import ndtr
 from scipy.stats import spearmanr
 
 from dpquant.ecdq import ecdq_encode
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import gaussian, ks_statistic, laplace, uniform
+from dpquant.prob import discrete_pmf, gaussian, ks_statistic, laplace, uniform
 from dpquant.rng import stream_rng
-from dpquant.transform import (BivariateGaussian, SmoothedModel, dpq_transform,
+from dpquant import transform
+from dpquant.transform import (BivariateGaussian, dpq_transform,
                                gaussian_smoothed_transform, rosenblatt_forward,
-                               rosenblatt_inverse, smoothed_cdf, smoothed_pdf)
+                               rosenblatt_inverse, smoothed_cdf)
 
 PHI_1 = 0.841344746068543
 
 
+def _phi(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 class TestSmoothedCdf:
     def test_gaussian_symmetry(self):
-        sm = SmoothedModel(gaussian(0, 1), scaled_integer(0.5, 1))
-        assert float(smoothed_cdf(sm, 0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+        u = smoothed_cdf(gaussian(0, 1), scaled_integer(0.5, 1), 0.0)
+        assert float(u) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_symmetry(self):
-        sm = SmoothedModel(uniform(0, 1), scaled_integer(0.2, 1))
-        assert float(smoothed_cdf(sm, 0, 0.5)) == pytest.approx(0.5, abs=1e-12)
+        u = smoothed_cdf(uniform(0, 1), scaled_integer(0.2, 1), 0.5)
+        assert float(u) == pytest.approx(0.5, abs=1e-12)
 
     def test_mean_value_bracket(self):
-        sm = SmoothedModel(gaussian(0, 1), scaled_integer(0.5, 1))
-        v = float(smoothed_cdf(sm, 0, 1.0))
+        v = float(smoothed_cdf(gaussian(0, 1), scaled_integer(0.5, 1), 1.0))
         lo, hi = gaussian(0, 1).cdf(0.75), gaussian(0, 1).cdf(1.25)
         assert lo < v < hi
 
     def test_monotone(self):
-        sm = SmoothedModel(gaussian(0, 1), scaled_integer(1.0, 1))
         xs = np.linspace(-4, 4, 500)
-        u = smoothed_cdf(sm, 0, xs)
+        u = smoothed_cdf(gaussian(0, 1), scaled_integer(1.0, 1), xs)
         assert np.all(np.diff(u) > 0)
 
-    def test_node_doubling_error(self):
+    def test_node_doubling_error(self, monkeypatch):
         # quadrature relative error below 1e-8, checked against 64 nodes
         base = gaussian(0, 1)
         lat = scaled_integer(0.5, 1)
         xs = np.linspace(-4, 4, 200)
-        u32 = smoothed_cdf(SmoothedModel(base, lat, nodes=32), 0, xs)
-        u64 = smoothed_cdf(SmoothedModel(base, lat, nodes=64), 0, xs)
+        u32 = smoothed_cdf(base, lat, xs)
+        monkeypatch.setattr(transform, "_NODES", 64)
+        u64 = smoothed_cdf(base, lat, xs)
         assert np.max(np.abs(u32 - u64) / np.maximum(np.abs(u64), 1e-12)) < 1e-8
 
-    def test_hex_node_doubling_error(self):
+    def test_hex_node_doubling_error(self, monkeypatch):
         base = gaussian(0, 1, dim=2)
         lat = hexagonal(0.8)
         xs = np.linspace(-3, 3, 50)
-        for nodes_pair in [(32, 64)]:
-            a = smoothed_cdf(SmoothedModel(base, lat, nodes=nodes_pair[0]), 1,
-                             xs, cond=np.full_like(xs, 0.7))
-            b = smoothed_cdf(SmoothedModel(base, lat, nodes=nodes_pair[1]), 1,
-                             xs, cond=np.full_like(xs, 0.7))
-            assert np.max(np.abs(a - b)) < 1e-8
+        x_hat = np.column_stack([np.full_like(xs, 0.7), xs])
+        a = smoothed_cdf(base, lat, x_hat)
+        monkeypatch.setattr(transform, "_NODES", 64)
+        b = smoothed_cdf(base, lat, x_hat)
+        assert np.max(np.abs(a - b)) < 1e-8
 
     def test_hex_quadrature_integrates_volume(self):
-        from dpquant.transform import _hex_nodes
         lat = hexagonal(1.7)
-        _, w = _hex_nodes(lat.step, 32)
-        assert w.sum() == pytest.approx(lat.cell_volume, rel=1e-12)
+        _, h, w = transform._hex_nodes(lat.step, 32)
+        assert np.sum(2.0 * h * w) == pytest.approx(lat.cell_volume, rel=1e-12)
 
-    def test_hex_conditioning_required(self):
-        sm = SmoothedModel(gaussian(0, 1, dim=2), hexagonal(1.0))
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
+    def test_hex_matches_cell_integrals(self, scale):
+        # Both coordinates against adaptive 2-D integration over the two
+        # half-hexagons x < 0 and x > 0 (the chord length has a kink at 0).
+        m = gaussian(0, 1, dim=2)
+        lat = hexagonal(scale)
+        half_chord = lambda a: (scale - abs(a)) / math.sqrt(3.0)
+
+        def cell_integral(g):
+            return sum(dblquad(lambda b, a: g(a, b), lo, hi,
+                               lambda a: -half_chord(a), half_chord,
+                               epsabs=1e-14, epsrel=1e-13)[0]
+                       for lo, hi in ((-scale / 2, 0.0), (0.0, scale / 2)))
+
+        x_hat = np.array([[0.3, -0.7], [-1.2, 1.5], [2.5, 0.1]])
+        u = smoothed_cdf(m, lat, x_hat)
+        for (x1, x2), (u1, u2) in zip(x_hat, u):
+            want1 = cell_integral(lambda a, b: ndtr(x1 + a)) / lat.cell_volume
+            den = cell_integral(lambda a, b: _phi(x1 + a))
+            want2 = cell_integral(lambda a, b: _phi(x1 + a) * ndtr(x2 + b)) / den
+            assert abs(u1 - want1) < 1e-12
+            assert abs(u2 - want2) < 1e-12
+
+    def test_refuses_pmf_and_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            smoothed_cdf(sm, 1, 0.0)
+            smoothed_cdf(discrete_pmf([0.5, 0.5]),
+                         scaled_integer(0.5, 1), 0.0)
+        with pytest.raises(ValueError):
+            smoothed_cdf(gaussian(0, 1), hexagonal(1.0), np.zeros(2))
 
     def test_out_of_support_conditioning_refused(self):
-        sm = SmoothedModel(uniform(0, 1, dim=2), hexagonal(0.2))
         with pytest.raises(ValueError):
-            smoothed_cdf(sm, 1, 0.5, cond=np.array([50.0]))
+            smoothed_cdf(uniform(0, 1, dim=2), hexagonal(0.2),
+                         np.array([50.0, 0.5]))
 
 
 class TestRosenblatt:
@@ -155,14 +184,14 @@ class TestDpqTransform:
         # f_X(g(x)) g'(x) = f_{X_hat}(x), g' by central differences
         m = gaussian(0, 1)
         lat = scaled_integer(0.5, 1)
-        sm = SmoothedModel(m, lat)
         xs = np.linspace(-3, 3, 100)
         h = 1e-5
         gp = (dpq_transform(m, lat, (xs + h)[:, None]).ravel()
               - dpq_transform(m, lat, (xs - h)[:, None]).ravel()) / (2 * h)
         g = dpq_transform(m, lat, xs[:, None]).ravel()
         lhs = np.asarray(m.pdf(g)) * gp
-        rhs = np.asarray(smoothed_pdf(sm, xs))
+        # density of the smoothed model: the cell average of the source pdf
+        rhs = (np.asarray(m.cdf(xs + 0.25)) - np.asarray(m.cdf(xs - 0.25))) / 0.5
         assert np.max(np.abs(lhs - rhs)) < 1e-5
 
     def test_distribution_preservation_cube(self):
