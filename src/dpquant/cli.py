@@ -96,8 +96,16 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# options whose value is an integer, from a flag, the config file or DPQ_SEED
+_INT_KEYS = ("n", "seed", "workers")
+
+
 def _resolve(args, config_keys):
-    """Flags override config-file values; returns the resolved dict."""
+    """Flags override config-file values; returns the resolved dict.
+
+    The values of `_INT_KEYS` are converted to int here, once; a value that
+    is not an integer is a usage error.
+    """
     cfg = _load_config(args.config) if args.config else {}
     resolved = {}
     for key, default in config_keys.items():
@@ -108,11 +116,13 @@ def _resolve(args, config_keys):
             resolved[key] = cfg[key]
         else:
             resolved[key] = default
+        if key in _INT_KEYS:
+            try:
+                resolved[key] = int(resolved[key])
+            except ValueError:
+                raise UsageError(f"{key} must be an integer, "
+                                 f"got {resolved[key]!r}") from None
     return resolved
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("DPQ_SEED", "0"))
 
 
 def _units_scale(units: str) -> float:
@@ -125,12 +135,12 @@ def _units_scale(units: str) -> float:
 
 def cmd_bounds(args) -> int:
     cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": None,
-                          "cost": "hamming", "units": "nats",
-                          "out": "bounds.csv"})
+                          "cost": None, "out": "bounds.csv"})
     src = _parse_source(cfg["source"])
     if isinstance(src, list):  # discrete pmf: solver-traced curve
         if cfg.pop("dgrid") is not None:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
+        cfg["cost"] = cfg["cost"] or "hamming"
         if cfg["cost"] != "hamming":
             raise UsageError("only the hamming cost table is built in")
         pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(len(src)))
@@ -142,9 +152,13 @@ def cmd_bounds(args) -> int:
         with open(cfg["out"], "w") as f:
             f.write("\n".join(lines) + "\n")
         return EXIT_OK
+    if cfg.pop("cost") is not None:
+        raise UsageError("--cost applies only to a pmf source")
+    if src.family is not Family.GAUSSIAN:
+        raise UsageError("closed-form bound curves need a Gaussian or pmf source")
     cfg["dgrid"] = cfg["dgrid"] or "0.01:2:200"
-    var = src.params[1]
-    write_curve_csv(cfg["out"], var, _parse_grid(cfg["dgrid"]), config=cfg)
+    write_curve_csv(cfg["out"], src.variance(), _parse_grid(cfg["dgrid"]),
+                    config=cfg)
     return EXIT_OK
 
 
@@ -171,19 +185,18 @@ def _build_scheme(cfg, seed):
 def cmd_eval(args) -> int:
     cfg = _resolve(args, {"source": "gaussian:var=1", "scheme": "simple",
                           "lattice": "cube:step=0.1", "n": "100000",
-                          "seed": str(_default_seed()), "units": "nats",
-                          "out": "report.json", "workers": "1",
-                          "check_bound": "0"})
-    scheme, param = _build_scheme(cfg, int(cfg["seed"]))
+                          "seed": os.environ.get("DPQ_SEED", "0"),
+                          "units": "nats", "out": "report.json",
+                          "workers": "1", "check_bound": "0"})
+    scheme, param = _build_scheme(cfg, cfg["seed"])
     check_bound = cfg["check_bound"] not in ("0", "", "false")
     if check_bound and scheme.source.family is not Family.GAUSSIAN:
         raise UsageError("--check-bound needs a Gaussian source")
-    report = evaluate(scheme, int(cfg["n"]), int(cfg["seed"]),
-                      workers=int(cfg["workers"]))
-    payload = json.loads(report.to_json())
-    payload["config"] = cfg
-    payload["param"] = param
     scale = _units_scale(cfg["units"])
+    report = evaluate(scheme, cfg["n"], cfg["seed"], workers=cfg["workers"])
+    payload = json.loads(report.to_json())
+    payload["config"] = {k: str(v) for k, v in cfg.items()}
+    payload["param"] = param
     payload["rate_reported"] = report.rate_nats_per_dim * scale
     with open(cfg["out"], "w") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
@@ -200,14 +213,15 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve(args, {"source": "gaussian:var=1", "family": "transform",
                           "grid": "0.05,0.1,0.2,0.5,1,2,4",
-                          "n": "100000", "seed": str(_default_seed()),
-                          "units": "nats", "out": "sweep.csv", "workers": "1"})
+                          "n": "100000",
+                          "seed": os.environ.get("DPQ_SEED", "0"),
+                          "out": "sweep.csv", "workers": "1"})
     src = _parse_source(cfg["source"])
     if isinstance(src, list):
         raise UsageError("sweep requires a continuous source")
     grid = _parse_grid(cfg["grid"])
-    rows = rd_sweep(cfg["family"], grid, src, int(cfg["n"]), int(cfg["seed"]),
-                    workers=int(cfg["workers"]))
+    rows = rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
+                    workers=cfg["workers"])
     write_reports_csv(cfg["out"], rows, config=cfg, reference=True)
     return EXIT_OK
 
@@ -220,28 +234,30 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--source")
-    common.add_argument("--units", choices=["nats", "bits"])
     common.add_argument("--out")
-    common.add_argument("--seed")
-    common.add_argument("--workers")
+
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument("--seed")
+    run.add_argument("--workers")
+    run.add_argument("-n", dest="n")
 
     b = sub.add_parser("bounds", parents=[common], help="emit bound curves")
     b.add_argument("--dgrid", help="lo:hi:count or comma list")
-    b.add_argument("--cost", help="cost table for discrete sources (hamming)")
+    b.add_argument("--cost", choices=["hamming"],
+                   help="cost table, for a pmf source only")
     b.set_defaults(func=cmd_bounds)
 
-    e = sub.add_parser("eval", parents=[common], help="evaluate one scheme")
+    e = sub.add_parser("eval", parents=[run], help="evaluate one scheme")
     e.add_argument("--scheme", help="simple | resample:step=D | transform | awgn:eta2=V")
     e.add_argument("--lattice", help="cube:step=D[,dim=K] | hex:scale=S")
-    e.add_argument("-n", dest="n")
+    e.add_argument("--units", choices=["nats", "bits"])
     e.add_argument("--check-bound", dest="check_bound", action="store_const",
                    const="1")
     e.set_defaults(func=cmd_eval)
 
-    s = sub.add_parser("sweep", parents=[common], help="rate-distortion sweep")
+    s = sub.add_parser("sweep", parents=[run], help="rate-distortion sweep")
     s.add_argument("--family", help="transform | resample | awgn | simple")
     s.add_argument("--grid", help="parameter grid, lo:hi:count or comma list")
-    s.add_argument("-n", dest="n")
     s.set_defaults(func=cmd_sweep)
     return p
 

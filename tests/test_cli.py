@@ -58,14 +58,14 @@ class TestBounds:
         assert any(l.startswith("# source=") for l in out.read_text().splitlines())
 
     def test_units_bits(self, tmp_path):
-        a, b = tmp_path / "n.csv", tmp_path / "b.csv"
-        main(["bounds", "--dgrid", "0.5,1", "--out", str(a)])
-        main(["bounds", "--dgrid", "0.5,1", "--units", "bits", "--out", str(b)])
-        _, ra = _rows(a)
-        _, rb = _rows(b)
-        for x, y in zip(ra, rb):
-            assert float(y["rate_bits"]) == pytest.approx(
-                float(x["rate_nats"]) / math.log(2), rel=1e-8)
+        # every row carries both units
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--dgrid", "0.5,1", "--out", str(out)]) == EXIT_OK
+        _, rows = _rows(out)
+        assert rows
+        for r in rows:
+            assert float(r["rate_bits"]) == pytest.approx(
+                float(r["rate_nats"]) / math.log(2), rel=1e-8)
 
     def test_discrete_pmf_curve(self, tmp_path):
         out = tmp_path / "pmf.csv"
@@ -188,6 +188,60 @@ class TestUsageErrors:
         assert main(["sweep", "--family", "awgn", "--grid", "0.5,-1",
                      "-n", "10000", "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("source", ["uniform:a=2,b=3", "laplace:scale=2"])
+    def test_bounds_non_gaussian_source_exit(self, tmp_path, source):
+        # no closed-form curves: the Gaussian ones would be written for a
+        # variance read off the wrong parameter
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--source", source, "--dgrid", "0.05",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--units", "bits"],
+        ["bounds", "--seed", "3"],
+        ["bounds", "--workers", "2"],
+        ["bounds", "--cost", "frobnicate"],
+        ["bounds", "--cost", "hamming"],  # a Gaussian source has no cost table
+        ["sweep", "--units", "bits", "--family", "simple", "--grid", "1",
+         "-n", "10000"],
+    ], ids=["bounds-units", "bounds-seed", "bounds-workers", "bounds-cost",
+            "bounds-cost-gaussian", "sweep-units"])
+    def test_unused_option_exit(self, tmp_path, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config,env", [
+        (["eval", "-n", "abc"], None, None),
+        (["eval", "--workers", "x"], None, None),
+        (["eval", "--seed", "x"], None, None),
+        (["sweep", "-n", "1e4"], None, None),
+        (["eval"], "n=abc", None),
+        (["eval"], "workers=x", None),
+        (["sweep"], "seed=x", None),
+        (["eval"], None, "abc"),
+        (["sweep"], None, "abc"),
+    ], ids=["eval-n", "eval-workers", "eval-seed", "sweep-n", "config-n",
+            "config-workers", "config-seed", "env-seed-eval", "env-seed-sweep"])
+    def test_non_integer_option_exit(self, tmp_path, monkeypatch, argv, config,
+                                     env):
+        if config is not None:
+            cfgf = tmp_path / "run.cfg"
+            cfgf.write_text(config + "\n")
+            argv = argv + ["--config", str(cfgf)]
+        if env is not None:
+            monkeypatch.setenv("DPQ_SEED", env)
+        out = tmp_path / "x.out"
+        assert main(argv + ["--grid", "1"] * (argv[0] == "sweep")
+                    + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_flag_seed_overrides_bad_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DPQ_SEED", "abc")
+        assert main(["eval", "--seed", "4", "-n", "10000",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
     def test_check_bound_non_gaussian_exit(self, tmp_path):
         out = tmp_path / "r.json"
