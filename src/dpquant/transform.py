@@ -43,8 +43,8 @@ def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     The hexagon {|x| <= s/2, |y| <= h(x)}, h(x) = (s - |x|)/sqrt(3), is cut
     into vertical chords.  `a` holds n Gauss-Legendre abscissae on each of
     [-s/2, 0] and [0, s/2], `h` the half-chord at each and `w` their
-    weights, so that the cell integral of g is
-    sum_i w_i * h_i * sum_j t_w_j g(a_i, h_i t_j) for the [-1, 1] rule (t, t_w).
+    weights.  With (t, t_w) the n-node rule on [-1, 1], the cell integral
+    of g is approximated by sum_i w_i h_i sum_j t_w_j g(a_i, h_i t_j).
     """
     t, w = _gl_nodes(n)
     a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
@@ -55,8 +55,8 @@ def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     """Cell-smoothed conditional cdf of every coordinate of x_hat.
 
-    This is the law of the ECDQ output X_hat = X + N, N uniform over the
-    negated basic cell.  Cubic lattice with an independent-coordinate
+    The smoothed law is that of the ECDQ output X_hat = X + N, N uniform
+    over the negated basic cell.  Cubic lattice with an independent-coordinate
     source: the conditioning drops out and each value is the cell average of
     the marginal cdf.  Hexagonal lattice: coordinate 0 averages the cdf over
     the cell's x-projection; coordinate 1 is the ratio of cell integrals
@@ -76,15 +76,16 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     if x_hat.shape[-1:] != (2,):
         raise ValueError("hexagonal path is 2-D")
     a, h, w = _hex_nodes(lat.step, _NODES)
+    wh = w * h
     t, tw = _gl_nodes(_NODES)
     xb = x_hat.reshape(-1, 2)
     u = np.empty_like(xb)
     for lo in range(0, len(xb), _CHUNK):
         x1 = xb[lo:lo + _CHUNK, 0, None]
         x2 = xb[lo:lo + _CHUNK, 1, None, None]
-        u[lo:lo + _CHUNK, 0] = (np.sum(w * 2.0 * h * model.cdf(x1 + a), axis=-1)
+        u[lo:lo + _CHUNK, 0] = (np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1)
                                 / lat.cell_volume)
-        f1 = w * h * model.pdf(x1 + a)
+        f1 = wh * model.pdf(x1 + a)
         den = np.sum(2.0 * f1, axis=-1)
         if np.any(den < 1e-300):
             raise ValueError("conditioning value outside the source support")
