@@ -103,10 +103,15 @@ _INT_KEYS = ("n", "seed", "workers")
 def _resolve(args, config_keys):
     """Flags override config-file values; returns the resolved dict.
 
-    The values of `_INT_KEYS` are converted to int here, once; a value that
-    is not an integer is a usage error.
+    A config-file key outside `config_keys` is a usage error.  The values of
+    `_INT_KEYS` are converted to int here, once; a value that is not an
+    integer, or a worker count below 1, is a usage error.
     """
     cfg = _load_config(args.config) if args.config else {}
+    unread = sorted(set(cfg) - set(config_keys))
+    if unread:
+        raise UsageError(f"{args.command} does not read config key(s) "
+                         f"{', '.join(unread)}")
     resolved = {}
     for key, default in config_keys.items():
         flag = getattr(args, key, None)
@@ -122,6 +127,8 @@ def _resolve(args, config_keys):
             except ValueError:
                 raise UsageError(f"{key} must be an integer, "
                                  f"got {resolved[key]!r}") from None
+        if key == "workers" and resolved[key] < 1:
+            raise UsageError(f"workers must be >= 1, got {resolved[key]}")
     return resolved
 
 

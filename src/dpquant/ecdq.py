@@ -54,6 +54,13 @@ def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
     return lat.point(indices) - np.asarray(dither, dtype=float)
 
 
+def _index_counts(idx: np.ndarray) -> np.ndarray:
+    """Counts of the distinct rows of an (n, k) integer array, rows ascending."""
+    lo = idx.min(axis=0)
+    keys = np.ravel_multi_index((idx - lo).T, tuple(idx.max(axis=0) - lo + 1))
+    return np.unique(keys, return_counts=True)[1]
+
+
 def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
                         m_dithers: int = 16, seed: int = 0) -> tuple[float, float]:
     """Empirical rate of the ECDQ, nats per dimension.
@@ -62,6 +69,13 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
     sequence under each of m_dithers fixed dithers, averaged.  Returns
     (rate, standard error over dithers).  The index histogram runs over the
     observed support only, a small negative bias for heavy tails.
+
+    The histogram is counted on flat keys: each index column is shifted by
+    its minimum, each row becomes one int64 with `np.ravel_multi_index`, and
+    the keys are counted with a 1-D `np.unique`.  Row-major keys sort like
+    the rows themselves, so the counts come out in the order of a row-wise
+    `np.unique(axis=0)`.  An index span too wide for int64 keys raises
+    ValueError.
     """
     if n < 10_000:
         raise ValueError("need n >= 1e4 for a stable entropy estimate")
@@ -73,8 +87,7 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
         z = lat.sample_dither(stream_rng(seed, 1, j))
         x = model.sample(seed, n, stream=j).values
         out = ecdq_encode(lat, z, x)
-        idx = out.indices.reshape(n, k)
-        _, counts = np.unique(idx, axis=0, return_counts=True)
+        counts = _index_counts(out.indices.reshape(n, k))
         rates.append(plugin_entropy(counts) / k)
     rates = np.asarray(rates)
     se = float(rates.std(ddof=1) / math.sqrt(m_dithers)) if m_dithers > 1 else 0.0

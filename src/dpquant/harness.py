@@ -62,6 +62,8 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     """
     if n < 10_000:
         raise ValueError("need n >= 1e4")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
     model = scheme.source

@@ -238,6 +238,46 @@ class TestUsageErrors:
                     + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["eval", "--workers", "0"], None),
+        (["eval", "--workers", "-1"], None),
+        (["sweep", "--workers", "0"], None),
+        (["eval"], "workers=0"),
+        (["sweep"], "workers=-1"),
+    ], ids=["eval-zero", "eval-negative", "sweep-zero", "config-eval-zero",
+            "config-sweep-negative"])
+    def test_workers_below_one_exit(self, tmp_path, argv, config):
+        if config is not None:
+            cfgf = tmp_path / "run.cfg"
+            cfgf.write_text(config + "\n")
+            argv = argv + ["--config", str(cfgf)]
+        out = tmp_path / "x.out"
+        assert main(argv + ["--scheme", "simple"] * (argv[0] == "eval")
+                    + ["--family", "simple", "--grid", "1"] * (argv[0] == "sweep")
+                    + ["-n", "10000", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["sweep", "--family", "simple", "--grid", "1", "-n", "10000"], "units"),
+        (["sweep", "--family", "simple", "--grid", "1", "-n", "10000"], "lattice"),
+        (["eval", "--scheme", "simple", "-n", "10000"], "family"),
+        (["eval", "--scheme", "simple", "-n", "10000"], "dgrid"),
+        (["bounds"], "seed"),
+        (["bounds"], "workers"),
+        (["bounds"], "units"),
+        (["bounds"], "n"),
+    ], ids=["sweep-units", "sweep-lattice", "eval-family", "eval-dgrid",
+            "bounds-seed", "bounds-workers", "bounds-units", "bounds-n"])
+    def test_unread_config_key_exit(self, tmp_path, capsys, argv, key):
+        cfgf = tmp_path / "run.cfg"
+        value = {"units": "furlongs", "lattice": "hex:scale=1",
+                 "family": "simple", "dgrid": "0.1"}.get(key, "2")
+        cfgf.write_text(f"{key}={value}\n")
+        out = tmp_path / "x.out"
+        assert main(argv + ["--config", str(cfgf), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
     def test_flag_seed_overrides_bad_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DPQ_SEED", "abc")
         assert main(["eval", "--seed", "4", "-n", "10000",

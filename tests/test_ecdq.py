@@ -5,10 +5,10 @@ import pytest
 
 from dpquant.coding import (arithmetic_decode, arithmetic_encode,
                             codelength_nats_per_symbol)
-from dpquant.ecdq import (ecdq_decode, ecdq_encode, ecdq_rate_analytic,
-                          ecdq_rate_empirical)
-from dpquant.lattice import scaled_integer
-from dpquant.prob import gaussian, ks_statistic, uniform
+from dpquant.ecdq import (_index_counts, ecdq_decode, ecdq_encode,
+                          ecdq_rate_analytic, ecdq_rate_empirical)
+from dpquant.lattice import hexagonal, scaled_integer
+from dpquant.prob import gaussian, ks_statistic, laplace, plugin_entropy, uniform
 from dpquant.rng import stream_rng
 
 # frozen: h(U(0,1) + U(-1/2,1/2)) = entropy of the width-2 triangle = 1/2,
@@ -120,6 +120,59 @@ class TestRate:
         a = lat.sample_dither(stream_rng(99, 3, 0), 100)
         b = lat.sample_dither(stream_rng(99, 3, 0), 100)
         assert np.array_equal(a, b)
+
+
+def _rowwise_counts(idx):
+    return np.unique(idx, axis=0, return_counts=True)[1]
+
+
+def _rate_rowwise(lat, model, n, m_dithers=16, seed=0):
+    """ecdq_rate_empirical with the histogram counted by a row-wise np.unique."""
+    k = lat.dim
+    rates = []
+    for j in range(m_dithers):
+        z = lat.sample_dither(stream_rng(seed, 1, j))
+        x = model.sample(seed, n, stream=j).values
+        idx = ecdq_encode(lat, z, x).indices.reshape(n, k)
+        rates.append(plugin_entropy(_rowwise_counts(idx)) / k)
+    rates = np.asarray(rates)
+    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(m_dithers))
+
+
+class TestIndexHistogram:
+    @pytest.mark.parametrize("lat", [scaled_integer(0.3, 1), scaled_integer(0.7, 3),
+                                     hexagonal(0.5)], ids=["cube1", "cube3", "hex"])
+    def test_counts_match_rowwise_unique(self, lat):
+        # Gaussian points centred at 0: negative indices in every column,
+        # rows in no particular order
+        x = np.random.default_rng(5).normal(size=(5000, lat.dim)) * 3
+        idx, _ = lat.nearest_point(x)
+        assert (idx < 0).any(axis=0).all()
+        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
+
+    def test_unsorted_small_input(self):
+        idx = np.array([[2, -1], [-3, 4], [2, -1], [0, 0], [-3, -5], [2, -2]])
+        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
+        assert list(_index_counts(idx)) == [1, 1, 1, 1, 2]
+
+    def test_single_repeated_row(self):
+        idx = np.tile([-7, 3], (10, 1))
+        assert list(_index_counts(idx)) == [10]
+
+    def test_span_too_wide_for_int64_keys(self):
+        # 2**41 * 2**41 keys do not fit an int64: refused, no array is built
+        idx = np.array([[0, 0], [2**40, -(2**40)]])
+        with pytest.raises(ValueError):
+            _index_counts(idx)
+
+    @pytest.mark.parametrize("lat,model", [
+        (scaled_integer(0.1, 1), gaussian(0, 1)),
+        (scaled_integer(0.1, 1), laplace(0, 1)),
+        (hexagonal(0.5), gaussian(0, 1, 2)),
+    ], ids=["cube-gaussian", "cube-laplace", "hex-gaussian"])
+    def test_rate_bit_identical_to_rowwise(self, lat, model):
+        assert ecdq_rate_empirical(lat, model, 10_000, seed=3) == \
+            _rate_rowwise(lat, model, 10_000, seed=3)
 
 
 class TestArithmeticCoder:

@@ -66,6 +66,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 10_000, seed=0,
+                     workers=workers)
+
 
 class TestCompareToBound:
     def test_valid_scheme_passes(self, transform_report):
