@@ -165,16 +165,16 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
                        f"after {max_iter} iterations")
 
 
-def discrete_dp_rdf_curve(pmf, cost, lam_grid=None, n_points: int = 64) -> list[RdPoint]:
-    """Trace the discrete DP-RDF by sweeping the Lagrange multiplier.
+# 0 and 63 log-spaced values: the near-independent (lam -> 0) through the
+# near-diagonal (large lam) regimes
+_LAMBDAS = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 63)])
 
-    Default grid is logarithmic with 64 points, spanning the near-independent
-    (lam -> 0) through the near-diagonal (large lam) regimes.
-    """
-    if lam_grid is None:
-        lam_grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, n_points - 1)])
+
+def discrete_dp_rdf_curve(pmf, cost) -> list[RdPoint]:
+    """Trace the discrete DP-RDF by sweeping the Lagrange multiplier over
+    the 64 values of `_LAMBDAS`."""
     points = []
-    for lam in lam_grid:
+    for lam in _LAMBDAS:
         c = sinkhorn_coupling(pmf, cost, float(lam))
         points.append(RdPoint(rate=max(0.0, c.mutual_information()),
                               distortion=c.expected_cost()))

@@ -16,59 +16,94 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import schemes as sch
 from .bounds import discrete_dp_rdf_curve
-from .harness import (compare_to_bound, evaluate, rd_sweep, write_curve_csv,
-                      write_reports_csv)
+from .harness import (LN2, MIN_N, compare_to_bound, evaluate, rd_sweep,
+                      write_curve_csv, write_points_csv, write_reports_csv)
 from .lattice import hexagonal, scaled_integer
-from .prob import Family, gaussian, laplace, uniform
+from .prob import Family, discrete_pmf, gaussian, laplace, uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_NUMERIC = 4
 
-LN2 = math.log(2.0)
-
 
 class UsageError(Exception):
     pass
 
 
-def _parse_source(spec: str, dim: int = 1):
-    """gaussian:var=1[,mean=0] | uniform:a=0,b=1 | laplace:loc=0,scale=1 | pmf:0.5,0.5"""
-    try:
-        name, _, rest = spec.partition(":")
-        if name == "pmf":
-            return [float(t) for t in rest.split(",")]
-        kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
-        kv = {k: float(v) for k, v in kv.items()}
-        if name == "gaussian":
-            return gaussian(kv.get("mean", 0.0), kv.get("var", 1.0), dim)
-        if name == "uniform":
-            return uniform(kv.get("a", 0.0), kv.get("b", 1.0), dim)
-        if name == "laplace":
-            return laplace(kv.get("loc", 0.0), kv.get("scale", 1.0), dim)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad source spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown source family in {spec!r}")
+# name -> (constructor, {key: default}) for each spec kind.  A default of
+# None marks a required key; a value is an int where the default is one and a
+# float otherwise.  Keys None: the spec lists positional floats (a pmf).
+_SOURCES = {"gaussian": (gaussian, {"mean": 0.0, "var": 1.0}),
+            "uniform": (uniform, {"a": 0.0, "b": 1.0}),
+            "laplace": (laplace, {"loc": 0.0, "scale": 1.0}),
+            "pmf": (discrete_pmf, None)}
+_LATTICES = {"cube": (scaled_integer, {"step": None, "dim": 1}),
+             "hex": (hexagonal, {"scale": 1.0})}
+# schemes.build makes a scheme once its source and lattice are known
+_SCHEMES = {name: (sch.build, {key: default} if key else {})
+            for name, (_, key, default) in sch.FAMILIES.items()}
 
 
-def _parse_lattice(spec: str):
-    """cube:step=0.1[,dim=1] | hex:scale=0.5"""
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _parse_spec(kind: str, spec: str, table: dict):
+    """(name, values) of a `name[:key=value,...]` spec of one kind.
+
+    The values are the spec's, else the table's defaults; a positional spec
+    gives a list.  An unknown name, an unknown key, a missing required key
+    and a value that is not a finite number are usage errors that name it.
+    """
+    name, _, rest = spec.partition(":")
+    if name not in table:
+        raise UsageError(f"unknown {kind} {name!r} in {spec!r}; "
+                         f"known: {', '.join(table)}")
+    keys = table[name][1]
+    items = rest.split(",") if rest else []
     try:
-        name, _, rest = spec.partition(":")
-        kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
-        if name == "cube":
-            return scaled_integer(float(kv["step"]), int(kv.get("dim", 1)))
-        if name == "hex":
-            return hexagonal(float(kv.get("scale", 1.0)))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad lattice spec {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown lattice kind in {spec!r}")
+        if keys is None:
+            return name, [_finite(t) for t in items]
+        values = dict(keys)
+        for item in items:
+            key, eq, val = item.partition("=")
+            if not eq or key not in keys:
+                raise UsageError(f"{kind} {name} takes "
+                                 f"{', '.join(keys) or 'no key'}, not {item!r}")
+            values[key] = int(val) if isinstance(keys[key], int) else _finite(val)
+    except ValueError as exc:
+        raise UsageError(f"bad {kind} spec {spec!r}: {exc}") from None
+    missing = [k for k, v in values.items() if v is None]
+    if missing:
+        raise UsageError(f"{kind} {name} needs {', '.join(missing)} in {spec!r}")
+    return name, values
+
+
+def _build(kind: str, spec: str, table: dict):
+    """The source or lattice a spec names; a value it refuses is a usage error."""
+    name, values = _parse_spec(kind, spec, table)
+    make = table[name][0]
+    try:
+        return make(values) if isinstance(values, list) else make(**values)
+    except ValueError as exc:
+        raise UsageError(f"bad {kind} spec {spec!r}: {exc}") from None
+
+
+def _continuous_source(spec: str, command: str):
+    src = _build("source", spec, _SOURCES)
+    if not src.is_continuous:
+        raise UsageError(f"{command} requires a continuous source")
+    return src
 
 
 def _parse_grid(spec: str):
@@ -76,8 +111,8 @@ def _parse_grid(spec: str):
     try:
         if ":" in spec:
             lo, hi, count = spec.split(":")
-            return np.linspace(float(lo), float(hi), int(count))
-        return np.array([float(t) for t in spec.split(",")])
+            return np.linspace(_finite(lo), _finite(hi), int(count))
+        return np.array([_finite(t) for t in spec.split(",")])
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
 
@@ -105,7 +140,8 @@ def _resolve(args, config_keys):
 
     A config-file key outside `config_keys` is a usage error.  The values of
     `_INT_KEYS` are converted to int here, once; a value that is not an
-    integer, or a worker count below 1, is a usage error.
+    integer, an `n` below `harness.MIN_N` or a worker count below 1 is a
+    usage error.
     """
     cfg = _load_config(args.config) if args.config else {}
     unread = sorted(set(cfg) - set(config_keys))
@@ -129,6 +165,8 @@ def _resolve(args, config_keys):
                                  f"got {resolved[key]!r}") from None
         if key == "workers" and resolved[key] < 1:
             raise UsageError(f"workers must be >= 1, got {resolved[key]}")
+        if key == "n" and resolved[key] < MIN_N:
+            raise UsageError(f"n must be >= {MIN_N}, got {resolved[key]}")
     return resolved
 
 
@@ -143,21 +181,15 @@ def _units_scale(units: str) -> float:
 def cmd_bounds(args) -> int:
     cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": None,
                           "cost": None, "out": "bounds.csv"})
-    src = _parse_source(cfg["source"])
-    if isinstance(src, list):  # discrete pmf: solver-traced curve
+    src = _build("source", cfg["source"], _SOURCES)
+    if not src.is_continuous:  # discrete pmf: solver-traced curve
         if cfg.pop("dgrid") is not None:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
         cfg["cost"] = cfg["cost"] or "hamming"
         if cfg["cost"] != "hamming":
             raise UsageError("only the hamming cost table is built in")
-        pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(len(src)))
-        lines = [f"# {k}={v}" for k, v in sorted(cfg.items())]
-        lines.append("D,rate_nats,rate_bits,source")
-        for p in sorted(pts, key=lambda q: q.distortion):
-            lines.append(f"{p.distortion:.10g},{p.rate:.10g},"
-                         f"{p.rate / LN2:.10g},dp_rdf_discrete")
-        with open(cfg["out"], "w") as f:
-            f.write("\n".join(lines) + "\n")
+        pts = discrete_dp_rdf_curve(src.probs, 1.0 - np.eye(len(src.probs)))
+        write_points_csv(cfg["out"], pts, config=cfg)
         return EXIT_OK
     if cfg.pop("cost") is not None:
         raise UsageError("--cost applies only to a pmf source")
@@ -171,22 +203,14 @@ def cmd_bounds(args) -> int:
 
 def _build_scheme(cfg, seed):
     """(scheme, parameter) from the `--scheme`, `--source`, `--lattice` specs."""
-    spec = cfg["scheme"]
-    name, _, rest = spec.partition(":")
-    _, key, param = sch.FAMILIES.get(name, (None,) * 3)  # unknown: build refuses it
-    try:
-        kv = dict(item.split("=") for item in rest.split(",")) if rest else {}
-        if set(kv) - {key}:
-            raise ValueError(f"{name} takes {key or 'no parameter'}")
-        param = float(kv[key]) if key in kv else param
-    except ValueError as exc:
-        raise UsageError(f"bad scheme spec {spec!r}: {exc}") from exc
+    name, values = _parse_spec("scheme", cfg["scheme"], _SCHEMES)
+    src = _continuous_source(cfg["source"], "eval")
     if name == "transform":  # its parameter is a lattice, reported by its step
-        param = _parse_lattice(cfg["lattice"])
-    src = _parse_source(cfg["source"], dim=getattr(param, "dim", 1))
-    if isinstance(src, list):
-        raise UsageError("eval requires a continuous source")
-    return sch.build(name, src, seed, param), getattr(param, "step", param)
+        lat = _build("lattice", cfg["lattice"], _LATTICES)
+        return sch.build(name, replace(src, dim=lat.dim), seed, lat), lat.step
+    _, key, default = sch.FAMILIES[name]
+    param = values.get(key, default)
+    return sch.build(name, src, seed, param), param
 
 
 def cmd_eval(args) -> int:
@@ -223,9 +247,7 @@ def cmd_sweep(args) -> int:
                           "n": "100000",
                           "seed": os.environ.get("DPQ_SEED", "0"),
                           "out": "sweep.csv", "workers": "1"})
-    src = _parse_source(cfg["source"])
-    if isinstance(src, list):
-        raise UsageError("sweep requires a continuous source")
+    src = _continuous_source(cfg["source"], "sweep")
     grid = _parse_grid(cfg["grid"])
     rows = rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
                     workers=cfg["workers"])

@@ -24,7 +24,10 @@ __all__ = [
     "ecdq_decode",
     "ecdq_rate_empirical",
     "ecdq_rate_analytic",
+    "N_DITHERS",
 ]
+
+N_DITHERS = 16  # fixed dithers the empirical rate is averaged over
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +65,11 @@ def _index_counts(idx: np.ndarray) -> np.ndarray:
 
 
 def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
-                        m_dithers: int = 16, seed: int = 0) -> tuple[float, float]:
+                        seed: int = 0) -> tuple[float, float]:
     """Empirical rate of the ECDQ, nats per dimension.
 
     Approximates H(index | dither)/k by the plug-in entropy of the index
-    sequence under each of m_dithers fixed dithers, averaged.  Returns
+    sequence under each of `N_DITHERS` fixed dithers, averaged.  Returns
     (rate, standard error over dithers).  The index histogram runs over the
     observed support only, a small negative bias for heavy tails.
 
@@ -83,15 +86,14 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
     if model.dim != k:
         raise ValueError("model dimension must match the lattice")
     rates = []
-    for j in range(m_dithers):
+    for j in range(N_DITHERS):
         z = lat.sample_dither(stream_rng(seed, 1, j))
         x = model.sample(seed, n, stream=j).values
         out = ecdq_encode(lat, z, x)
         counts = _index_counts(out.indices.reshape(n, k))
         rates.append(plugin_entropy(counts) / k)
     rates = np.asarray(rates)
-    se = float(rates.std(ddof=1) / math.sqrt(m_dithers)) if m_dithers > 1 else 0.0
-    return float(rates.mean()), se
+    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(N_DITHERS))
 
 
 def ecdq_rate_analytic(model: SourceModel, lat: Lattice, tol: float = 1e-4) -> float:

@@ -22,9 +22,11 @@ from .prob import SourceModel, gaussian, ks_statistic
 from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
-           "write_curve_csv", "write_reports_csv", "N_BATCHES"]
+           "write_curve_csv", "write_points_csv", "write_reports_csv",
+           "N_BATCHES", "MIN_N"]
 
 N_BATCHES = 20
+MIN_N = 10_000  # the smallest sample count evaluate accepts
 _TAG_SOURCE = 1
 
 
@@ -60,8 +62,8 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     Identical (scheme, n, seed) gives an identical report except wall_time,
     for any worker count.
     """
-    if n < 10_000:
-        raise ValueError("need n >= 1e4")
+    if n < MIN_N:
+        raise ValueError(f"need n >= {MIN_N}")
     if workers < 1:
         raise ValueError("need workers >= 1")
     t0 = time.perf_counter()
@@ -90,8 +92,7 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     if isinstance(scheme, TransformDpq):
         # The ECDQ rate is re-measured on fresh samples, not taken from this
         # run's indices, until a conditional codelength of those replaces it.
-        rate, rate_se = ecdq_rate_empirical(scheme.lat, model, n,
-                                            m_dithers=16, seed=seed)
+        rate, rate_se = ecdq_rate_empirical(scheme.lat, model, n, seed=seed)
     else:
         rate, rate_se = scheme.rate([p for _, _, p in results])
 
@@ -170,6 +171,20 @@ def compare_to_bound(report: EvalReport, var: float | None = None) -> dict:
 # ---- CSV emission ---------------------------------------------------------------
 
 LN2 = math.log(2.0)
+_CURVE_HEADER = "D,rate_nats,rate_bits,source"
+
+
+def _curve_row(d: float, rate: float, name: str) -> str:
+    return f"{d:.10g},{rate:.10g},{rate / LN2:.10g},{name}"
+
+
+def _write_csv(path, config: dict | None, header: str, rows):
+    """`# key=value` lines of the config, sorted by key, the header, the rows."""
+    lines = [f"# {k}={v}" for k, v in sorted((config or {}).items())]
+    lines.append(header)
+    lines += rows
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def write_curve_csv(path, var: float, d_grid, config: dict | None = None):
@@ -180,20 +195,25 @@ def write_curve_csv(path, var: float, d_grid, config: dict | None = None):
     """
     from .bounds import dp_rdf_sandwich_gaussian, slb_mse
     model = gaussian(0.0, var)
-    lines = []
-    if config:
-        lines += [f"# {k}={v}" for k, v in sorted(config.items())]
-    lines.append("D,rate_nats,rate_bits,source")
+    rows = []
     for d in d_grid:
-        rows = {"dp_rdf": dp_rdf_gaussian(var, d),
-                "rdf": rdf_gaussian(var, d),
-                "slb": slb_mse(model, d)}
+        curves = {"dp_rdf": dp_rdf_gaussian(var, d),
+                  "rdf": rdf_gaussian(var, d),
+                  "slb": slb_mse(model, d)}
         if 0 < d < 2 * var:
-            rows["sandwich_upper"] = dp_rdf_sandwich_gaussian(var, d)[1]
-        for name, r in rows.items():
-            lines.append(f"{d:.10g},{r:.10g},{r / LN2:.10g},{name}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+            curves["sandwich_upper"] = dp_rdf_sandwich_gaussian(var, d)[1]
+        rows += [_curve_row(d, r, name) for name, r in curves.items()]
+    _write_csv(path, config, _CURVE_HEADER, rows)
+
+
+def write_points_csv(path, points, config: dict):
+    """Solved discrete DP-RDF points (`bounds.RdPoint`), by distortion.
+
+    The columns of `write_curve_csv`, with `source` dp_rdf_discrete.
+    """
+    rows = [_curve_row(p.distortion, p.rate, "dp_rdf_discrete")
+            for p in sorted(points, key=lambda q: q.distortion)]
+    _write_csv(path, config, _CURVE_HEADER, rows)
 
 
 def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
@@ -204,13 +224,10 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
     (plus dp_rdf_nats,rdf_nats reference columns when reference=True; they
     are left empty for a non-Gaussian source, which has no closed form).
     """
-    lines = []
-    if config:
-        lines += [f"# {k}={v}" for k, v in sorted(config.items())]
     header = "scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass"
     if reference:
         header += ",dp_rdf_nats,rdf_nats"
-    lines.append(header)
+    lines = []
     for param, rep in rows:
         ks_max = max(d for d, _ in rep.ks_per_axis)
         ks_pass = all(p for _, p in rep.ks_per_axis)
@@ -224,5 +241,4 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
         elif reference:  # the closed-form bounds are Gaussian only
             line += ",,"
         lines.append(line)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, config, header, lines)

@@ -1,4 +1,4 @@
-"""Quantization lattices: nearest-point rule, cell geometry, dither sampling.
+"""Quantization lattices: nearest-point rule and dither sampling.
 
 Two lattices are provided.  ScaledInteger is the cubic lattice (step per
 axis, any dimension); its basic cell is the centered cube, symmetric per
@@ -9,7 +9,6 @@ cell-smoothed cdf.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,43 +94,6 @@ class Lattice:
             _, pt = self.nearest_point(u)
             z = u - pt
         return z[0] if n is None else z
-
-    # ---- geometry ------------------------------------------------------------
-
-    def covering_box(self) -> list[tuple[float, float]]:
-        """Per-axis extent [inf, sup] of the basic cell."""
-        if self.kind == "scaled_integer":
-            h = self.step / 2.0
-            return [(-h, h)] * self.dim
-        verts = self.cell_vertices()
-        return [(float(verts[:, i].min()), float(verts[:, i].max()))
-                for i in range(self.dim)]
-
-    def cell_vertices(self) -> np.ndarray:
-        """Vertices of the Voronoi cell (Hexagonal only), by half-plane
-        enumeration over nearby lattice vectors."""
-        if self.kind == "scaled_integer":
-            h = self.step / 2.0
-            corners = np.array(list(itertools.product((-h, h), repeat=self.dim)))
-            return corners
-        neigh = []
-        for i, j in itertools.product(range(-2, 3), repeat=2):
-            if (i, j) != (0, 0):
-                neigh.append(self.point((i, j)))
-        neigh = np.asarray(neigh)
-        verts = []
-        for a, b in itertools.combinations(range(len(neigh)), 2):
-            va, vb = neigh[a], neigh[b]
-            mat = np.array([va, vb])
-            if abs(np.linalg.det(mat)) < 1e-12:
-                continue
-            rhs = np.array([va @ va / 2.0, vb @ vb / 2.0])
-            v = np.linalg.solve(mat, rhs)
-            # keep if inside every half-plane
-            if np.all(neigh @ v <= np.sum(neigh ** 2, axis=1) / 2.0 + 1e-9):
-                verts.append(v)
-        verts = np.unique(np.round(np.asarray(verts), 12), axis=0)
-        return verts
 
 
 def scaled_integer(step: float, dim: int = 1) -> Lattice:

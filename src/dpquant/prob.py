@@ -242,19 +242,12 @@ def ks_statistic(sample, model: SourceModel) -> tuple[float, bool]:
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
 
 
-def plugin_entropy(counts, miller_madow: bool = False) -> float:
-    """Plug-in entropy of a histogram, in nats.
-
-    With miller_madow=True adds the (m-1)/(2n) first-order bias correction,
-    m being the number of occupied bins.
-    """
+def plugin_entropy(counts) -> float:
+    """Plug-in entropy of a histogram, in nats."""
     c = np.asarray(counts, dtype=float).ravel()
     c = c[c > 0]
     total = c.sum()
     if total < 1:
         raise ValueError("total count must be >= 1")
     p = c / total
-    h = float(-np.sum(p * np.log(p)))
-    if miller_madow:
-        h += (len(c) - 1) / (2.0 * total)
-    return h
+    return float(-np.sum(p * np.log(p)))

@@ -29,6 +29,7 @@ __all__ = [
 
 _NODES = 32    # Gauss-Legendre nodes per integration axis
 _CHUNK = 4096  # sample batch for the hexagonal path
+_HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
 
 
 @lru_cache(maxsize=32)
@@ -159,19 +160,18 @@ def dpq_transform(model: SourceModel, lat: Lattice, x_hat):
     return np.asarray(model.icdf(smoothed_cdf(model, lat, x_hat)))
 
 
-def gaussian_smoothed_transform(model: SourceModel, eta: float, x_hat,
-                                nodes: int = 96):
+def gaussian_smoothed_transform(model: SourceModel, eta: float, x_hat):
     """High-dimensionality limit of the DPQ transform with smoothing stddev eta.
 
     F^{-1}( E[F(x_hat + eta Z)] ), Z standard normal, by Gauss-Hermite
-    quadrature.  For a Gaussian source this collapses to the linear map
-    sqrt(var / (var + eta^2)) (x_hat - mu) + mu.
+    quadrature on `_HERMITE_NODES` nodes.  For a Gaussian source this
+    collapses to the linear map sqrt(var / (var + eta^2)) (x_hat - mu) + mu.
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
     if not (model.is_continuous and model.dim == 1):
         raise ValueError("scalar continuous model required")
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     x_hat = np.asarray(x_hat, dtype=float)
     vals = model.cdf(x_hat[..., None] + eta * math.sqrt(2.0) * t)
     u = np.sum(w * vals, axis=-1) / math.sqrt(math.pi)

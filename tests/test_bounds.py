@@ -137,7 +137,7 @@ class TestSinkhorn:
         assert c.mutual_information() == pytest.approx(math.log(4), abs=1e-2)
 
     def test_curve_shape(self):
-        pts = discrete_dp_rdf_curve([0.5, 0.5], HAMMING2, n_points=32)
+        pts = discrete_dp_rdf_curve([0.5, 0.5], HAMMING2)
         pts = sorted(pts, key=lambda q: q.distortion)
         rates = [q.rate for q in pts]
         assert all(r1 >= r2 - 1e-9 for r1, r2 in zip(rates, rates[1:]))

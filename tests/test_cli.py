@@ -1,12 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import dpquant.bounds
+import dpquant.cli as cli
 from dpquant.cli import (EXIT_BOUND, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-                         UsageError, _parse_grid, _parse_lattice,
-                         _parse_source, main)
-from dpquant.prob import Family
+                         UsageError, _LATTICES, _SOURCES, _build, _build_scheme,
+                         _parse_grid, main)
+from dpquant.lattice import hexagonal, scaled_integer
+from dpquant.prob import Family, discrete_pmf, gaussian, laplace, uniform
 
 
 def _rows(path):
@@ -15,26 +19,35 @@ def _rows(path):
     return header, [dict(zip(header, l.split(","))) for l in lines[1:]]
 
 
+def _source(spec):
+    return _build("source", spec, _SOURCES)
+
+
+def _lattice(spec):
+    return _build("lattice", spec, _LATTICES)
+
+
 class TestParsing:
     def test_source_gaussian(self):
-        m = _parse_source("gaussian:var=4,mean=1")
+        m = _source("gaussian:var=4,mean=1")
         assert m.family is Family.GAUSSIAN and m.params == (1.0, 4.0)
 
     def test_source_pmf(self):
-        assert _parse_source("pmf:0.5,0.5") == [0.5, 0.5]
+        m = _source("pmf:0.5,0.5")
+        assert not m.is_continuous and m.probs == (0.5, 0.5)
 
     def test_source_bad(self):
         with pytest.raises(UsageError):
-            _parse_source("cauchy:scale=1")
+            _source("cauchy:scale=1")
         with pytest.raises(UsageError):
-            _parse_source("gaussian:var")
+            _source("gaussian:var")
 
     def test_lattice(self):
-        lat = _parse_lattice("cube:step=0.1,dim=3")
+        lat = _lattice("cube:step=0.1,dim=3")
         assert lat.dim == 3 and lat.step == pytest.approx(0.1)
-        assert _parse_lattice("hex:scale=0.5").kind == "hexagonal"
+        assert _lattice("hex:scale=0.5").kind == "hexagonal"
         with pytest.raises(UsageError):
-            _parse_lattice("cube:size=1")
+            _lattice("cube:size=1")
 
     def test_grid(self):
         g = _parse_grid("0:1:5")
@@ -115,9 +128,13 @@ class TestEval:
         assert main(["eval", "--scheme", "simple", "-n", "10000",
                      "--check-bound", "--out", str(out)]) == EXIT_BOUND
 
-    def test_numeric_failure_exit(self, tmp_path):
+    def test_numeric_failure_exit(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("quadrature failed")
+
+        monkeypatch.setattr(cli, "evaluate", fail)
         out = tmp_path / "r.json"
-        assert main(["eval", "--scheme", "simple", "-n", "50",
+        assert main(["eval", "--scheme", "simple", "-n", "10000",
                      "--out", str(out)]) == EXIT_NUMERIC
 
 
@@ -306,3 +323,140 @@ class TestSchemeSpecs:
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["param"] == 0.05 and rep["scheme"]["step"] == 0.05
+
+
+# Every source, lattice and scheme spec that README and these tests use, with
+# the object it has always built.
+SOURCE_SPECS = [
+    ("gaussian:var=1", gaussian(0.0, 1.0)),
+    ("gaussian:var=4,mean=1", gaussian(1.0, 4.0)),
+    ("gaussian:mean=-2", gaussian(-2.0, 1.0)),
+    ("gaussian:", gaussian(0.0, 1.0)),
+    ("uniform:a=0,b=1", uniform(0.0, 1.0)),
+    ("uniform:a=2,b=3", uniform(2.0, 3.0)),
+    ("laplace:scale=2", laplace(0.0, 2.0)),
+    ("laplace:loc=0,scale=1", laplace(0.0, 1.0)),
+    ("pmf:0.5,0.5", discrete_pmf([0.5, 0.5])),
+    ("pmf:0.2,0.3,0.5", discrete_pmf([0.2, 0.3, 0.5])),
+]
+LATTICE_SPECS = [
+    ("cube:step=0.1", "scaled_integer", 0.1, 1),
+    ("cube:step=0.5,dim=2", "scaled_integer", 0.5, 2),
+    ("cube:step=0.1,dim=3", "scaled_integer", 0.1, 3),
+    ("hex:scale=0.5", "hexagonal", 0.5, 2),
+    ("hex:scale=1", "hexagonal", 1.0, 2),
+    ("hex", "hexagonal", 1.0, 2),
+]
+SCHEME_SPECS = [  # (scheme, lattice, class, describe(), reported param)
+    ("simple", None, "SimpleDpq", {}, 0.0),
+    ("resample", None, "ResampleDpq", {"step": 0.05}, 0.05),
+    ("resample:step=0.2", None, "ResampleDpq", {"step": 0.2}, 0.2),
+    ("awgn", None, "AwgnOracle", {"noise_var": 1.0}, 1.0),
+    ("awgn:eta2=1", None, "AwgnOracle", {"noise_var": 1.0}, 1.0),
+    ("transform", "cube:step=0.1", "TransformDpq",
+     {"lattice": {"kind": "scaled_integer", "step": 0.1, "dim": 1}}, 0.1),
+    ("transform", "hex:scale=0.5", "TransformDpq",
+     {"lattice": {"kind": "hexagonal", "step": 0.5, "dim": 2}}, 0.5),
+]
+
+
+class TestSpecGrammar:
+    @pytest.mark.parametrize("spec,model", SOURCE_SPECS,
+                             ids=[s for s, _ in SOURCE_SPECS])
+    def test_source_builds_same_model(self, spec, model):
+        got = _source(spec)
+        assert got == model
+        assert (got.family, got.params, got.dim, got.probs) == \
+            (model.family, model.params, model.dim, model.probs)
+
+    @pytest.mark.parametrize("spec,kind,step,dim", LATTICE_SPECS,
+                             ids=[s for s, *_ in LATTICE_SPECS])
+    def test_lattice_builds_same_lattice(self, spec, kind, step, dim):
+        lat = _lattice(spec)
+        assert (lat.kind, lat.step, lat.dim) == (kind, step, dim)
+        want = scaled_integer(step, dim) if kind == "scaled_integer" \
+            else hexagonal(step)
+        assert np.array_equal(lat.generator, want.generator)
+
+    @pytest.mark.parametrize("spec,lattice,kind,describe,param", SCHEME_SPECS,
+                             ids=[f"{s}-{l}" for s, l, *_ in SCHEME_SPECS])
+    def test_scheme_builds_same_scheme(self, spec, lattice, kind, describe,
+                                       param):
+        cfg = {"scheme": spec, "source": "gaussian:var=1",
+               "lattice": lattice or "cube:step=0.1"}
+        scheme, got = _build_scheme(cfg, 5)
+        assert type(scheme).__name__ == kind and scheme.seed == 5
+        assert scheme.describe() == describe and got == param
+        dim = 2 if lattice and lattice.startswith("hex") else 1
+        assert scheme.source == gaussian(0.0, 1.0, dim)
+
+    @pytest.mark.parametrize("argv,key", [
+        (["bounds", "--source", "gaussian:variance=4"], "variance"),
+        (["eval", "--scheme", "simple", "--source", "uniform:a=0,b=2,mean=5"],
+         "mean"),
+        (["sweep", "--family", "simple", "--grid", "1",
+          "--source", "laplace:scal=2"], "scal"),
+        (["eval", "--scheme", "transform", "--lattice", "hex:scal=0.3"], "scal"),
+        (["eval", "--scheme", "transform", "--lattice", "cube:step=0.5,dims=2"],
+         "dims"),
+        (["eval", "--scheme", "transform", "--lattice", "cube:dim=2"], "step"),
+        (["eval", "--scheme", "transform", "--lattice", "tri:scale=1"], "tri"),
+        (["eval", "--scheme", "simple:step=1"], "step"),
+        (["eval", "--scheme", "simple", "--source", "gaussian:var=nan"], "nan"),
+        (["eval", "--scheme", "transform", "--lattice", "cube:step=nan"], "nan"),
+        (["eval", "--scheme", "awgn:eta2=inf"], "inf"),
+        (["bounds", "--source", "pmf:nan,0.5"], "nan"),
+    ], ids=["gaussian-variance", "uniform-mean", "laplace-scal", "hex-scal",
+            "cube-dims", "cube-no-step", "unknown-lattice", "simple-step",
+            "gaussian-nan", "cube-nan", "awgn-inf", "pmf-nan"])
+    def test_bad_key_exit(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "x.out"
+        n = ["-n", "10000"] * (argv[0] != "bounds")
+        assert main(argv + n + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--dgrid", "nan,1"],
+        ["bounds", "--dgrid", "0.1:inf:3"],
+        ["sweep", "--family", "awgn", "--grid", "inf", "-n", "10000"],
+    ], ids=["dgrid-nan", "dgrid-inf", "sweep-inf"])
+    def test_non_finite_grid_exit(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pmf", ["pmf:0.5,0.6", "pmf:1.2,-0.2", "pmf:"])
+    @pytest.mark.parametrize("command", ["bounds", "eval"])
+    def test_bad_pmf_exit_before_solver(self, tmp_path, capsys, monkeypatch,
+                                        pmf, command):
+        calls = []
+        monkeypatch.setattr(dpquant.bounds, "sinkhorn_coupling",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "x.out"
+        argv = [command, "--source", pmf, "--out", str(out)]
+        argv += ["--scheme", "simple", "-n", "10000"] * (command == "eval")
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists() and calls == []
+        err = capsys.readouterr().err
+        assert pmf in err and "sum to 1" in err
+
+    @pytest.mark.parametrize("argv,config", [
+        (["eval", "--scheme", "simple", "-n", "50"], None),
+        (["eval", "--scheme", "simple", "-n", "100"], None),
+        (["eval", "--scheme", "simple", "-n", "9999"], None),
+        (["sweep", "--family", "simple", "--grid", "1", "-n", "100"], None),
+        (["eval", "--scheme", "simple"], "n=100"),
+        (["sweep", "--family", "simple", "--grid", "1"], "n=0"),
+    ], ids=["eval-50", "eval-100", "eval-9999", "sweep-100", "config-eval",
+            "config-sweep"])
+    def test_n_below_floor_exit(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfgf = tmp_path / "run.cfg"
+            cfgf.write_text(config + "\n")
+            argv = argv + ["--config", str(cfgf)]
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "n must be >= 10000" in capsys.readouterr().err

@@ -108,27 +108,15 @@ class TestDither:
 
 
 class TestGeometry:
-    def test_cube_box(self):
-        assert scaled_integer(1.0, 3).covering_box() == [(-0.5, 0.5)] * 3
-
-    def test_cube_box_small_step(self):
-        (lo, hi), = scaled_integer(0.2, 1).covering_box()
-        assert lo == pytest.approx(-0.1) and hi == pytest.approx(0.1)
-
-    def test_hex_box_analytic(self):
-        s = 1.0
-        box = hexagonal(s).covering_box()
-        assert box[0][0] == pytest.approx(-s / 2) and box[0][1] == pytest.approx(s / 2)
-        assert box[1][0] == pytest.approx(-s / math.sqrt(3))
-        assert box[1][1] == pytest.approx(s / math.sqrt(3))
-
     def test_volumes(self):
         assert scaled_integer(0.5, 3).cell_volume == pytest.approx(0.125)
         assert hexagonal(2.0).cell_volume == pytest.approx(4 * math.sqrt(3) / 2)
 
     def test_hex_volume_monte_carlo(self):
-        lat = hexagonal(1.0)
-        box = lat.covering_box()
+        s = 1.0
+        lat = hexagonal(s)
+        # the hexagon's bounding box: corners at x = +-s/2, y = +-s/sqrt(3)
+        box = [(-s / 2, s / 2), (-s / math.sqrt(3), s / math.sqrt(3))]
         rng = stream_rng(7, 0)
         n = 1_000_000
         pts = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in box])

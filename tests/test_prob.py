@@ -138,10 +138,6 @@ class TestPluginEntropy:
     def test_uniform_quaternary(self):
         assert plugin_entropy([1, 1, 1, 1]) == pytest.approx(math.log(4))
 
-    def test_miller_madow(self):
-        h = plugin_entropy([8, 8], miller_madow=True)
-        assert h == pytest.approx(math.log(2) + 1 / 32)
-
     def test_empty_refused(self):
         with pytest.raises(ValueError):
             plugin_entropy([0, 0])
