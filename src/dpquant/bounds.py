@@ -2,14 +2,17 @@
 
 Closed forms for the Gaussian/MSE case (DP-RDF, RDF, Shannon lower bound,
 the SLB sandwich, the AWGN curve-achieving construction) plus a discrete
-DP-RDF solver: an alternating-scaling projection onto couplings with both
-marginals pinned to the source pmf, traced over a Lagrange-multiplier grid.
+DP-RDF solver, traced over a Lagrange-multiplier grid.  The solver finds the
+entropic coupling whose two marginals both equal the source pmf by a damped
+Newton solve of its symmetric scaling equations; the cost table must be a
+distortion measure (symmetric, zero on the diagonal).
 
 All rates are in nats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,40 +132,83 @@ def awgn_oracle_point(var: float, noise_var: float) -> RdPoint:
 
 # ---- discrete DP-RDF solver ---------------------------------------------------
 
-def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
-                      max_iter: int = 100_000) -> Coupling:
-    """Entropic coupling projection with both marginals pinned to pmf.
+# Shortest Newton step the line search tries.  Pmf entries near 1e-15 at
+# lam >= 41 need steps down to 2^-45 before the quadratic phase starts.
+_MIN_STEP = 2.0 ** -60
 
-    Alternating scaling on the kernel K_ij = p_i p_j exp(-lam e_ij); the fixed
-    point minimizes I(coupling) + lam * expected cost over the polytope of
-    couplings whose two marginals both equal pmf.
+
+def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
+                      max_iter: int = 100) -> Coupling:
+    """Entropic coupling with both marginals pinned to pmf, by symmetric Newton.
+
+    The coupling minimizes I(coupling) + lam * expected cost over the polytope
+    of couplings whose two marginals both equal pmf.  Both marginals are p and
+    the cost is symmetric, so the minimizer is
+    P_ij = exp(a_i + a_j) p_i p_j exp(-lam e_ij) with a single vector a over
+    the symbols where p > 0 (Knight & Ruiz 2013).  Each damped Newton step
+    solves (diag(r) + P) d = p - r, r the row sums, and halves the step until
+    ||r - p||^2 passes an Armijo test; symbols with p = 0 get a zero row and
+    column.
+
+    The cost must be a distortion measure: finite, nonnegative, symmetric and
+    zero on the diagonal.  The zero diagonal keeps every P_ii > 0, so the
+    Newton matrix stays positive definite at any lam.
+    Returns once ``marginal_residual() < tol``; raises ``RuntimeError`` after
+    ``max_iter`` Newton steps, on a singular solve or when no step length down
+    to 2^-60 reduces the residual.
     """
     p = np.asarray(pmf, dtype=float)
     e = np.asarray(cost, dtype=float)
     m = p.size
     if m > 64:
         raise ValueError("alphabet too large (m <= 64)")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ValueError("pmf must be finite and nonnegative")
     if e.shape != (m, m) or np.any(e < 0) or not np.all(np.isfinite(e)):
         raise ValueError("cost must be a finite nonnegative m x m table")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not np.array_equal(e, e.T) or np.any(np.diag(e) != 0):
+        raise ValueError("cost must be symmetric with a zero diagonal")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 0")
 
-    k = np.outer(p, p) * np.exp(-lam * e)
-    u = np.ones(m)
-    v = np.ones(m)
     pos = p > 0
-    for _ in range(max_iter):
-        ku = k.T @ u
-        v = np.divide(p, ku, out=np.zeros_like(p), where=pos & (ku > 0))
-        kv = k @ v
-        u = np.divide(p, kv, out=np.zeros_like(p), where=pos & (kv > 0))
-        joint = u[:, None] * k * v[None, :]
-        res = max(np.abs(joint.sum(axis=1) - p).max(),
-                  np.abs(joint.sum(axis=0) - p).max())
+    q = p[pos]
+    log_k = np.log(q)[:, None] + np.log(q)[None, :] - lam * e[np.ix_(pos, pos)]
+
+    def scaled(a):
+        # the coupling on the support at scaling a, its row sums and ||r - p||^2
+        k = np.exp(a[:, None] + a[None, :] + log_k)
+        r = k.sum(axis=1)
+        return k, r, (q - r) @ (q - r)
+
+    a = np.zeros(q.size)
+    k, r, f = scaled(a)
+    for steps in itertools.count():
+        joint = np.zeros((m, m))
+        joint[np.ix_(pos, pos)] = k
+        coupling = Coupling(joint=joint, row_marginal=p, col_marginal=p, cost=e)
+        res = coupling.marginal_residual()
         if res < tol:
-            return Coupling(joint=joint, row_marginal=p, col_marginal=p, cost=e)
-    raise RuntimeError(f"Sinkhorn did not converge: marginal residual {res:.3e} "
-                       f"after {max_iter} iterations")
+            return coupling
+        where = f"marginal residual {res:.3e} after {steps} Newton steps"
+        if steps >= max_iter:
+            raise RuntimeError(f"Newton solve did not converge: {where}")
+        try:
+            d = np.linalg.solve(np.diag(r) + k, q - r)
+        except np.linalg.LinAlgError:
+            raise RuntimeError(f"singular Newton matrix: {where}") from None
+        # The Newton direction descends ||r - p||^2 at rate -2f, so the Armijo
+        # test is f(t) <= (1 - 2 c t) f; trial points that overflow fail it.
+        t = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= _MIN_STEP:
+                k_t, r_t, f_t = scaled(a + t * d)
+                if f_t <= (1 - 2e-4 * t) * f:
+                    break
+                t *= 0.5
+            else:
+                raise RuntimeError(f"Newton line search failed: {where}")
+        a, k, r, f = a + t * d, k_t, r_t, f_t
 
 
 # 0 and 63 log-spaced values: the near-independent (lam -> 0) through the

@@ -27,8 +27,11 @@ class Lattice:
 
     def __post_init__(self):
         g = np.asarray(self.generator, dtype=float)
-        if g.shape != (self.dim, self.dim) or abs(np.linalg.det(g)) < 1e-300:
-            raise ValueError("generator must be a nonsingular k x k matrix")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if (g.shape != (self.dim, self.dim) or not np.all(np.isfinite(g))
+                or abs(np.linalg.det(g)) < 1e-300):
+            raise ValueError("generator must be a finite nonsingular k x k matrix")
 
     @property
     def cell_volume(self) -> float:

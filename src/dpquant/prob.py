@@ -60,6 +60,8 @@ class SourceModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if not np.all(np.isfinite(self.params + self.values + self.probs)):
+            raise ValueError("parameters, values and probabilities must be finite")
         if self.family is Family.GAUSSIAN:
             if self.params[1] <= 0:
                 raise ValueError("Gaussian variance must be > 0")

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
-                            discrete_dp_rdf_curve, dp_rdf_gaussian,
-                            dp_rdf_sandwich_gaussian, rdf_gaussian,
-                            sinkhorn_coupling, slb_mse)
+from dpquant.bounds import (_LAMBDAS, awgn_oracle_point,
+                            discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
+                            dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
+                            rdf_gaussian, sinkhorn_coupling, slb_mse)
 from dpquant.prob import gaussian, plugin_entropy
 
 # frozen from the jointly-Gaussian mutual-information oracle -0.5 ln(1 - rho^2),
@@ -15,6 +17,18 @@ DP_RDF_1_1 = 0.14384103622589045
 DP_RDF_1_025 = 0.7254164411287309
 
 HAMMING2 = 1.0 - np.eye(2)
+
+
+@st.composite
+def _distortion_problems(draw):
+    m = draw(st.integers(2, 8))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+    upper = draw(st.lists(st.floats(0.0, 5.0), min_size=m * (m - 1) // 2,
+                          max_size=m * (m - 1) // 2))
+    cost = np.zeros((m, m))
+    cost[np.triu_indices(m, 1)] = upper
+    lam = draw(st.floats(0.0, 100.0))
+    return weights / weights.sum(), cost + cost.T, lam
 
 
 class TestGaussianClosedForms:
@@ -160,6 +174,69 @@ class TestSinkhorn:
     def test_lambda_negative_refused(self):
         with pytest.raises(ValueError):
             sinkhorn_coupling([0.5, 0.5], HAMMING2, -1.0)
+
+    def test_binary_hamming_exact_at_every_lambda(self):
+        # the optimal coupling puts d = 1/(1 + e^lam) off the diagonal, so
+        # I = ln 2 - H_b(d) and the expected Hamming cost is d
+        for lam in _LAMBDAS:
+            c = sinkhorn_coupling([0.5, 0.5], HAMMING2, float(lam))
+            d = 1.0 / (1.0 + math.exp(lam))
+            hb = -(d * math.log(d) + (1 - d) * math.log1p(-d))
+            assert c.mutual_information() == pytest.approx(math.log(2) - hb, abs=1e-9)
+            assert c.expected_cost() == pytest.approx(d, abs=1e-9)
+
+    def test_ternary_hamming_converges_at_every_lambda(self):
+        p = [0.2, 0.3, 0.5]
+        for lam in _LAMBDAS:
+            assert sinkhorn_coupling(p, 1.0 - np.eye(3), float(lam)).marginal_residual() < 1e-10
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_random_distortion_measures_converge(self, m):
+        # Dirichlet(0.3) pmfs with one entry forced to 1e-15, and symmetric
+        # zero-diagonal costs with entries in [0, 1)
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            pmf = np.maximum(rng.dirichlet(np.full(m, 0.3)), 1e-15)
+            pmf[0] = 1e-15
+            pmf /= pmf.sum()
+            upper = np.triu(rng.random((m, m)), 1)
+            cost = upper + upper.T
+            for lam in [*_LAMBDAS, 1e3]:
+                c = sinkhorn_coupling(pmf, cost, float(lam))
+                assert c.marginal_residual() < 1e-10
+
+    def test_zero_probability_symbol_gets_zero_row_and_column(self):
+        c = sinkhorn_coupling([0.5, 0.0, 0.5], 1.0 - np.eye(3), 2.0)
+        assert np.all(c.joint[1] == 0) and np.all(c.joint[:, 1] == 0)
+        assert c.marginal_residual() < 1e-10
+
+    @pytest.mark.parametrize("cost", [
+        np.array([[0.0, 1.0], [2.0, 0.0]]),
+        np.array([[0.5, 1.0], [1.0, 0.0]]),
+    ], ids=["asymmetric", "nonzero-diagonal"])
+    def test_cost_outside_distortion_measures_refused(self, cost):
+        with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
+            sinkhorn_coupling([0.5, 0.5], cost, 1.0)
+
+    def test_too_few_newton_steps_raise(self):
+        # negative control: 3 Newton steps do not reach tol at lam = 1 on the
+        # m = 64 Gaussian-shaped pmf under squared cost
+        i = np.arange(64)
+        pmf = np.exp(-((i - 31.5) / 10.0) ** 2 / 2)
+        cost = (i[:, None] - i[None, :]).astype(float) ** 2
+        with pytest.raises(RuntimeError, match="after 3 Newton steps"):
+            sinkhorn_coupling(pmf / pmf.sum(), cost, 1.0, max_iter=3)
+
+    @settings(derandomize=True, deadline=None)
+    @given(_distortion_problems())
+    def test_coupling_properties(self, problem):
+        pmf, cost, lam = problem
+        c = sinkhorn_coupling(pmf, cost, lam)
+        assert np.array_equal(c.joint, c.joint.T)
+        assert c.marginal_residual() < 1e-10
+        # a product coupling (lam = 0 or a zero cost) sums to -1.5e-16 in
+        # floating point; the curve clamps its rates at 0
+        assert c.mutual_information() >= -1e-12
 
 
 class TestBruteForce:

@@ -93,6 +93,19 @@ class TestBounds:
                                                          abs=0.02)
 
 
+    def test_ternary_pmf_curve(self, tmp_path):
+        # the scaling loop this solver replaced stalled at a residual of
+        # 2e-7 on this pmf and exited 4
+        out = tmp_path / "pmf3.csv"
+        assert main(["bounds", "--source", "pmf:0.2,0.3,0.5",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _rows(out)
+        assert len(rows) == 64
+        curve = sorted((float(r["D"]), float(r["rate_nats"])) for r in rows)
+        rates = [r for _, r in curve]
+        assert all(r1 >= r2 - 1e-12 for r1, r2 in zip(rates, rates[1:]))
+
+
 class TestEval:
     def test_simple_mse(self, tmp_path):
         out = tmp_path / "r.json"

@@ -135,3 +135,19 @@ class TestValidation:
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             hexagonal(-1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: scaled_integer(math.nan),
+        lambda: scaled_integer(math.inf, 2),
+        lambda: hexagonal(math.nan),
+        lambda: hexagonal(math.inf),
+    ], ids=["step-nan", "step-inf", "scale-nan", "scale-inf"])
+    def test_non_finite_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_zero_dimensions_refused(self):
+        # det of a 0 x 0 generator is 1, so the nonsingularity test alone
+        # accepted it with cell volume 1
+        with pytest.raises(ValueError, match="dim"):
+            scaled_integer(0.1, 0)

@@ -153,3 +153,22 @@ class TestValidation:
             discrete_pmf([0.5, 0.6])
         with pytest.raises(ValueError):
             discrete_pmf([-0.1, 1.1])
+
+    # uniform(nan, 1) was already refused by its support check; the others
+    # slipped past comparisons that are false for NaN
+    @pytest.mark.parametrize("build", [
+        lambda: gaussian(0, math.nan),
+        lambda: gaussian(math.nan, 1),
+        lambda: gaussian(0, math.inf),
+        lambda: laplace(0, math.nan),
+        lambda: laplace(math.inf, 1),
+        lambda: uniform(math.nan, 1),
+        lambda: uniform(0, math.inf),
+        lambda: discrete_pmf([math.nan, 0.5]),
+        lambda: discrete_pmf([0.5, 0.5], values=[0.0, math.inf]),
+    ], ids=["gaussian-var-nan", "gaussian-mean-nan", "gaussian-var-inf",
+            "laplace-scale-nan", "laplace-loc-inf", "uniform-a-nan",
+            "uniform-b-inf", "pmf-nan", "pmf-value-inf"])
+    def test_non_finite_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
