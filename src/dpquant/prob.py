@@ -161,6 +161,43 @@ class SourceModel:
             raise ValueError("pdf undefined for a discrete pmf")
         return out if out.ndim else float(out)
 
+    def cdf_average(self, lo, hi):
+        """Mean of the cdf over [lo, hi], (G(hi) - G(lo)) / (hi - lo) with G' = F.
+
+        Each continuous family is symmetric about its mean c, F(c + z) =
+        1 - F(c - z).  An interval whose midpoint lies above c is mirrored
+        below it and its mean taken from 1, so G stays small at both ends
+        and the upper tail loses no digits to cancellation.
+        """
+        if not self.is_continuous:
+            raise ValueError("cdf average undefined for a discrete pmf")
+        c = self.mean()
+        l = np.asarray(lo, dtype=float) - c
+        r = np.asarray(hi, dtype=float) - c
+        if not np.all(r > l):
+            raise ValueError("cdf average needs lo < hi")
+        upper = l + r > 0
+        l, r = np.where(upper, -r, l), np.where(upper, -l, r)
+        # from here l < 0 and |r| <= -l; G is taken in units of the scale
+        if self.family is Family.GAUSSIAN:
+            zl, zh = l / math.sqrt(self.params[1]), r / math.sqrt(self.params[1])
+            g = lambda z: z * special.ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            num = g(zh) - g(zl)
+        elif self.family is Family.LAPLACE:
+            zl, zh = l / self.params[1], r / self.params[1]
+            # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
+            num = np.maximum(zh, 0.0) + 0.5 * np.exp(zl) * np.expm1(-np.abs(zh) - zl)
+        else:
+            width = self.params[1] - self.params[0]
+            zl, zh = l / width, r / width
+            # G(z) = (q + 1/2)^2 / 2 + max(z - 1/2, 0), q = clip(z, -1/2, 1/2);
+            # zl < 1/2, and qh - ql is zh - zl exactly when both lie inside
+            ql, qh = np.clip(zl, -0.5, 0.5), np.clip(zh, -0.5, 0.5)
+            num = (qh - ql) * (0.5 * (qh + ql) + 0.5) + np.maximum(zh - 0.5, 0.0)
+        mean = num / (zh - zl)
+        out = np.where(upper, 1.0 - mean, mean)
+        return out if out.ndim else float(out)
+
     def diff_entropy(self) -> float:
         """Differential entropy in nats (continuous families only)."""
         if self.family is Family.GAUSSIAN:

@@ -27,7 +27,9 @@ __all__ = [
     "gaussian_smoothed_transform",
 ]
 
-_NODES = 32    # Gauss-Legendre nodes per integration axis
+# Gauss-Legendre nodes on the cube's step and on each half of the hexagon's
+# x-projection; the hexagon's chords are averaged in closed form
+_NODES = 32
 _CHUNK = 4096  # sample batch for the hexagonal path
 _HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
 
@@ -44,8 +46,8 @@ def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     The hexagon {|x| <= s/2, |y| <= h(x)}, h(x) = (s - |x|)/sqrt(3), is cut
     into vertical chords.  `a` holds n Gauss-Legendre abscissae on each of
     [-s/2, 0] and [0, s/2], `h` the half-chord at each and `w` their
-    weights.  With (t, t_w) the n-node rule on [-1, 1], the cell integral
-    of g is approximated by sum_i w_i h_i sum_j t_w_j g(a_i, h_i t_j).
+    weights.  The cell integral of g is approximated by
+    sum_i w_i int_{-h_i}^{h_i} g(a_i, y) dy.
     """
     t, w = _gl_nodes(n)
     a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
@@ -61,7 +63,8 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     source: the conditioning drops out and each value is the cell average of
     the marginal cdf.  Hexagonal lattice: coordinate 0 averages the cdf over
     the cell's x-projection; coordinate 1 is the ratio of cell integrals
-    conditioned on coordinate 0, both integrated along the cell's chords.
+    conditioned on coordinate 0, both integrated along the cell's chords,
+    each chord's cdf average in closed form (`SourceModel.cdf_average`).
     """
     if not model.is_continuous:
         raise ValueError("smoothed models require a continuous base")
@@ -78,19 +81,18 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
         raise ValueError("hexagonal path is 2-D")
     a, h, w = _hex_nodes(lat.step, _NODES)
     wh = w * h
-    t, tw = _gl_nodes(_NODES)
     xb = x_hat.reshape(-1, 2)
     u = np.empty_like(xb)
     for lo in range(0, len(xb), _CHUNK):
         x1 = xb[lo:lo + _CHUNK, 0, None]
-        x2 = xb[lo:lo + _CHUNK, 1, None, None]
+        x2 = xb[lo:lo + _CHUNK, 1, None]
         u[lo:lo + _CHUNK, 0] = (np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1)
                                 / lat.cell_volume)
         f1 = wh * model.pdf(x1 + a)
         den = np.sum(2.0 * f1, axis=-1)
         if np.any(den < 1e-300):
             raise ValueError("conditioning value outside the source support")
-        chords = np.sum(tw * model.cdf(x2 + h[:, None] * t), axis=-1)
+        chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
         u[lo:lo + _CHUNK, 1] = np.sum(f1 * chords, axis=-1) / den
     return u.reshape(x_hat.shape)
 

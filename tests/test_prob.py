@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dpquant.prob import (discrete_pmf, gaussian, ks_statistic, laplace,
                           plugin_entropy, uniform)
@@ -31,6 +34,59 @@ class TestCdf:
         for m in (gaussian(0, 1), uniform(0, 1), laplace(0, 1)):
             assert m.cdf(-1e9) == pytest.approx(0.0, abs=1e-12)
             assert m.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
+
+
+# (model, the kinks of its cdf) for each continuous family
+KINKED = [(gaussian(0.3, 2.0), []), (laplace(-0.5, 1.5), [-0.5]),
+          (uniform(-1.0, 2.0), [-1.0, 2.0])]
+
+
+class TestCdfAverage:
+    @pytest.mark.parametrize("model, kinks", KINKED,
+                             ids=["gaussian", "laplace", "uniform"])
+    @pytest.mark.parametrize("width", [1e-3, 2e-3, 0.1, 1.0, 10.0])
+    def test_matches_quad(self, model, kinks, width):
+        # midpoints across the centre and out to 8 sd in both tails
+        sd = math.sqrt(model.variance())
+        mids = model.mean() + sd * np.linspace(-8.0, 8.0, 161)
+        got = model.cdf_average(mids - width / 2, mids + width / 2)
+        for mid, g in zip(mids, got):
+            lo, hi = mid - width / 2, mid + width / 2
+            inside = [k for k in kinks if lo < k < hi]
+            want = quad(model.cdf, lo, hi, points=inside or None,
+                        epsabs=1e-16 * width, epsrel=1e-13)[0] / (hi - lo)
+            # ndtr is good to about 2e-16, and G(hi) - G(lo) divides that
+            # error by the width: 1.6e-13 at width 1e-3 near z = +-1
+            assert abs(g - want) < max(1e-13, 2e-16 / width), mid
+
+    def test_folded_tail_matches_gauss_legendre(self):
+        # unfolded, G(hi) - G(lo) in the upper tail misses this by 1.4e-12
+        m = gaussian(0, 1)
+        x = np.linspace(-8.0, 8.0, 2001)
+        h = 1e-3
+        t, w = np.polynomial.legendre.leggauss(32)
+        want = 0.5 * np.sum(w * m.cdf(x[:, None] + h * t), axis=-1)
+        assert np.max(np.abs(m.cdf_average(x - h, x + h) - want)) < 2e-13
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.sampled_from([m for m, _ in KINKED]),
+           st.floats(-50.0, 50.0), st.floats(1e-6, 20.0))
+    def test_between_end_values(self, model, lo, width):
+        hi = lo + width
+        avg = model.cdf_average(lo, hi)
+        assert model.cdf(lo) <= avg <= model.cdf(hi)
+
+    def test_scalar_and_broadcast(self):
+        m = laplace(0, 1)
+        assert isinstance(m.cdf_average(-1.0, 1.0), float)
+        assert m.cdf_average(-1.0, 1.0) == 0.5
+        assert m.cdf_average(np.zeros((3, 1)), np.ones(4)).shape == (3, 4)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            discrete_pmf([0.5, 0.5]).cdf_average(0.0, 1.0)
+        with pytest.raises(ValueError):
+            gaussian(0, 1).cdf_average(1.0, 1.0)
 
 
 class TestIcdf:

@@ -22,6 +22,14 @@ def _phi(x):
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _laplace_cdf(x):
+    return 0.5 * math.exp(x) if x < 0 else 1.0 - 0.5 * math.exp(-x)
+
+
+def _laplace_pdf(x):
+    return 0.5 * math.exp(-abs(x))
+
+
 class TestSmoothedCdf:
     def test_gaussian_symmetry(self):
         u = smoothed_cdf(gaussian(0, 1), scaled_integer(0.5, 1), 0.0)
@@ -69,25 +77,33 @@ class TestSmoothedCdf:
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
     def test_hex_matches_cell_integrals(self, scale):
         # Both coordinates against adaptive 2-D integration over the two
-        # half-hexagons x < 0 and x > 0 (the chord length has a kink at 0).
-        m = gaussian(0, 1, dim=2)
+        # half-hexagons x < 0 and x > 0 (the chord length has a kink at 0),
+        # each chord split where x2 + y crosses the source's centre 0.  The
+        # Laplace points keep x1 more than s/2 from the kink of its pdf and
+        # cdf, and every chord through x2 crosses it.
         lat = hexagonal(scale)
         half_chord = lambda a: (scale - abs(a)) / math.sqrt(3.0)
+        cases = [(gaussian(0, 1, dim=2), ndtr, _phi,
+                  [[0.3, -0.7], [-1.2, 1.5], [2.5, 0.1]]),
+                 (laplace(0, 1, dim=2), _laplace_cdf, _laplace_pdf,
+                  [[1.5 * scale, 0.05 * scale], [-0.75 * scale - 2.0, 0.0],
+                   [3.0, -0.1 * scale]])]
+        for m, cdf, pdf, x_hat in cases:
+            u = smoothed_cdf(m, lat, np.array(x_hat))
+            for (x1, x2), (u1, u2) in zip(x_hat, u):
+                def cell_integral(g):
+                    mid = lambda a: min(max(-x2, -half_chord(a)), half_chord(a))
+                    return sum(dblquad(lambda b, a: g(a, b), lo, hi, y0, y1,
+                                       epsabs=1e-14, epsrel=1e-13)[0]
+                               for lo, hi in ((-scale / 2, 0.0), (0.0, scale / 2))
+                               for y0, y1 in ((lambda a: -half_chord(a), mid),
+                                              (mid, half_chord)))
 
-        def cell_integral(g):
-            return sum(dblquad(lambda b, a: g(a, b), lo, hi,
-                               lambda a: -half_chord(a), half_chord,
-                               epsabs=1e-14, epsrel=1e-13)[0]
-                       for lo, hi in ((-scale / 2, 0.0), (0.0, scale / 2)))
-
-        x_hat = np.array([[0.3, -0.7], [-1.2, 1.5], [2.5, 0.1]])
-        u = smoothed_cdf(m, lat, x_hat)
-        for (x1, x2), (u1, u2) in zip(x_hat, u):
-            want1 = cell_integral(lambda a, b: ndtr(x1 + a)) / lat.cell_volume
-            den = cell_integral(lambda a, b: _phi(x1 + a))
-            want2 = cell_integral(lambda a, b: _phi(x1 + a) * ndtr(x2 + b)) / den
-            assert abs(u1 - want1) < 1e-12
-            assert abs(u2 - want2) < 1e-12
+                want1 = cell_integral(lambda a, b: cdf(x1 + a)) / lat.cell_volume
+                den = cell_integral(lambda a, b: pdf(x1 + a))
+                want2 = cell_integral(lambda a, b: pdf(x1 + a) * cdf(x2 + b)) / den
+                assert abs(u1 - want1) < 1e-12
+                assert abs(u2 - want2) < 1e-12
 
     def test_refuses_pmf_and_dimension_mismatch(self):
         with pytest.raises(ValueError):
