@@ -6,7 +6,16 @@ the harness has to reproduce them bit for bit.  A deliberate change to the
 numbers a scheme produces regenerates them and says why in CHANGES.md.
 `transform_hex` was regenerated when the hexagonal cell integral moved to a
 chord rule: the same quadrature summed in another order, which moves its
-fields by at most 2e-15 and leaves the rate fields bit-identical.
+fields by at most 2e-15 and leaves the rate fields bit-identical.  It was
+regenerated again when each chord's 32-node sum became the closed-form
+`SourceModel.cdf_average`; the KS and rate fields stayed bit-identical and
+these moved in their last bits (old -> new):
+
+    mse_per_dim              0.017117934122470358   -> 0.017117934122470355
+    mse_se                   0.0001086613817624127  -> 0.00010866138176241275
+    moment_errors.mean       -0.0001989005132883392 -> -0.00019890051328818643
+    moment_errors.skewness   -0.0015132001379919728 -> -0.001513200137990404
+    moment_errors.variance   -0.00858856610322778   -> -0.008588566103227446
 """
 
 import json
@@ -156,11 +165,11 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                              'seed': 104},
           'transform_hex': {'ks_per_axis': [[0.009138233293598919, True],
                                             [0.009522289885849022, True]],
-                            'moment_errors': {'mean': -0.0001989005132883392,
-                                              'skewness': -0.0015132001379919728,
-                                              'variance': -0.00858856610322778},
-                            'mse_per_dim': 0.017117934122470358,
-                            'mse_se': 0.0001086613817624127,
+                            'moment_errors': {'mean': -0.00019890051328818643,
+                                              'skewness': -0.001513200137990404,
+                                              'variance': -0.008588566103227446},
+                            'mse_per_dim': 0.017117934122470355,
+                            'mse_se': 0.00010866138176241275,
                             'n': 10000,
                             'rate_nats_per_dim': 2.1851344478699666,
                             'rate_se': 0.0010731105097606629,
