@@ -29,6 +29,7 @@ __all__ = [
     "slb_mse",
     "dp_rdf_sandwich_gaussian",
     "awgn_oracle_point",
+    "MAX_ALPHABET",
     "sinkhorn_coupling",
     "discrete_dp_rdf_curve",
     "discrete_dp_rdf_bruteforce",
@@ -136,6 +137,8 @@ def awgn_oracle_point(var: float, noise_var: float) -> RdPoint:
 # lam >= 41 need steps down to 2^-45 before the quadratic phase starts.
 _MIN_STEP = 2.0 ** -60
 
+MAX_ALPHABET = 64  # the largest pmf the coupling solver takes
+
 
 def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
                       max_iter: int = 100) -> Coupling:
@@ -160,8 +163,8 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
     p = np.asarray(pmf, dtype=float)
     e = np.asarray(cost, dtype=float)
     m = p.size
-    if m > 64:
-        raise ValueError("alphabet too large (m <= 64)")
+    if m > MAX_ALPHABET:
+        raise ValueError(f"alphabet too large (m <= {MAX_ALPHABET})")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ValueError("pmf must be finite and nonnegative")
     if e.shape != (m, m) or np.any(e < 0) or not np.all(np.isfinite(e)):

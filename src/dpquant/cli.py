@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import schemes as sch
-from .bounds import discrete_dp_rdf_curve
+from .bounds import MAX_ALPHABET, discrete_dp_rdf_curve
 from .harness import (LN2, MIN_N, compare_to_bound, evaluate, rd_sweep,
                       write_curve_csv, write_points_csv, write_reports_csv)
 from .lattice import hexagonal, scaled_integer
@@ -62,8 +62,10 @@ def _parse_spec(kind: str, spec: str, table: dict):
     """(name, values) of a `name[:key=value,...]` spec of one kind.
 
     The values are the spec's, else the table's defaults; a positional spec
-    gives a list.  An unknown name, an unknown key, a missing required key
-    and a value that is not a finite number are usage errors that name it.
+    gives a list of at most `MAX_ALPHABET` entries, the coupling solver's
+    limit.  An unknown name, an unknown key, a missing required key, a list
+    too long and a value that is not a finite number are usage errors that
+    name it.
     """
     name, _, rest = spec.partition(":")
     if name not in table:
@@ -73,6 +75,9 @@ def _parse_spec(kind: str, spec: str, table: dict):
     items = rest.split(",") if rest else []
     try:
         if keys is None:
+            if len(items) > MAX_ALPHABET:
+                raise UsageError(f"{kind} {name} takes at most {MAX_ALPHABET} "
+                                 f"entries, not {len(items)}")
             return name, [_finite(t) for t in items]
         values = dict(keys)
         for item in items:

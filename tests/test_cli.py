@@ -455,6 +455,24 @@ class TestSpecGrammar:
         err = capsys.readouterr().err
         assert pmf in err and "sum to 1" in err
 
+    def test_pmf_longer_than_solver_limit_exit(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the solver's own refusal used to surface as a numerical failure
+        calls = []
+        monkeypatch.setattr(dpquant.bounds, "sinkhorn_coupling",
+                            lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "x.out"
+        pmf = "pmf:" + ",".join([repr(1 / 65)] * 65)
+        assert main(["bounds", "--source", pmf, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists() and calls == []
+        assert "at most 64 entries, not 65" in capsys.readouterr().err
+
+    def test_pmf_at_solver_limit_accepted(self, tmp_path):
+        out = tmp_path / "pmf64.csv"
+        pmf = "pmf:" + ",".join(["0.015625"] * 64)
+        assert main(["bounds", "--source", pmf, "--out", str(out)]) == EXIT_OK
+        assert len(_rows(out)[1]) == 64
+
     @pytest.mark.parametrize("argv,config", [
         (["eval", "--scheme", "simple", "-n", "50"], None),
         (["eval", "--scheme", "simple", "-n", "100"], None),
