@@ -162,7 +162,7 @@ class SourceModel:
         return out if out.ndim else float(out)
 
     def cdf_average(self, lo, hi):
-        """Mean of the cdf over [lo, hi], (G(hi) - G(lo)) / (hi - lo) with G' = F.
+        """Mean of the cdf over [lo, hi]: (G(hi) - G(lo)) / (hi - lo), G' = F.
 
         Each continuous family is symmetric about its mean c, F(c + z) =
         1 - F(c - z).  An interval whose midpoint lies above c is mirrored
@@ -178,11 +178,13 @@ class SourceModel:
             raise ValueError("cdf average needs lo < hi")
         upper = l + r > 0
         l, r = np.where(upper, -r, l), np.where(upper, -l, r)
-        # from here l < 0 and |r| <= -l; G is taken in units of the scale
+        # from here l < 0 and |r| <= -l; z and G are in units of the scale
         if self.family is Family.GAUSSIAN:
-            zl, zh = l / math.sqrt(self.params[1]), r / math.sqrt(self.params[1])
-            g = lambda z: z * special.ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-            num = g(zh) - g(zl)
+            sd = math.sqrt(self.params[1])
+            zl, zh = l / sd, r / sd
+            phi = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            # G(z) = z Phi(z) + phi(z)
+            num = (zh * special.ndtr(zh) + phi(zh)) - (zl * special.ndtr(zl) + phi(zl))
         elif self.family is Family.LAPLACE:
             zl, zh = l / self.params[1], r / self.params[1]
             # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
