@@ -172,26 +172,27 @@ class SourceModel:
         if not self.is_continuous:
             raise ValueError("cdf average undefined for a discrete pmf")
         c = self.mean()
-        l = np.asarray(lo, dtype=float) - c
-        r = np.asarray(hi, dtype=float) - c
-        if not np.all(r > l):
+        dl = np.asarray(lo, dtype=float) - c
+        dh = np.asarray(hi, dtype=float) - c
+        if not np.all(dh > dl):
             raise ValueError("cdf average needs lo < hi")
-        upper = l + r > 0
-        l, r = np.where(upper, -r, l), np.where(upper, -l, r)
-        # from here l < 0 and |r| <= -l; z and G are in units of the scale
+        upper = dl + dh > 0
+        dl, dh = np.where(upper, -dh, dl), np.where(upper, -dl, dh)
+        # from here dl < 0 and |dh| <= -dl; z and G are in units of the scale
         if self.family is Family.GAUSSIAN:
             sd = math.sqrt(self.params[1])
-            zl, zh = l / sd, r / sd
+            zl, zh = dl / sd, dh / sd
             phi = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
             # G(z) = z Phi(z) + phi(z)
-            num = (zh * special.ndtr(zh) + phi(zh)) - (zl * special.ndtr(zl) + phi(zl))
+            num = ((zh * special.ndtr(zh) + phi(zh))
+                   - (zl * special.ndtr(zl) + phi(zl)))
         elif self.family is Family.LAPLACE:
-            zl, zh = l / self.params[1], r / self.params[1]
+            zl, zh = dl / self.params[1], dh / self.params[1]
             # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
             num = np.maximum(zh, 0.0) + 0.5 * np.exp(zl) * np.expm1(-np.abs(zh) - zl)
         else:
             width = self.params[1] - self.params[0]
-            zl, zh = l / width, r / width
+            zl, zh = dl / width, dh / width
             # G(z) = (q + 1/2)^2 / 2 + max(z - 1/2, 0), q = clip(z, -1/2, 1/2);
             # zl < 1/2, and qh - ql is zh - zl exactly when both lie inside
             ql, qh = np.clip(zl, -0.5, 0.5), np.clip(zh, -0.5, 0.5)

@@ -83,6 +83,15 @@ class TestSmoothedCdf:
         # cdf, and every chord through x2 crosses it.
         lat = hexagonal(scale)
         half_chord = lambda a: (scale - abs(a)) / math.sqrt(3.0)
+
+        def cell_integral(g, x2):
+            mid = lambda a: min(max(-x2, -half_chord(a)), half_chord(a))
+            return sum(dblquad(lambda b, a: g(a, b), lo, hi, y0, y1,
+                               epsabs=1e-14, epsrel=1e-13)[0]
+                       for lo, hi in ((-scale / 2, 0.0), (0.0, scale / 2))
+                       for y0, y1 in ((lambda a: -half_chord(a), mid),
+                                      (mid, half_chord)))
+
         cases = [(gaussian(0, 1, dim=2), ndtr, _phi,
                   [[0.3, -0.7], [-1.2, 1.5], [2.5, 0.1]]),
                  (laplace(0, 1, dim=2), _laplace_cdf, _laplace_pdf,
@@ -91,17 +100,10 @@ class TestSmoothedCdf:
         for m, cdf, pdf, x_hat in cases:
             u = smoothed_cdf(m, lat, np.array(x_hat))
             for (x1, x2), (u1, u2) in zip(x_hat, u):
-                def cell_integral(g):
-                    mid = lambda a: min(max(-x2, -half_chord(a)), half_chord(a))
-                    return sum(dblquad(lambda b, a: g(a, b), lo, hi, y0, y1,
-                                       epsabs=1e-14, epsrel=1e-13)[0]
-                               for lo, hi in ((-scale / 2, 0.0), (0.0, scale / 2))
-                               for y0, y1 in ((lambda a: -half_chord(a), mid),
-                                              (mid, half_chord)))
-
-                want1 = cell_integral(lambda a, b: cdf(x1 + a)) / lat.cell_volume
-                den = cell_integral(lambda a, b: pdf(x1 + a))
-                want2 = cell_integral(lambda a, b: pdf(x1 + a) * cdf(x2 + b)) / den
+                want1 = cell_integral(lambda a, b: cdf(x1 + a), x2) / lat.cell_volume
+                den = cell_integral(lambda a, b: pdf(x1 + a), x2)
+                want2 = cell_integral(lambda a, b: pdf(x1 + a) * cdf(x2 + b),
+                                      x2) / den
                 assert abs(u1 - want1) < 1e-12
                 assert abs(u2 - want2) < 1e-12
 
