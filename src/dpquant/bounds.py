@@ -4,8 +4,9 @@ Closed forms for the Gaussian/MSE case (DP-RDF, RDF, Shannon lower bound,
 the SLB sandwich, the AWGN curve-achieving construction) plus a discrete
 DP-RDF solver, traced over a Lagrange-multiplier grid.  The solver finds the
 entropic coupling whose two marginals both equal the source pmf by a damped
-Newton solve of its symmetric scaling equations; the cost table must be a
-distortion measure (symmetric, zero on the diagonal).
+Newton solve of its symmetric scaling equations; the pmf must pass
+`check_pmf` and the cost table must be a distortion measure (symmetric,
+zero on the diagonal).
 
 All rates are in nats.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "dp_rdf_sandwich_gaussian",
     "awgn_oracle_point",
     "MAX_ALPHABET",
+    "check_pmf",
     "sinkhorn_coupling",
     "discrete_dp_rdf_curve",
     "discrete_dp_rdf_bruteforce",
@@ -101,8 +103,6 @@ def rdf_gaussian(var: float, d: float) -> float:
 
 def slb_mse(model: SourceModel, d: float) -> float:
     """Shannon lower bound under MSE: h(X) - (1/2) ln(2 pi e D), floored at 0."""
-    if not model.is_continuous:
-        raise ValueError("SLB requires a continuous model")
     if d <= 0:
         return math.inf
     return max(0.0, model.diff_entropy() - 0.5 * math.log(2 * math.pi * math.e * d))
@@ -140,6 +140,19 @@ _MIN_STEP = 2.0 ** -60
 MAX_ALPHABET = 64  # the largest pmf the coupling solver takes
 
 
+def check_pmf(pmf) -> np.ndarray:
+    """pmf as a float array; ValueError unless its entries are finite, >= 0,
+    sum to 1 within 1e-12 and number at most `MAX_ALPHABET`."""
+    p = np.asarray(pmf, dtype=float)
+    if p.size > MAX_ALPHABET:
+        raise ValueError(f"a pmf takes at most {MAX_ALPHABET} entries, "
+                         f"not {p.size}")
+    if (p.ndim != 1 or not np.all(np.isfinite(p)) or np.any(p < 0)
+            or abs(p.sum() - 1.0) > 1e-12):
+        raise ValueError("pmf entries must be finite, >= 0 and sum to 1")
+    return p
+
+
 def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
                       max_iter: int = 100) -> Coupling:
     """Entropic coupling with both marginals pinned to pmf, by symmetric Newton.
@@ -153,20 +166,17 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
     ||r - p||^2 passes an Armijo test; symbols with p = 0 get a zero row and
     column.
 
-    The cost must be a distortion measure: finite, nonnegative, symmetric and
-    zero on the diagonal.  The zero diagonal keeps every P_ii > 0, so the
-    Newton matrix stays positive definite at any lam.
+    The pmf must pass `check_pmf`.  The cost must be a distortion measure:
+    finite, nonnegative, symmetric and zero on the diagonal.  The zero
+    diagonal keeps every P_ii > 0, so the Newton matrix stays positive
+    definite at any lam.
     Returns once ``marginal_residual() < tol``; raises ``RuntimeError`` after
     ``max_iter`` Newton steps, on a singular solve or when no step length down
     to 2^-60 reduces the residual.
     """
-    p = np.asarray(pmf, dtype=float)
+    p = check_pmf(pmf)
     e = np.asarray(cost, dtype=float)
     m = p.size
-    if m > MAX_ALPHABET:
-        raise ValueError(f"alphabet too large (m <= {MAX_ALPHABET})")
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ValueError("pmf must be finite and nonnegative")
     if e.shape != (m, m) or np.any(e < 0) or not np.all(np.isfinite(e)):
         raise ValueError("cost must be a finite nonnegative m x m table")
     if not np.array_equal(e, e.T) or np.any(np.diag(e) != 0):
@@ -248,7 +258,7 @@ def discrete_dp_rdf_bruteforce(pmf, cost, d: float, grid: int = 20001) -> float:
     m = 3, 4: projected search (SLSQP over the free block with linear marginal
     constraints), multi-start.  Accurate to ~1e-3 in rate.
     """
-    p = np.asarray(pmf, dtype=float)
+    p = check_pmf(pmf)
     e = np.asarray(cost, dtype=float)
     m = p.size
     if m > 4:

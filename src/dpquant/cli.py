@@ -21,11 +21,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import schemes as sch
-from .bounds import MAX_ALPHABET, discrete_dp_rdf_curve
+from .bounds import check_pmf, discrete_dp_rdf_curve
 from .harness import (LN2, MIN_N, compare_to_bound, evaluate, rd_sweep,
                       write_curve_csv, write_points_csv, write_reports_csv)
 from .lattice import hexagonal, scaled_integer
-from .prob import Family, discrete_pmf, gaussian, laplace, uniform
+from .prob import Family, SourceModel, gaussian, laplace, uniform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,11 +39,12 @@ class UsageError(Exception):
 
 # name -> (constructor, {key: default}) for each spec kind.  A default of
 # None marks a required key; a value is an int where the default is one and a
-# float otherwise.  Keys None: the spec lists positional floats (a pmf).
+# float otherwise.  Keys None: the spec lists positional floats, a pmf that
+# `bounds.check_pmf` validates and that only the `bounds` command takes.
 _SOURCES = {"gaussian": (gaussian, {"mean": 0.0, "var": 1.0}),
             "uniform": (uniform, {"a": 0.0, "b": 1.0}),
             "laplace": (laplace, {"loc": 0.0, "scale": 1.0}),
-            "pmf": (discrete_pmf, None)}
+            "pmf": (check_pmf, None)}
 _LATTICES = {"cube": (scaled_integer, {"step": None, "dim": 1}),
              "hex": (hexagonal, {"scale": 1.0})}
 # schemes.build makes a scheme once its source and lattice are known
@@ -62,10 +63,8 @@ def _parse_spec(kind: str, spec: str, table: dict):
     """(name, values) of a `name[:key=value,...]` spec of one kind.
 
     The values are the spec's, else the table's defaults; a positional spec
-    gives a list of at most `MAX_ALPHABET` entries, the coupling solver's
-    limit.  An unknown name, an unknown key, a missing required key, a list
-    too long and a value that is not a finite number are usage errors that
-    name it.
+    gives a list.  An unknown name, an unknown key, a missing required key
+    and a value that is not a finite number are usage errors that name it.
     """
     name, _, rest = spec.partition(":")
     if name not in table:
@@ -75,9 +74,6 @@ def _parse_spec(kind: str, spec: str, table: dict):
     items = rest.split(",") if rest else []
     try:
         if keys is None:
-            if len(items) > MAX_ALPHABET:
-                raise UsageError(f"{kind} {name} takes at most {MAX_ALPHABET} "
-                                 f"entries, not {len(items)}")
             return name, [_finite(t) for t in items]
         values = dict(keys)
         for item in items:
@@ -106,8 +102,8 @@ def _build(kind: str, spec: str, table: dict):
 
 def _continuous_source(spec: str, command: str):
     src = _build("source", spec, _SOURCES)
-    if not src.is_continuous:
-        raise UsageError(f"{command} requires a continuous source")
+    if not isinstance(src, SourceModel):
+        raise UsageError(f"{command} needs a continuous source, not a pmf")
     return src
 
 
@@ -187,13 +183,13 @@ def cmd_bounds(args) -> int:
     cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": None,
                           "cost": None, "out": "bounds.csv"})
     src = _build("source", cfg["source"], _SOURCES)
-    if not src.is_continuous:  # discrete pmf: solver-traced curve
+    if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
         if cfg.pop("dgrid") is not None:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
         cfg["cost"] = cfg["cost"] or "hamming"
         if cfg["cost"] != "hamming":
             raise UsageError("only the hamming cost table is built in")
-        pts = discrete_dp_rdf_curve(src.probs, 1.0 - np.eye(len(src.probs)))
+        pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(src.size))
         write_points_csv(cfg["out"], pts, config=cfg)
         return EXIT_OK
     if cfg.pop("cost") is not None:

@@ -32,9 +32,8 @@ N_DITHERS = 16  # fixed dithers the empirical rate is averaged over
 
 @dataclass(frozen=True, eq=False)
 class EcdqOutput:
-    indices: np.ndarray      # (..., k) integer
-    x_hat: np.ndarray        # (..., k) reconstruction = point - dither
-    dither_used: np.ndarray  # (..., k)
+    indices: np.ndarray  # (..., k) integer
+    x_hat: np.ndarray    # (..., k) reconstruction = point - dither
 
 
 def _check_dither(lat: Lattice, dither: np.ndarray):
@@ -49,7 +48,7 @@ def ecdq_encode(lat: Lattice, dither, x) -> EcdqOutput:
     x = np.asarray(x, dtype=float)
     _check_dither(lat, dither)
     idx, pt = lat.nearest_point(x + dither)
-    return EcdqOutput(indices=idx, x_hat=pt - dither, dither_used=dither)
+    return EcdqOutput(indices=idx, x_hat=pt - dither)
 
 
 def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
@@ -102,10 +101,9 @@ def ecdq_rate_analytic(model: SourceModel, lat: Lattice, tol: float = 1e-4) -> f
     The density of X + U(-step/2, step/2) is (F(y + step/2) - F(y - step/2)) / step;
     its differential entropy is evaluated by adaptive quadrature.
     """
-    if not (model.is_continuous and model.dim == 1
-            and lat.kind == "scaled_integer" and lat.dim == 1):
-        raise ValueError("analytic rate is defined for scalar continuous "
-                         "models and a scalar cubic lattice")
+    if not (model.dim == 1 and lat.kind == "scaled_integer" and lat.dim == 1):
+        raise ValueError("analytic rate is defined for scalar models and a "
+                         "scalar cubic lattice")
     step = lat.step
 
     def neg_flogf(y):

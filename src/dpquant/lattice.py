@@ -100,15 +100,15 @@ class Lattice:
 
 
 def scaled_integer(step: float, dim: int = 1) -> Lattice:
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be finite and > 0")
     return Lattice(kind="scaled_integer", generator=np.eye(dim) * step, dim=dim)
 
 
 def hexagonal(scale: float = 1.0) -> Lattice:
     """Hexagonal lattice with minimum distance = scale (dimension 2)."""
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be finite and > 0")
     g = scale * np.array([[1.0, 0.5],
                           [0.0, math.sqrt(3.0) / 2.0]])
     return Lattice(kind="hexagonal", generator=g, dim=2)

@@ -1,15 +1,17 @@
 """Probability models for sources and the empirical statistics built on them.
 
-A :class:`SourceModel` is a scalar distribution family replicated i.i.d.
-across ``dim`` coordinates.  Closed-form cdf/icdf/pdf are exposed for the
-continuous families; a finite pmf gets a step cdf with the infimum inverse.
+A :class:`SourceModel` is a scalar continuous family, i.i.d. across ``dim``
+coordinates: the location-scale copy of a standard law symmetric about 0,
+whose `_LAWS` row gives every method.  A finite pmf is not a source model;
+the coupling solver in `bounds` takes it directly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -23,7 +25,6 @@ __all__ = [
     "gaussian",
     "uniform",
     "laplace",
-    "discrete_pmf",
     "ks_statistic",
     "plugin_entropy",
 ]
@@ -39,178 +40,146 @@ class Family(enum.Enum):
     GAUSSIAN = "gaussian"
     UNIFORM = "uniform"
     LAPLACE = "laplace"
-    DISCRETE_PMF = "pmf"
+
+
+def _phi(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+
+def _gaussian_g(z):  # G(z) = z Phi(z) + phi(z)
+    return z * special.ndtr(z) + _phi(z)
+
+
+def _laplace_cdf(z):
+    half_tail = 0.5 * np.exp(-np.abs(z))
+    return np.where(z < 0, half_tail, 1.0 - half_tail)
+
+
+def _uniform_g_diff(zl, zh):
+    # G(z) = (q + 1/2)^2 / 2 + max(z - 1/2, 0), q = clip(z, -1/2, 1/2);
+    # zl < 1/2, and qh - ql is zh - zl exactly when both lie inside
+    ql, qh = np.clip(zl, -0.5, 0.5), np.clip(zh, -0.5, 0.5)
+    return (qh - ql) * (0.5 * (qh + ql) + 0.5) + np.maximum(zh - 0.5, 0.0)
+
+
+@dataclass(frozen=True)
+class _Law:
+    """A family as the location-scale copy of a standard law symmetric about 0.
+
+    ``loc_scale`` and ``variance`` read the family's params; ``cdf``, ``icdf``
+    and ``pdf`` are the standard law's, in z = (x - centre) / scale, and
+    ``g_diff(zl, zh)`` is G(zh) - G(zl), G' = cdf, for zl < 0, |zh| <= -zl.
+    """
+
+    loc_scale: Callable
+    variance: Callable
+    cdf: Callable
+    icdf: Callable
+    pdf: Callable
+    g_diff: Callable
+    entropy: float  # differential entropy at scale 1, nats
+
+
+_LAWS = {
+    # a variance <= 0 maps to scale 0, which SourceModel refuses
+    Family.GAUSSIAN: _Law(
+        loc_scale=lambda p: (p[0], math.sqrt(max(p[1], 0.0))),
+        variance=lambda p: p[1],
+        cdf=special.ndtr, icdf=special.ndtri, pdf=_phi,
+        g_diff=lambda zl, zh: _gaussian_g(zh) - _gaussian_g(zl),
+        entropy=0.5 * math.log(2 * math.pi * math.e)),
+    Family.UNIFORM: _Law(
+        loc_scale=lambda p: (0.5 * (p[0] + p[1]), p[1] - p[0]),
+        variance=lambda p: (p[1] - p[0]) ** 2 / 12.0,
+        cdf=lambda z: np.clip(z + 0.5, 0.0, 1.0),
+        icdf=lambda u: u - 0.5,
+        pdf=lambda z: np.where(np.abs(z) <= 0.5, 1.0, 0.0),
+        g_diff=_uniform_g_diff, entropy=0.0),
+    Family.LAPLACE: _Law(
+        loc_scale=lambda p: (p[0], p[1]),
+        variance=lambda p: 2.0 * p[1] ** 2,
+        cdf=_laplace_cdf,
+        icdf=lambda u: -np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5)),
+        pdf=lambda z: 0.5 * np.exp(-np.abs(z)),
+        # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
+        g_diff=lambda zl, zh: (np.maximum(zh, 0.0)
+                               + 0.5 * np.exp(zl) * np.expm1(-np.abs(zh) - zl)),
+        entropy=1.0 + math.log(2.0)),
+}
+
+
+def _out(a):
+    a = np.asarray(a)
+    return a if a.ndim else float(a)
 
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Scalar distribution family, i.i.d. across ``dim`` coordinates.
+    """Scalar continuous distribution, i.i.d. across ``dim`` coordinates.
 
     ``params`` holds (mean, variance) for Gaussian, (a, b) for Uniform,
-    (loc, scale) for Laplace.  Discrete models carry explicit support values
-    and probabilities instead.
+    (loc, scale) for Laplace.  The family's `_LAWS` row places a standard
+    law at a centre and scale, and each method is one expression through it.
     """
 
     family: Family
     params: tuple[float, ...] = ()
     dim: int = 1
-    values: tuple[float, ...] = field(default=())
-    probs: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not np.all(np.isfinite(self.params + self.values + self.probs)):
-            raise ValueError("parameters, values and probabilities must be finite")
-        if self.family is Family.GAUSSIAN:
-            if self.params[1] <= 0:
-                raise ValueError("Gaussian variance must be > 0")
-        elif self.family is Family.UNIFORM:
-            if not self.params[0] < self.params[1]:
-                raise ValueError("Uniform support must be non-degenerate")
-        elif self.family is Family.LAPLACE:
-            if self.params[1] <= 0:
-                raise ValueError("Laplace scale must be > 0")
-        elif self.family is Family.DISCRETE_PMF:
-            p = np.asarray(self.probs, dtype=float)
-            if p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-                raise ValueError("pmf entries must be >= 0 and sum to 1")
-            if len(self.values) != p.size:
-                raise ValueError("values/probs length mismatch")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("parameters must be finite")
+        if not 0 < self._place()[2] < math.inf:
+            raise ValueError(f"{self.family.value} parameters {self.params} "
+                             "need a finite scale > 0")
 
-    # ---- basic properties -------------------------------------------------
-
-    @property
-    def is_continuous(self) -> bool:
-        return self.family is not Family.DISCRETE_PMF
+    def _place(self) -> tuple[_Law, float, float]:
+        law = _LAWS[self.family]
+        return (law, *law.loc_scale(self.params))
 
     def mean(self) -> float:
-        if self.family is Family.GAUSSIAN:
-            return self.params[0]
-        if self.family is Family.UNIFORM:
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.family is Family.LAPLACE:
-            return self.params[0]
-        return float(np.dot(self.values, self.probs))
+        return self._place()[1]
 
     def variance(self) -> float:
-        if self.family is Family.GAUSSIAN:
-            return self.params[1]
-        if self.family is Family.UNIFORM:
-            return (self.params[1] - self.params[0]) ** 2 / 12.0
-        if self.family is Family.LAPLACE:
-            return 2.0 * self.params[1] ** 2
-        v = np.asarray(self.values)
-        m = self.mean()
-        return float(np.dot((v - m) ** 2, self.probs))
-
-    # ---- cdf / icdf / pdf -------------------------------------------------
+        return _LAWS[self.family].variance(self.params)
 
     def cdf(self, x):
-        """Cumulative distribution function (step cdf for finite pmfs)."""
-        x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            mu, var = self.params
-            out = special.ndtr((x - mu) / math.sqrt(var))
-        elif self.family is Family.UNIFORM:
-            a, b = self.params
-            out = np.clip((x - a) / (b - a), 0.0, 1.0)
-        elif self.family is Family.LAPLACE:
-            loc, scale = self.params
-            z = (x - loc) / scale
-            half_tail = 0.5 * np.exp(-np.abs(z))
-            out = np.where(z < 0, half_tail, 1.0 - half_tail)
-        else:
-            v = np.asarray(self.values)
-            c = np.cumsum(self.probs)
-            idx = np.searchsorted(v, x, side="right")
-            out = np.where(idx > 0, c[np.maximum(idx - 1, 0)], 0.0)
-        return out if out.ndim else float(out)
+        law, c, s = self._place()
+        return _out(law.cdf((np.asarray(x, dtype=float) - c) / s))
 
     def icdf(self, u):
         """Inverse cdf; u is clamped to [EPS, 1-EPS] before inversion."""
-        u = np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS)
-        if self.family is Family.GAUSSIAN:
-            mu, var = self.params
-            out = mu + math.sqrt(var) * special.ndtri(u)
-        elif self.family is Family.UNIFORM:
-            a, b = self.params
-            out = a + (b - a) * u
-        elif self.family is Family.LAPLACE:
-            loc, scale = self.params
-            out = loc - scale * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
-        else:
-            # infimum rule: smallest support value with cdf >= u
-            c = np.cumsum(self.probs)
-            idx = np.searchsorted(c, u, side="left")
-            out = np.asarray(self.values)[np.minimum(idx, len(self.values) - 1)]
-        return out if out.ndim else float(out)
+        law, c, s = self._place()
+        return _out(c + s * law.icdf(np.clip(np.asarray(u, dtype=float),
+                                             EPS, 1.0 - EPS)))
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.family is Family.GAUSSIAN:
-            mu, var = self.params
-            out = np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2 * math.pi * var)
-        elif self.family is Family.UNIFORM:
-            a, b = self.params
-            out = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        elif self.family is Family.LAPLACE:
-            loc, scale = self.params
-            out = 0.5 / scale * np.exp(-np.abs(x - loc) / scale)
-        else:
-            raise ValueError("pdf undefined for a discrete pmf")
-        return out if out.ndim else float(out)
+        law, c, s = self._place()
+        return _out(law.pdf((np.asarray(x, dtype=float) - c) / s) * (1.0 / s))
 
     def cdf_average(self, lo, hi):
         """Mean of the cdf over [lo, hi]: (G(hi) - G(lo)) / (hi - lo), G' = F.
 
-        Each continuous family is symmetric about its mean c, F(c + z) =
-        1 - F(c - z).  An interval whose midpoint lies above c is mirrored
-        below it and its mean taken from 1, so G stays small at both ends
-        and the upper tail loses no digits to cancellation.
+        Each family is symmetric about its mean c, F(c + z) = 1 - F(c - z).
+        An interval whose midpoint lies above c is mirrored below it and its
+        mean taken from 1, so G stays small at both ends and the upper tail
+        loses no digits to cancellation.
         """
-        if not self.is_continuous:
-            raise ValueError("cdf average undefined for a discrete pmf")
-        c = self.mean()
+        law, c, s = self._place()
         dl = np.asarray(lo, dtype=float) - c
         dh = np.asarray(hi, dtype=float) - c
         if not np.all(dh > dl):
             raise ValueError("cdf average needs lo < hi")
         upper = dl + dh > 0
-        dl, dh = np.where(upper, -dh, dl), np.where(upper, -dl, dh)
-        # from here dl < 0 and |dh| <= -dl; z and G are in units of the scale
-        if self.family is Family.GAUSSIAN:
-            sd = math.sqrt(self.params[1])
-            zl, zh = dl / sd, dh / sd
-            phi = lambda z: np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-            # G(z) = z Phi(z) + phi(z)
-            num = ((zh * special.ndtr(zh) + phi(zh))
-                   - (zl * special.ndtr(zl) + phi(zl)))
-        elif self.family is Family.LAPLACE:
-            zl, zh = dl / self.params[1], dh / self.params[1]
-            # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
-            num = np.maximum(zh, 0.0) + 0.5 * np.exp(zl) * np.expm1(-np.abs(zh) - zl)
-        else:
-            width = self.params[1] - self.params[0]
-            zl, zh = dl / width, dh / width
-            # G(z) = (q + 1/2)^2 / 2 + max(z - 1/2, 0), q = clip(z, -1/2, 1/2);
-            # zl < 1/2, and qh - ql is zh - zl exactly when both lie inside
-            ql, qh = np.clip(zl, -0.5, 0.5), np.clip(zh, -0.5, 0.5)
-            num = (qh - ql) * (0.5 * (qh + ql) + 0.5) + np.maximum(zh - 0.5, 0.0)
-        mean = num / (zh - zl)
-        out = np.where(upper, 1.0 - mean, mean)
-        return out if out.ndim else float(out)
+        zl, zh = np.where(upper, -dh, dl) / s, np.where(upper, -dl, dh) / s
+        mean = law.g_diff(zl, zh) / (zh - zl)
+        return _out(np.where(upper, 1.0 - mean, mean))
 
     def diff_entropy(self) -> float:
-        """Differential entropy in nats (continuous families only)."""
-        if self.family is Family.GAUSSIAN:
-            return 0.5 * math.log(2 * math.pi * math.e * self.params[1])
-        if self.family is Family.UNIFORM:
-            return math.log(self.params[1] - self.params[0])
-        if self.family is Family.LAPLACE:
-            return 1.0 + math.log(2 * self.params[1])
-        raise ValueError("differential entropy undefined for a discrete pmf; "
-                         "use plugin_entropy on counts")
+        """Differential entropy in nats."""
+        return _LAWS[self.family].entropy + math.log(self._place()[2])
 
     # ---- sampling ----------------------------------------------------------
 
@@ -251,15 +220,6 @@ def laplace(loc: float = 0.0, scale: float = 1.0, dim: int = 1) -> SourceModel:
     return SourceModel(Family.LAPLACE, (float(loc), float(scale)), dim)
 
 
-def discrete_pmf(probs, values=None) -> SourceModel:
-    probs = tuple(float(p) for p in probs)
-    if values is None:
-        values = tuple(float(i) for i in range(len(probs)))
-    else:
-        values = tuple(float(v) for v in values)
-    return SourceModel(Family.DISCRETE_PMF, (), 1, values=values, probs=probs)
-
-
 # ---- empirical statistics ----------------------------------------------------
 
 def ks_statistic(sample, model: SourceModel) -> tuple[float, bool]:
@@ -274,8 +234,6 @@ def ks_statistic(sample, model: SourceModel) -> tuple[float, bool]:
     n = x.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
-    if not model.is_continuous:
-        raise ValueError("KS test requires a continuous model")
     f = np.asarray(model.cdf(np.sort(x)))
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)

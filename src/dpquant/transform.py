@@ -66,8 +66,6 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     conditioned on coordinate 0, both integrated along the cell's chords,
     each chord's cdf average in closed form (`SourceModel.cdf_average`).
     """
-    if not model.is_continuous:
-        raise ValueError("smoothed models require a continuous base")
     if model.dim != lat.dim:
         raise ValueError("base model and cell dimension mismatch")
     x_hat = np.asarray(x_hat, dtype=float)
@@ -171,8 +169,8 @@ def gaussian_smoothed_transform(model: SourceModel, eta: float, x_hat):
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
-    if not (model.is_continuous and model.dim == 1):
-        raise ValueError("scalar continuous model required")
+    if model.dim != 1:
+        raise ValueError("scalar model required")
     t, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     x_hat = np.asarray(x_hat, dtype=float)
     vals = model.cdf(x_hat[..., None] + eta * math.sqrt(2.0) * t)

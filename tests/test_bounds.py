@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpquant.bounds import (_LAMBDAS, awgn_oracle_point,
+from dpquant.bounds import (_LAMBDAS, awgn_oracle_point, check_pmf,
                             discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             rdf_gaussian, sinkhorn_coupling, slb_mse)
@@ -81,11 +81,6 @@ class TestSlb:
         d = 0.01
         assert slb_mse(m, 4 * d) == pytest.approx(slb_mse(m, d) - math.log(2), abs=1e-9)
 
-    def test_discrete_refused(self):
-        from dpquant.prob import discrete_pmf
-        with pytest.raises(ValueError):
-            slb_mse(discrete_pmf([0.5, 0.5]), 0.1)
-
 
 class TestSandwich:
     def test_point_values(self):
@@ -131,6 +126,43 @@ class TestAwgnOracle:
         for nv in np.geomspace(1e-3, 1e3, 50):
             pt = awgn_oracle_point(1.0, nv)
             assert abs(pt.rate - dp_rdf_gaussian(1.0, pt.distortion)) < 1e-9
+
+
+class TestCheckPmf:
+    def test_bad_pmf(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_pmf([0.5, 0.6])
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_pmf([-0.1, 1.1])
+
+    @pytest.mark.parametrize("pmf", [[math.nan, 0.5], [0.5, math.inf]],
+                             ids=["pmf-nan", "pmf-inf"])
+    def test_non_finite_refused(self, pmf):
+        with pytest.raises(ValueError, match="finite"):
+            check_pmf(pmf)
+
+    def test_longer_than_solver_limit_refused(self):
+        with pytest.raises(ValueError, match="at most 64 entries, not 65"):
+            check_pmf([1 / 65] * 65)
+
+    def test_distribution_accepted_as_float_array(self):
+        p = check_pmf([0.2, 0.3, 0.5])
+        assert p.dtype == float and np.array_equal(p, [0.2, 0.3, 0.5])
+        assert check_pmf([1 / 64] * 64).size == 64
+
+    def test_solver_refuses_mass_above_one(self):
+        # the solver used to return a coupling of mass 1.1, residual 8e-13
+        with pytest.raises(ValueError, match="sum to 1"):
+            sinkhorn_coupling([0.5, 0.6], HAMMING2, 1.0)
+
+    def test_curve_refuses_mass_below_one(self):
+        # the curve used to return 64 points for a pmf of mass 0.75
+        with pytest.raises(ValueError, match="sum to 1"):
+            discrete_dp_rdf_curve([0.25, 0.25, 0.25], 1.0 - np.eye(3))
+
+    def test_oracle_refuses_mass_below_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            discrete_dp_rdf_bruteforce([0.25, 0.25], HAMMING2, 0.5)
 
 
 class TestSinkhorn:

@@ -10,7 +10,7 @@ from dpquant.cli import (EXIT_BOUND, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, _LATTICES, _SOURCES, _build, _build_scheme,
                          _parse_grid, main)
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import Family, discrete_pmf, gaussian, laplace, uniform
+from dpquant.prob import Family, gaussian, laplace, uniform
 
 
 def _rows(path):
@@ -33,8 +33,8 @@ class TestParsing:
         assert m.family is Family.GAUSSIAN and m.params == (1.0, 4.0)
 
     def test_source_pmf(self):
-        m = _source("pmf:0.5,0.5")
-        assert not m.is_continuous and m.probs == (0.5, 0.5)
+        p = _source("pmf:0.5,0.5")
+        assert p.dtype == float and np.array_equal(p, [0.5, 0.5])
 
     def test_source_bad(self):
         with pytest.raises(UsageError):
@@ -339,7 +339,7 @@ class TestSchemeSpecs:
 
 
 # Every source, lattice and scheme spec that README and these tests use, with
-# the object it has always built.
+# the object it has always built; a pmf builds its validated float array.
 SOURCE_SPECS = [
     ("gaussian:var=1", gaussian(0.0, 1.0)),
     ("gaussian:var=4,mean=1", gaussian(1.0, 4.0)),
@@ -349,8 +349,8 @@ SOURCE_SPECS = [
     ("uniform:a=2,b=3", uniform(2.0, 3.0)),
     ("laplace:scale=2", laplace(0.0, 2.0)),
     ("laplace:loc=0,scale=1", laplace(0.0, 1.0)),
-    ("pmf:0.5,0.5", discrete_pmf([0.5, 0.5])),
-    ("pmf:0.2,0.3,0.5", discrete_pmf([0.2, 0.3, 0.5])),
+    ("pmf:0.5,0.5", np.array([0.5, 0.5])),
+    ("pmf:0.2,0.3,0.5", np.array([0.2, 0.3, 0.5])),
 ]
 LATTICE_SPECS = [
     ("cube:step=0.1", "scaled_integer", 0.1, 1),
@@ -378,9 +378,13 @@ class TestSpecGrammar:
                              ids=[s for s, _ in SOURCE_SPECS])
     def test_source_builds_same_model(self, spec, model):
         got = _source(spec)
-        assert got == model
-        assert (got.family, got.params, got.dim, got.probs) == \
-            (model.family, model.params, model.dim, model.probs)
+        assert type(got) is type(model)
+        if isinstance(model, np.ndarray):
+            assert got.dtype == float and np.array_equal(got, model)
+        else:
+            assert got == model
+            assert (got.family, got.params, got.dim) == \
+                (model.family, model.params, model.dim)
 
     @pytest.mark.parametrize("spec,kind,step,dim", LATTICE_SPECS,
                              ids=[s for s, *_ in LATTICE_SPECS])
@@ -454,6 +458,16 @@ class TestSpecGrammar:
         assert not out.exists() and calls == []
         err = capsys.readouterr().err
         assert pmf in err and "sum to 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--scheme", "simple", "-n", "10000"],
+        ["sweep", "--family", "simple", "--grid", "1", "-n", "10000"],
+    ], ids=["eval", "sweep"])
+    def test_pmf_source_is_bounds_only(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--source", "pmf:0.5,0.5",
+                            "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists() and "pmf" in capsys.readouterr().err
 
     def test_pmf_longer_than_solver_limit_exit(self, tmp_path, capsys,
                                                monkeypatch):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
-from dpquant.prob import (discrete_pmf, gaussian, ks_statistic, laplace,
-                          plugin_entropy, uniform)
+from dpquant.prob import gaussian, ks_statistic, laplace, plugin_entropy, uniform
 
 # frozen from numeric integration of the standard normal pdf
 PHI_1 = 0.841344746068543
@@ -36,9 +36,22 @@ class TestCdf:
             assert m.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
 
-# (model, the kinks of its cdf) for each continuous family
+# (model, the kinks of its cdf) for each family
 KINKED = [(gaussian(0.3, 2.0), []), (laplace(-0.5, 1.5), [-0.5]),
           (uniform(-1.0, 2.0), [-1.0, 2.0])]
+
+
+def _check_cdf_average_against_quad(model, kinks, width, tol):
+    # midpoints across the centre and out to 8 sd in both tails
+    sd = math.sqrt(model.variance())
+    mids = model.mean() + sd * np.linspace(-8.0, 8.0, 161)
+    got = model.cdf_average(mids - width / 2, mids + width / 2)
+    for mid, g in zip(mids, got):
+        lo, hi = mid - width / 2, mid + width / 2
+        inside = [k for k in kinks if lo < k < hi]
+        want = quad(model.cdf, lo, hi, points=inside or None,
+                    epsabs=1e-16 * width, epsrel=1e-13)[0] / (hi - lo)
+        assert abs(g - want) < tol, mid
 
 
 class TestCdfAverage:
@@ -46,18 +59,10 @@ class TestCdfAverage:
                              ids=["gaussian", "laplace", "uniform"])
     @pytest.mark.parametrize("width", [1e-3, 2e-3, 0.1, 1.0, 10.0])
     def test_matches_quad(self, model, kinks, width):
-        # midpoints across the centre and out to 8 sd in both tails
-        sd = math.sqrt(model.variance())
-        mids = model.mean() + sd * np.linspace(-8.0, 8.0, 161)
-        got = model.cdf_average(mids - width / 2, mids + width / 2)
-        for mid, g in zip(mids, got):
-            lo, hi = mid - width / 2, mid + width / 2
-            inside = [k for k in kinks if lo < k < hi]
-            want = quad(model.cdf, lo, hi, points=inside or None,
-                        epsabs=1e-16 * width, epsrel=1e-13)[0] / (hi - lo)
-            # ndtr is good to about 2e-16, and G(hi) - G(lo) divides that
-            # error by the width: 1.6e-13 at width 1e-3 near z = +-1
-            assert abs(g - want) < max(1e-13, 2e-16 / width), mid
+        # ndtr is good to about 2e-16, and G(hi) - G(lo) divides that
+        # error by the width: 1.6e-13 at width 1e-3 near z = +-1
+        _check_cdf_average_against_quad(model, kinks, width,
+                                        max(1e-13, 2e-16 / width))
 
     def test_folded_tail_matches_gauss_legendre(self):
         # unfolded, G(hi) - G(lo) in the upper tail misses this by 8.5e-13
@@ -84,8 +89,6 @@ class TestCdfAverage:
 
     def test_refusals(self):
         with pytest.raises(ValueError):
-            discrete_pmf([0.5, 0.5]).cdf_average(0.0, 1.0)
-        with pytest.raises(ValueError):
             gaussian(0, 1).cdf_average(1.0, 1.0)
 
 
@@ -108,13 +111,6 @@ class TestIcdf:
             xs = np.linspace(m.icdf(1e-6), m.icdf(1 - 1e-6), 1000)
             back = np.asarray(m.icdf(m.cdf(xs)))
             assert np.max(np.abs(back - xs)) < 1e-8
-
-    def test_discrete_infimum_rule(self):
-        m = discrete_pmf([0.2, 0.3, 0.5], values=[1.0, 2.0, 3.0])
-        assert m.icdf(0.2) == 1.0   # cdf(1.0) = 0.2 >= u
-        assert m.icdf(0.21) == 2.0
-        assert m.icdf(0.5) == 2.0
-        assert m.icdf(0.51) == 3.0
 
 
 class TestSampling:
@@ -156,11 +152,6 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_statistic(s.values, gaussian(0, 1))
 
-    def test_discrete_model_refused(self):
-        s = gaussian(0, 1).sample(seed=0, n=100)
-        with pytest.raises(ValueError):
-            ks_statistic(s.values, discrete_pmf([0.5, 0.5]))
-
 
 class TestEntropy:
     def test_gaussian(self):
@@ -179,9 +170,36 @@ class TestEntropy:
         delta = gaussian(0, var).diff_entropy() - gaussian(0, var / alpha ** 2).diff_entropy()
         assert delta == pytest.approx(math.log(alpha), abs=1e-9)
 
-    def test_discrete_refused(self):
-        with pytest.raises(ValueError):
-            discrete_pmf([0.5, 0.5]).diff_entropy()
+
+# Each family at shifted and scaled parameters, its scipy.stats twin and the
+# kinks of its cdf: a wrong row of the location-scale table shows here.
+TWINS = [(gaussian(2, 4), stats.norm(loc=2, scale=2), []),
+         (laplace(-1, 2), stats.laplace(loc=-1, scale=2), [-1.0]),
+         (uniform(-1, 3), stats.uniform(loc=-1, scale=4), [-1.0, 3.0])]
+
+
+class TestLocationScaleTable:
+    @pytest.mark.parametrize("model, twin, kinks", TWINS,
+                             ids=["gaussian", "laplace", "uniform"])
+    def test_matches_scipy(self, model, twin, kinks):
+        u = np.linspace(1e-6, 1 - 1e-6, 1001)
+        x = np.linspace(twin.ppf(1e-6) - 1, twin.ppf(1 - 1e-6) + 1, 1001)
+        assert np.max(np.abs(model.cdf(x) - twin.cdf(x))) < 1e-12
+        assert np.max(np.abs(model.pdf(x) - twin.pdf(x))) < 1e-12
+        # the Laplace icdf forms 1 - 2u by cancellation: 5e-11 off at u = 1e-6
+        assert np.max(np.abs(model.icdf(u) - twin.ppf(u))) < 1e-8
+        assert model.mean() == pytest.approx(twin.mean(), abs=1e-12)
+        assert model.variance() == pytest.approx(twin.var(), abs=1e-12)
+        assert model.diff_entropy() == pytest.approx(twin.entropy(), abs=1e-12)
+
+    @pytest.mark.parametrize("model, twin, kinks", TWINS,
+                             ids=["gaussian", "laplace", "uniform"])
+    @pytest.mark.parametrize("width", [1e-3, 0.1, 10.0])
+    def test_cdf_average_matches_quad(self, model, twin, kinks, width):
+        # the bound of TestCdfAverage, with the width in standard deviations
+        sd = twin.std()
+        _check_cdf_average_against_quad(model, kinks, width,
+                                        max(1e-13, 2e-16 * sd / width))
 
 
 class TestPluginEntropy:
@@ -204,12 +222,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             gaussian(0, 0)
 
-    def test_bad_pmf(self):
-        with pytest.raises(ValueError):
-            discrete_pmf([0.5, 0.6])
-        with pytest.raises(ValueError):
-            discrete_pmf([-0.1, 1.1])
-
     # uniform(nan, 1) was already refused by its support check; the others
     # slipped past comparisons that are false for NaN
     @pytest.mark.parametrize("build", [
@@ -220,11 +232,9 @@ class TestValidation:
         lambda: laplace(math.inf, 1),
         lambda: uniform(math.nan, 1),
         lambda: uniform(0, math.inf),
-        lambda: discrete_pmf([math.nan, 0.5]),
-        lambda: discrete_pmf([0.5, 0.5], values=[0.0, math.inf]),
     ], ids=["gaussian-var-nan", "gaussian-mean-nan", "gaussian-var-inf",
             "laplace-scale-nan", "laplace-loc-inf", "uniform-a-nan",
-            "uniform-b-inf", "pmf-nan", "pmf-value-inf"])
+            "uniform-b-inf"])
     def test_non_finite_refused(self, build):
         with pytest.raises(ValueError):
             build()

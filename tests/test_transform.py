@@ -8,7 +8,7 @@ from scipy.stats import spearmanr
 
 from dpquant.ecdq import ecdq_encode
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import discrete_pmf, gaussian, ks_statistic, laplace, uniform
+from dpquant.prob import gaussian, ks_statistic, laplace, uniform
 from dpquant.rng import stream_rng
 from dpquant import transform
 from dpquant.transform import (BivariateGaussian, dpq_transform,
@@ -107,10 +107,7 @@ class TestSmoothedCdf:
                 assert abs(u1 - want1) < 1e-12
                 assert abs(u2 - want2) < 1e-12
 
-    def test_refuses_pmf_and_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            smoothed_cdf(discrete_pmf([0.5, 0.5]),
-                         scaled_integer(0.5, 1), 0.0)
+    def test_refuses_dimension_mismatch(self):
         with pytest.raises(ValueError):
             smoothed_cdf(gaussian(0, 1), hexagonal(1.0), np.zeros(2))
 
