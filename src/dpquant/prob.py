@@ -235,9 +235,9 @@ def ks_statistic(sample, model: SourceModel) -> tuple[float, bool]:
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
     f = np.asarray(model.cdf(np.sort(x)))
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
+    grid = np.arange(n + 1) / n  # the empirical cdf's steps, i/n
+    d_plus = np.max(grid[1:] - f)
+    d_minus = np.max(f - grid[:-1])
     d = float(max(d_plus, d_minus))
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
 

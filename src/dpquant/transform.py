@@ -30,7 +30,7 @@ __all__ = [
 # Gauss-Legendre nodes on the cube's step and on each half of the hexagon's
 # x-projection; the hexagon's chords are averaged in closed form
 _NODES = 32
-_CHUNK = 4096  # sample batch for the hexagonal path
+_CHUNK = 4096  # rows per batch, so the (rows, nodes) temporaries stay in cache
 _HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
 
 
@@ -71,27 +71,32 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     x_hat = np.asarray(x_hat, dtype=float)
     if lat.kind == "scaled_integer":
         t, w = _gl_nodes(_NODES)
-        # (1/step) * int_{-step/2}^{step/2} F(x + tau) dtau
-        vals = model.cdf(x_hat[..., None] + (lat.step / 2.0) * t)
-        return 0.5 * np.sum(w * vals, axis=-1)
+        tau = (lat.step / 2.0) * t
 
-    if x_hat.shape[-1:] != (2,):
-        raise ValueError("hexagonal path is 2-D")
-    a, h, w = _hex_nodes(lat.step, _NODES)
-    wh = w * h
-    xb = x_hat.reshape(-1, 2)
+        def average(xb):  # (1/step) * int_{-step/2}^{step/2} F(x + tau) dtau
+            return 0.5 * np.sum(w * model.cdf(xb[:, None] + tau), axis=-1)
+
+        xb = x_hat.reshape(-1)
+    else:
+        if x_hat.shape[-1:] != (2,):
+            raise ValueError("hexagonal path is 2-D")
+        a, h, w = _hex_nodes(lat.step, _NODES)
+        wh = w * h
+
+        def average(xb):
+            x1, x2 = xb[:, 0, None], xb[:, 1, None]
+            u1 = np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1) / lat.cell_volume
+            f1 = wh * model.pdf(x1 + a)
+            den = np.sum(2.0 * f1, axis=-1)
+            if np.any(den < 1e-300):
+                raise ValueError("conditioning value outside the source support")
+            chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
+            return np.column_stack([u1, np.sum(f1 * chords, axis=-1) / den])
+
+        xb = x_hat.reshape(-1, 2)
     u = np.empty_like(xb)
     for lo in range(0, len(xb), _CHUNK):
-        x1 = xb[lo:lo + _CHUNK, 0, None]
-        x2 = xb[lo:lo + _CHUNK, 1, None]
-        u[lo:lo + _CHUNK, 0] = (np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1)
-                                / lat.cell_volume)
-        f1 = wh * model.pdf(x1 + a)
-        den = np.sum(2.0 * f1, axis=-1)
-        if np.any(den < 1e-300):
-            raise ValueError("conditioning value outside the source support")
-        chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
-        u[lo:lo + _CHUNK, 1] = np.sum(f1 * chords, axis=-1) / den
+        u[lo:lo + _CHUNK] = average(xb[lo:lo + _CHUNK])
     return u.reshape(x_hat.shape)
 
 
