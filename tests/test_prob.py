@@ -182,12 +182,12 @@ class TestLocationScaleTable:
     @pytest.mark.parametrize("model, twin, kinks", TWINS,
                              ids=["gaussian", "laplace", "uniform"])
     def test_matches_scipy(self, model, twin, kinks):
-        u = np.linspace(1e-6, 1 - 1e-6, 1001)
         x = np.linspace(twin.ppf(1e-6) - 1, twin.ppf(1 - 1e-6) + 1, 1001)
         assert np.max(np.abs(model.cdf(x) - twin.cdf(x))) < 1e-12
         assert np.max(np.abs(model.pdf(x) - twin.pdf(x))) < 1e-12
-        # the Laplace icdf forms 1 - 2u by cancellation: 5e-11 off at u = 1e-6
-        assert np.max(np.abs(model.icdf(u) - twin.ppf(u))) < 1e-8
+        # down to the icdf's clamp EPS = 1e-12, where the tails are deepest
+        u = np.concatenate([[1e-12, 1e-9], np.linspace(1e-6, 1 - 1e-6, 1001)])
+        assert np.max(np.abs(model.icdf(u) - twin.ppf(u))) < 1e-12
         assert model.mean() == pytest.approx(twin.mean(), abs=1e-12)
         assert model.variance() == pytest.approx(twin.var(), abs=1e-12)
         assert model.diff_entropy() == pytest.approx(twin.entropy(), abs=1e-12)
