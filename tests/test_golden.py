@@ -29,6 +29,16 @@ by at most 2.8e-17 in six cases and every other field, and every field of
     sweep_resample     0.014518298905952139  -> 0.014518298905952144
     transform_cube     0.024195928297395683  -> 0.024195928297395673
     transform_hex      -0.001513200137990404 -> -0.0015132001379903983
+
+`resample_laplace` was regenerated once more when the Laplace icdf took
+log(2u) below u = 1/2, which moves the lower tail of its source samples in
+the last bits; its KS and rate fields stayed bit-identical (old -> new):
+
+    mse_per_dim              0.014759618104299594  -> 0.014759618104299576
+    mse_se                   0.0001610744371798666 -> 0.000161074437179867
+    moment_errors.mean       -0.013392789463406394 -> -0.013392789463406484
+    moment_errors.skewness   -0.17292131414776274  -> -0.1729213141477715
+    moment_errors.variance   -0.013007195287984441 -> -0.013007195287982887
 """
 
 import json
@@ -59,11 +69,11 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                                               'params': [0.7, 2.0]}},
                         'seed': 103},
           'resample_laplace': {'ks_per_axis': [[0.006030584290878216, True]],
-                               'moment_errors': {'mean': -0.013392789463406394,
-                                                 'skewness': -0.17292131414776274,
-                                                 'variance': -0.013007195287984441},
-                               'mse_per_dim': 0.014759618104299594,
-                               'mse_se': 0.0001610744371798666,
+                               'moment_errors': {'mean': -0.013392789463406484,
+                                                 'skewness': -0.1729213141477715,
+                                                 'variance': -0.013007195287982887},
+                               'mse_per_dim': 0.014759618104299576,
+                               'mse_se': 0.000161074437179867,
                                'n': 10000,
                                'rate_nats_per_dim': 2.8974556000142733,
                                'rate_se': 0.00871187098448499,
