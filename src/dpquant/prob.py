@@ -133,6 +133,9 @@ class SourceModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if len(self.params) != 2:
+            raise ValueError(f"{self.family.value} needs 2 parameters, "
+                             f"got {len(self.params)}")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("parameters must be finite")
         if not 0 < self._place()[2] < math.inf:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from dpquant.prob import gaussian, ks_statistic, laplace, plugin_entropy, uniform
+from dpquant.prob import (Family, SourceModel, gaussian, ks_statistic, laplace,
+                          plugin_entropy, uniform)
 
 # frozen from numeric integration of the standard normal pdf
 PHI_1 = 0.841344746068543
@@ -238,3 +239,12 @@ class TestValidation:
     def test_non_finite_refused(self, build):
         with pytest.raises(ValueError):
             build()
+
+    # the table's rows index params[0] and params[1]: a short tuple raised
+    # IndexError and a long one was accepted with its extra entries ignored
+    @pytest.mark.parametrize("params", [(), (0.0,), (0.0, 1.0, 2.0)],
+                             ids=["none", "one", "three"])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_parameter_count_refused(self, family, params):
+        with pytest.raises(ValueError, match="needs 2 parameters"):
+            SourceModel(family, params)
