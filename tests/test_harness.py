@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from dpquant.harness import (EvalReport, compare_to_bound, evaluate, rd_sweep,
                              write_curve_csv, write_reports_csv)
@@ -10,6 +11,26 @@ from dpquant.lattice import scaled_integer
 from dpquant.bounds import dp_rdf_gaussian
 from dpquant.prob import gaussian, laplace, uniform
 from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
+
+
+@dataclasses.dataclass(frozen=True)
+class _Recorded:
+    """Stub scheme: outputs shape(x) at rate 0 and keeps each block's output."""
+
+    source: object
+    seed: int
+    shape: object
+    outputs: dict = dataclasses.field(default_factory=dict)
+
+    def run(self, x, block):
+        self.outputs[block] = self.shape(x)
+        return self.outputs[block], None
+
+    def rate(self, payloads):
+        return 0.0, 0.0
+
+    def describe(self) -> dict:
+        return {}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +92,31 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="workers"):
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 10_000, seed=0,
                      workers=workers)
+
+
+class TestMoments:
+    # the moments pool every coordinate of the outputs, in block order
+    @pytest.mark.parametrize("source, shape", [
+        (gaussian(1, 4), lambda x: 0.9 * x + 0.1),
+        (laplace(0, 1), lambda x: np.round(x, 1)),
+        (gaussian(0, 1, dim=2), lambda x: x * np.array([1.0, 3.0])),
+    ], ids=["gaussian", "laplace", "gaussian-2d"])
+    def test_match_numpy_and_scipy(self, source, shape):
+        scheme = _Recorded(source, 0, shape)
+        rep = evaluate(scheme, 20_000, seed=4)
+        out = np.concatenate([scheme.outputs[b] for b in sorted(scheme.outputs)])
+        assert out.size == 20_000 * source.dim
+        m = rep.moment_errors
+        assert m["mean"] == pytest.approx(np.mean(out) - source.mean(), abs=1e-12)
+        assert m["variance"] == pytest.approx(np.var(out) - source.variance(),
+                                              abs=1e-12)
+        assert m["skewness"] == pytest.approx(stats.skew(out.ravel(), bias=True),
+                                              abs=1e-12)
+
+    def test_skewed_output_reported(self):
+        # negative control: Exp(1)-distributed outputs, whose skewness is 2
+        expo = _Recorded(gaussian(0, 1), 0, lambda x: -np.log(special.ndtr(-x)))
+        assert evaluate(expo, 20_000, seed=4).moment_errors["skewness"] > 1
 
 
 class TestCompareToBound:

@@ -148,6 +148,19 @@ class TestKs:
         assert not ok
         assert d > 0.5  # sup |Phi(x) - Phi(x-3)| ~ 0.87
 
+    # D_n as scipy computes it, the sup over both one-sided distances of the
+    # sorted sample; rounding to one decimal makes ties
+    @pytest.mark.parametrize("n", [20, 10_000])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_matches_scipy_kstest(self, n, tied):
+        model = laplace(0.5, 2)
+        x = model.sample(3, n).values.ravel()
+        if tied:
+            x = np.round(x, 1)
+            assert np.unique(x).size < n
+        d, _ = ks_statistic(x, model)
+        assert d == pytest.approx(stats.kstest(x, model.cdf).statistic, abs=1e-15)
+
     def test_small_n_refused(self):
         s = gaussian(0, 1).sample(seed=0, n=10)
         with pytest.raises(ValueError):
