@@ -100,10 +100,10 @@ _LAWS = {
         variance=lambda p: 2.0 * p[1] ** 2,
         cdf=_laplace_cdf,
         # log(2u) below 1/2 keeps the lower tail's digits, which
-        # log1p(1 - 2u) loses to cancellation; both branches stay finite on
-        # the clamped u that np.where evaluates them at
+        # log1p(2u - 1) loses to cancellation; np.where evaluates both
+        # branches, and both stay finite on the clamped u
         icdf=lambda u: np.where(u < 0.5, np.log(2.0 * u),
-                                -np.log1p(-2.0 * np.abs(u - 0.5))),
+                                -np.log1p(1.0 - 2.0 * u)),
         pdf=lambda z: 0.5 * np.exp(-np.abs(z)),
         # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
         g_diff=lambda zl, zh: (np.maximum(zh, 0.0)
