@@ -12,7 +12,6 @@ from .schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                       awgn_oracle_apply, resample_dpq, simple_dpq,
                       transform_dpq_decode, transform_dpq_encode)
 from .transform import (BivariateGaussian, dpq_transform,
-                        gaussian_smoothed_transform, rosenblatt_forward,
-                        rosenblatt_inverse, smoothed_cdf)
+                        gaussian_smoothed_transform, smoothed_cdf)
 
 __version__ = "0.1.0"

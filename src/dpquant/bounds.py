@@ -44,7 +44,7 @@ class RdPoint:
     distortion: float  # MSE / expected cost per dimension
 
     def __post_init__(self):
-        if self.rate < 0 or self.distortion < 0:
+        if not (self.rate >= 0 and self.distortion >= 0):  # NaN fails too
             raise ValueError("rate and distortion must be nonnegative")
 
 
@@ -81,8 +81,8 @@ def dp_rdf_gaussian(var: float, d: float) -> float:
     log(sigma^2 / sqrt(sigma^2 D - D^2/4)) for D < 2 sigma^2, else 0.
     D = 0 returns +inf.
     """
-    if var <= 0 or d < 0:
-        raise ValueError("need var > 0 and d >= 0")
+    if not (0 < var < math.inf and 0 <= d < math.inf):
+        raise ValueError("need finite var > 0 and d >= 0")
     if d == 0:
         return math.inf
     if d >= 2 * var:
@@ -92,8 +92,8 @@ def dp_rdf_gaussian(var: float, d: float) -> float:
 
 def rdf_gaussian(var: float, d: float) -> float:
     """Classic Gaussian RDF under MSE: (1/2) ln(sigma^2/D), in nats."""
-    if var <= 0 or d < 0:
-        raise ValueError("need var > 0 and d >= 0")
+    if not (0 < var < math.inf and 0 <= d < math.inf):
+        raise ValueError("need finite var > 0 and d >= 0")
     if d == 0:
         return math.inf
     if d >= var:
@@ -103,6 +103,8 @@ def rdf_gaussian(var: float, d: float) -> float:
 
 def slb_mse(model: SourceModel, d: float) -> float:
     """Shannon lower bound under MSE: h(X) - (1/2) ln(2 pi e D), floored at 0."""
+    if not math.isfinite(d):
+        raise ValueError("need a finite d")
     if d <= 0:
         return math.inf
     return max(0.0, model.diff_entropy() - 0.5 * math.log(2 * math.pi * math.e * d))
@@ -115,8 +117,8 @@ def dp_rdf_sandwich_gaussian(var: float, d: float) -> tuple[float, float]:
     the backward/forward-channel construction with noise variance D/4.  The
     upper bound coincides analytically with the DP-RDF.
     """
-    if not 0 < d < 2 * var:
-        raise ValueError("sandwich requires 0 < D < 2 var")
+    if not 0 < d < 2 * var < math.inf:
+        raise ValueError("sandwich requires 0 < D < 2 var, var finite")
     lower = max(0.0, 0.5 * math.log(var / d))
     upper = 0.5 * math.log(var / d) + 0.5 * math.log(var / (var - d / 4.0))
     return lower, upper
@@ -124,8 +126,8 @@ def dp_rdf_sandwich_gaussian(var: float, d: float) -> tuple[float, float]:
 
 def awgn_oracle_point(var: float, noise_var: float) -> RdPoint:
     """(R, D) of the scaled-AWGN construction; lies exactly on the DP-RDF."""
-    if var <= 0 or noise_var <= 0:
-        raise ValueError("variances must be > 0")
+    if not (0 < var < math.inf and 0 < noise_var < math.inf):
+        raise ValueError("variances must be finite and > 0")
     d = 2 * var * (1.0 - math.sqrt(var / (var + noise_var)))
     r = 0.5 * math.log((var + noise_var) / noise_var)
     return RdPoint(rate=r, distortion=d)
@@ -240,6 +242,10 @@ def discrete_dp_rdf_curve(pmf, cost) -> list[RdPoint]:
     return points
 
 
+# points of the m = 2 search along the coupling polytope's one free entry
+_BRUTE_GRID = 20001
+
+
 def _coupling_entropy_objective(free, p, m):
     # free parameters are the (m-1) x (m-1) top-left block; the last row and
     # column are determined by the marginal constraints
@@ -251,10 +257,11 @@ def _coupling_entropy_objective(free, p, m):
     return t
 
 
-def discrete_dp_rdf_bruteforce(pmf, cost, d: float, grid: int = 20001) -> float:
+def discrete_dp_rdf_bruteforce(pmf, cost, d: float) -> float:
     """Independent oracle for the discrete DP-RDF at distortion budget d.
 
-    m = 2: exact 1-dof grid search over the coupling polytope.
+    m = 2: exact 1-dof search over `_BRUTE_GRID` points of the coupling
+    polytope.
     m = 3, 4: projected search (SLSQP over the free block with linear marginal
     constraints), multi-start.  Accurate to ~1e-3 in rate.
     """
@@ -272,7 +279,7 @@ def discrete_dp_rdf_bruteforce(pmf, cost, d: float, grid: int = 20001) -> float:
     if m == 2:
         lo = max(0.0, 2 * p[0] - 1.0)
         hi = p[0]
-        ts = np.linspace(lo, hi, grid)
+        ts = np.linspace(lo, hi, _BRUTE_GRID)
         best = None
         for t00 in ts:
             t = np.array([[t00, p[0] - t00],

@@ -252,7 +252,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(cfg["grid"])
     rows = rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
                     workers=cfg["workers"])
-    write_reports_csv(cfg["out"], rows, config=cfg, reference=True)
+    write_reports_csv(cfg["out"], rows, config=cfg)
     return EXIT_OK
 
 

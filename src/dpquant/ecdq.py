@@ -1,15 +1,15 @@
 """Entropy-coded dithered quantization (subtractive dither).
 
-encode: indices = nearest lattice point of (x + dither); the reconstruction
-is point - dither, so the error is uniform over the negated basic cell and
-independent of the source.  Rate is reported as an entropy estimate, not
-realized as a bitstream; see coding.py for the arithmetic-coder validation.
+encode: indices = nearest lattice point of (x + dither); decode forms the
+reconstruction point - dither, so the error is uniform over the negated basic
+cell and independent of the source.  Rate is reported as an entropy estimate,
+not realized as a bitstream; see coding.py for the arithmetic-coder
+validation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -19,7 +19,6 @@ from .prob import SourceModel, plugin_entropy
 from .rng import stream_rng
 
 __all__ = [
-    "EcdqOutput",
     "ecdq_encode",
     "ecdq_decode",
     "ecdq_rate_empirical",
@@ -28,12 +27,7 @@ __all__ = [
 ]
 
 N_DITHERS = 16  # fixed dithers the empirical rate is averaged over
-
-
-@dataclass(frozen=True, eq=False)
-class EcdqOutput:
-    indices: np.ndarray  # (..., k) integer
-    x_hat: np.ndarray    # (..., k) reconstruction = point - dither
+_RATE_TOL = 1e-4  # quadrature error bound of the analytic rate, nats
 
 
 def _check_dither(lat: Lattice, dither: np.ndarray):
@@ -42,17 +36,15 @@ def _check_dither(lat: Lattice, dither: np.ndarray):
         raise ValueError("dither must lie inside the basic cell")
 
 
-def ecdq_encode(lat: Lattice, dither, x) -> EcdqOutput:
-    """Subtractive-dither encode; x and dither may be (k,) or (n, k)."""
+def ecdq_encode(lat: Lattice, dither, x) -> np.ndarray:
+    """Lattice indices of x + dither; x and dither may be (k,) or (n, k)."""
     dither = np.asarray(dither, dtype=float)
-    x = np.asarray(x, dtype=float)
     _check_dither(lat, dither)
-    idx, pt = lat.nearest_point(x + dither)
-    return EcdqOutput(indices=idx, x_hat=pt - dither)
+    return lat.nearest_point(np.asarray(x, dtype=float) + dither)[0]
 
 
 def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
-    """Decoder side: identical x_hat given the shared dither."""
+    """The reconstruction x_hat = point(indices) - dither."""
     return lat.point(indices) - np.asarray(dither, dtype=float)
 
 
@@ -88,18 +80,18 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
     for j in range(N_DITHERS):
         z = lat.sample_dither(stream_rng(seed, 1, j))
         x = model.sample(seed, n, stream=j).values
-        out = ecdq_encode(lat, z, x)
-        counts = _index_counts(out.indices.reshape(n, k))
+        counts = _index_counts(ecdq_encode(lat, z, x).reshape(n, k))
         rates.append(plugin_entropy(counts) / k)
     rates = np.asarray(rates)
     return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(N_DITHERS))
 
 
-def ecdq_rate_analytic(model: SourceModel, lat: Lattice, tol: float = 1e-4) -> float:
+def ecdq_rate_analytic(model: SourceModel, lat: Lattice) -> float:
     """Analytic ECDQ rate for a scalar cubic lattice: h(X + U) - ln(step).
 
     The density of X + U(-step/2, step/2) is (F(y + step/2) - F(y - step/2)) / step;
-    its differential entropy is evaluated by adaptive quadrature.
+    its differential entropy is evaluated by adaptive quadrature, which must
+    report an error below `_RATE_TOL` nats.
     """
     if not (model.dim == 1 and lat.kind == "scaled_integer" and lat.dim == 1):
         raise ValueError("analytic rate is defined for scalar models and a "
@@ -112,7 +104,8 @@ def ecdq_rate_analytic(model: SourceModel, lat: Lattice, tol: float = 1e-4) -> f
 
     lo = float(model.icdf(1e-10)) - step
     hi = float(model.icdf(1 - 1e-10)) + step
-    h, err = integrate.quad(neg_flogf, lo, hi, limit=400, epsabs=tol / 10)
-    if err > tol:
-        raise RuntimeError(f"quadrature error {err:.2e} exceeds tolerance {tol}")
+    h, err = integrate.quad(neg_flogf, lo, hi, limit=400, epsabs=_RATE_TOL / 10)
+    if err > _RATE_TOL:
+        raise RuntimeError(f"quadrature error {err:.2e} exceeds tolerance "
+                           f"{_RATE_TOL}")
     return h - math.log(step)

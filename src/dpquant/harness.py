@@ -156,7 +156,7 @@ def _dp_rdf_slope(var: float, d: float) -> float:
     return -(var - d / 2.0) / (2.0 * (var * d - d * d / 4.0))
 
 
-def compare_to_bound(report: EvalReport, var: float | None = None) -> dict:
+def compare_to_bound(report: EvalReport) -> dict:
     """Check a report against the Gaussian DP-RDF lower bound.
 
     margin = rate - bound(measured mse).  The tolerance is 3x the combined
@@ -164,11 +164,10 @@ def compare_to_bound(report: EvalReport, var: float | None = None) -> dict:
     propagated through the bound's slope, so that schemes whose rate is
     analytic (zero SE) do not false-alarm from mse noise alone.
     """
-    if var is None:
-        fam = report.scheme["source"]
-        if fam["family"] != "gaussian":
-            raise ValueError("closed-form bound check needs a Gaussian source")
-        var = fam["params"][1]
+    fam = report.scheme["source"]
+    if fam["family"] != "gaussian":
+        raise ValueError("closed-form bound check needs a Gaussian source")
+    var = fam["params"][1]
     d = report.mse_per_dim
     bound = dp_rdf_gaussian(var, d)
     margin = report.rate_nats_per_dim - bound
@@ -228,16 +227,15 @@ def write_points_csv(path, points, config: dict):
 
 
 def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
-                      config: dict | None = None, reference: bool = False):
+                      config: dict | None = None):
     """Measured sweep points.
 
-    Columns: scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass
-    (plus dp_rdf_nats,rdf_nats reference columns when reference=True; they
-    are left empty for a non-Gaussian source, which has no closed form).
+    Columns: scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass,
+    then the dp_rdf_nats,rdf_nats reference columns, left empty for a
+    non-Gaussian source, which has no closed form.
     """
-    header = "scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass"
-    if reference:
-        header += ",dp_rdf_nats,rdf_nats"
+    header = ("scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass,"
+              "dp_rdf_nats,rdf_nats")
     lines = []
     for param, rep in rows:
         ks_max = max(d for d, _ in rep.ks_per_axis)
@@ -246,10 +244,10 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
                 f"{rep.rate_nats_per_dim:.10g},{rep.rate_se:.10g},"
                 f"{rep.mse_per_dim:.10g},{rep.mse_se:.10g},"
                 f"{ks_max:.10g},{int(ks_pass)}")
-        if reference and rep.scheme["source"]["family"] == "gaussian":
+        if rep.scheme["source"]["family"] == "gaussian":
             var, d = rep.scheme["source"]["params"][1], rep.mse_per_dim
             line += f",{dp_rdf_gaussian(var, d):.10g},{rdf_gaussian(var, d):.10g}"
-        elif reference:  # the closed-form bounds are Gaussian only
+        else:  # the closed-form bounds are Gaussian only
             line += ",,"
         lines.append(line)
     _write_csv(path, config, header, lines)

@@ -23,15 +23,21 @@ _CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.int64)
 class Lattice:
     kind: str                 # "scaled_integer" | "hexagonal"
     generator: np.ndarray     # k x k, columns are basis vectors
-    dim: int
 
     def __post_init__(self):
         g = np.asarray(self.generator, dtype=float)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if (g.shape != (self.dim, self.dim) or not np.all(np.isfinite(g))
-                or abs(np.linalg.det(g)) < 1e-300):
-            raise ValueError("generator must be a finite nonsingular k x k matrix")
+        if self.kind not in ("scaled_integer", "hexagonal"):
+            raise ValueError(f"unknown lattice kind: {self.kind!r}")
+        if (g.ndim != 2 or not 1 <= len(g) == g.shape[1]
+                or not np.all(np.isfinite(g)) or abs(np.linalg.det(g)) < 1e-300):
+            raise ValueError("generator must be a finite nonsingular k x k "
+                             "matrix with dim k >= 1")
+        if self.kind == "hexagonal" and g.shape != (2, 2):
+            raise ValueError("a hexagonal lattice is 2-D")
+
+    @property
+    def dim(self) -> int:
+        return len(self.generator)
 
     @property
     def cell_volume(self) -> float:
@@ -102,7 +108,7 @@ class Lattice:
 def scaled_integer(step: float, dim: int = 1) -> Lattice:
     if not 0 < step < math.inf:
         raise ValueError("step must be finite and > 0")
-    return Lattice(kind="scaled_integer", generator=np.eye(dim) * step, dim=dim)
+    return Lattice(kind="scaled_integer", generator=np.eye(dim) * step)
 
 
 def hexagonal(scale: float = 1.0) -> Lattice:
@@ -111,4 +117,4 @@ def hexagonal(scale: float = 1.0) -> Lattice:
         raise ValueError("scale must be finite and > 0")
     g = scale * np.array([[1.0, 0.5],
                           [0.0, math.sqrt(3.0) / 2.0]])
-    return Lattice(kind="hexagonal", generator=g, dim=2)
+    return Lattice(kind="hexagonal", generator=g)

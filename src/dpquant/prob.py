@@ -127,7 +127,7 @@ class SourceModel:
     """
 
     family: Family
-    params: tuple[float, ...] = ()
+    params: tuple[float, ...]
     dim: int = 1
 
     def __post_init__(self):
@@ -196,19 +196,14 @@ class SourceModel:
             raise ValueError("n must be >= 1")
         rng = stream_rng(seed, stream)
         u = rng.random((n, self.dim))
-        vals = np.asarray(self.icdf(u), dtype=float)
-        return EmpiricalSample(values=vals, seed=seed, count=n)
+        return EmpiricalSample(np.asarray(self.icdf(u), dtype=float))
 
 
 @dataclass(frozen=True)
 class EmpiricalSample:
     values: np.ndarray  # shape (n, k)
-    seed: int
-    count: int
 
     def __post_init__(self):
-        if self.count < 1 or len(self.values) != self.count:
-            raise ValueError("count must match the number of rows")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sample contains non-finite values")
 
@@ -236,8 +231,7 @@ def ks_statistic(sample, model: SourceModel) -> tuple[float, bool]:
     5% critical value.  Refuses n < 20 where the asymptotic threshold is
     invalid.
     """
-    x = np.asarray(sample.values if isinstance(sample, EmpiricalSample) else sample,
-                   dtype=float).ravel()
+    x = np.asarray(sample, dtype=float).ravel()
     n = x.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .bounds import awgn_oracle_point
 from .ecdq import ecdq_decode, ecdq_encode
 from .lattice import Lattice, scaled_integer
 from .prob import Family, SourceModel, plugin_entropy
@@ -64,8 +65,8 @@ class ResampleDpq:
     step: float  # base uniform scalar quantizer step
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("base quantizer step must be > 0")
+        if not 0 < self.step < math.inf:
+            raise ValueError("base quantizer step must be finite and > 0")
         if self.source.dim != 1:
             raise ValueError("resampling scheme is scalar")
 
@@ -116,18 +117,17 @@ class AwgnOracle:
     def __post_init__(self):
         if self.source.family is not Family.GAUSSIAN:
             raise ValueError("the AWGN construction requires a Gaussian source")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not 0 <= self.noise_var < math.inf:
+            raise ValueError("noise variance must be finite and >= 0")
 
     def run(self, x, block):
         return awgn_oracle_apply(self, x, block=block), None
 
     def rate(self, payloads):
-        """Closed form 0.5 ln((var + eta^2) / eta^2), exact: SE 0."""
+        """The closed form of `bounds.awgn_oracle_point`, exact: SE 0."""
         if self.noise_var == 0:
             return math.inf, 0.0
-        var, eta2 = self.source.params[1], self.noise_var
-        return 0.5 * math.log((var + eta2) / eta2), 0.0
+        return awgn_oracle_point(self.source.params[1], self.noise_var).rate, 0.0
 
     def describe(self) -> dict:
         return {"noise_var": self.noise_var}
@@ -200,7 +200,7 @@ def transform_dpq_encode(scheme: TransformDpq, x, block: int = 0) -> np.ndarray:
     """ECDQ encode with the seed-derived dither stream for this block."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = _block_dithers(scheme, len(x), block)
-    return ecdq_encode(scheme.lat, z, x).indices
+    return ecdq_encode(scheme.lat, z, x)
 
 
 def transform_dpq_decode(scheme: TransformDpq, indices, block: int = 0) -> np.ndarray:

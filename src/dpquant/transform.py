@@ -2,9 +2,10 @@
 
 The DPQ transform maps the dithered-quantizer output back onto the source
 law: each coordinate's cell-smoothed conditional cdf is pushed through the
-source inverse cdf.  Also here: the Rosenblatt forward/inverse pair (the
-sequential conditional-cdf map and inverse transform sampling) and the
-Gaussian-smoothed transform that arises in the high-dimensionality limit.
+source inverse cdf.  Also here: a correlated Gaussian pair whose cdf/icdf
+are the Rosenblatt map and its inverse (the sequential conditional-cdf map
+and inverse transform sampling), and the Gaussian-smoothed transform that
+arises in the high-dimensionality limit.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .prob import SourceModel, gaussian
 __all__ = [
     "BivariateGaussian",
     "smoothed_cdf",
-    "rosenblatt_forward",
-    "rosenblatt_inverse",
     "dpq_transform",
     "gaussian_smoothed_transform",
 ]
@@ -32,6 +31,7 @@ __all__ = [
 _NODES = 32
 _CHUNK = 4096  # rows per batch, so the (rows, nodes) temporaries stay in cache
 _HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
+_STD = gaussian(0.0, 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -100,56 +100,36 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     return u.reshape(x_hat.shape)
 
 
-# ---- Rosenblatt transform pair -----------------------------------------------
+# ---- a dependent source for the Rosenblatt map -------------------------------
 
 
 @dataclass(frozen=True)
 class BivariateGaussian:
-    """Correlated Gaussian pair, the dependent test case for the Rosenblatt maps."""
+    """Standard Gaussian pair with correlation rho.
 
-    mean: tuple[float, float] = (0.0, 0.0)
-    var: tuple[float, float] = (1.0, 1.0)
+    Given X1 = x1, X2 is N(rho x1, 1 - rho^2).  `cdf` is the Rosenblatt map,
+    the sequential conditional cdfs, which takes the pair to i.i.d. U(0,1);
+    `icdf` is its inverse, sequential inverse transform sampling.  A product
+    `SourceModel`'s own cdf and icdf are its Rosenblatt pair.
+    """
+
     rho: float = 0.0
 
     def __post_init__(self):
         if not -1 < self.rho < 1:
             raise ValueError("|rho| must be < 1")
-        if min(self.var) <= 0:
-            raise ValueError("variances must be > 0")
 
+    def cdf(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        cond_sd = math.sqrt(1 - self.rho ** 2)
+        return np.column_stack([_STD.cdf(x[:, 0]),
+                                _STD.cdf((x[:, 1] - self.rho * x[:, 0]) / cond_sd)])
 
-def rosenblatt_forward(model, x):
-    """Sequential conditional cdfs; maps the true joint law to i.i.d. U(0,1)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(model, SourceModel):
-        return np.asarray(model.cdf(x))
-    if isinstance(model, BivariateGaussian):
-        m1, m2 = model.mean
-        s1, s2 = math.sqrt(model.var[0]), math.sqrt(model.var[1])
-        g = gaussian(0.0, 1.0)
-        u1 = g.cdf((x[:, 0] - m1) / s1)
-        cond_mean = m2 + model.rho * s2 / s1 * (x[:, 0] - m1)
-        cond_sd = s2 * math.sqrt(1 - model.rho ** 2)
-        u2 = g.cdf((x[:, 1] - cond_mean) / cond_sd)
-        return np.column_stack([u1, u2])
-    raise ValueError(f"unsupported dependence structure: {type(model).__name__}")
-
-
-def rosenblatt_inverse(model, u):
-    """Sequential conditional inverse cdfs (inverse transform sampling)."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    if isinstance(model, SourceModel):
-        return np.asarray(model.icdf(u))
-    if isinstance(model, BivariateGaussian):
-        m1, m2 = model.mean
-        s1, s2 = math.sqrt(model.var[0]), math.sqrt(model.var[1])
-        g = gaussian(0.0, 1.0)
-        x1 = m1 + s1 * np.asarray(g.icdf(u[:, 0]))
-        cond_mean = m2 + model.rho * s2 / s1 * (x1 - m1)
-        cond_sd = s2 * math.sqrt(1 - model.rho ** 2)
-        x2 = cond_mean + cond_sd * np.asarray(g.icdf(u[:, 1]))
-        return np.column_stack([x1, x2])
-    raise ValueError(f"unsupported dependence structure: {type(model).__name__}")
+    def icdf(self, u):
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        x1 = _STD.icdf(u[:, 0])
+        cond_sd = math.sqrt(1 - self.rho ** 2)
+        return np.column_stack([x1, self.rho * x1 + cond_sd * _STD.icdf(u[:, 1])])
 
 
 # ---- the DPQ transform ---------------------------------------------------------

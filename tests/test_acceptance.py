@@ -23,8 +23,7 @@ from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              resample_dpq, transform_dpq_decode,
                              transform_dpq_encode)
 from dpquant.transform import (BivariateGaussian, dpq_transform,
-                               gaussian_smoothed_transform, rosenblatt_forward,
-                               rosenblatt_inverse)
+                               gaussian_smoothed_transform)
 
 
 @pytest.fixture
@@ -196,10 +195,10 @@ def test_10_rosenblatt_correctness(check):
     gn = rng.standard_normal((100_000, 2))
     x = np.column_stack([gn[:, 0], 0.8 * gn[:, 0]
                          + math.sqrt(1 - 0.64) * gn[:, 1]])
-    u = rosenblatt_forward(bg, x)
+    u = bg.cdf(x)
     ks_ok = all(ks_statistic(u[:, i], uniform(0, 1))[1] for i in range(2))
     rho_s = abs(spearmanr(u[:, 0], u[:, 1]).statistic)
-    back = rosenblatt_inverse(bg, u)
+    back = bg.icdf(u)
     inv_err = float(np.max(np.abs(back - x)))
     ok = ks_ok and rho_s < 0.02 and inv_err < 1e-7
     check(10, "sequential uniformization is exact and decorrelating", ok,

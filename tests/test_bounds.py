@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpquant.bounds import (_LAMBDAS, awgn_oracle_point, check_pmf,
+from dpquant.bounds import (_LAMBDAS, RdPoint, awgn_oracle_point, check_pmf,
                             discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             rdf_gaussian, sinkhorn_coupling, slb_mse)
@@ -126,6 +126,43 @@ class TestAwgnOracle:
         for nv in np.geomspace(1e-3, 1e3, 50):
             pt = awgn_oracle_point(1.0, nv)
             assert abs(pt.rate - dp_rdf_gaussian(1.0, pt.distortion)) < 1e-9
+
+
+class TestNonFiniteRefused:
+    # NaN slipped past every `x < 0` range check and inf past most: these
+    # returned NaN, inf or 0 in place of an error
+    NAN, INF = math.nan, math.inf
+
+    @pytest.mark.parametrize("var,d", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF)])
+    def test_dp_rdf_gaussian(self, var, d):
+        with pytest.raises(ValueError):
+            dp_rdf_gaussian(var, d)
+
+    @pytest.mark.parametrize("var,d", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (1.0, INF)])
+    def test_rdf_gaussian(self, var, d):
+        with pytest.raises(ValueError):
+            rdf_gaussian(var, d)
+
+    @pytest.mark.parametrize("d", [NAN, INF])
+    def test_slb_mse(self, d):
+        with pytest.raises(ValueError):
+            slb_mse(gaussian(0, 1), d)
+
+    @pytest.mark.parametrize("var,d", [(NAN, 1.0), (1.0, NAN), (INF, 1.0)])
+    def test_sandwich(self, var, d):
+        with pytest.raises(ValueError):
+            dp_rdf_sandwich_gaussian(var, d)
+
+    @pytest.mark.parametrize("var,noise_var", [(NAN, 1.0), (1.0, NAN), (INF, 1.0),
+                                               (1.0, INF)])
+    def test_awgn_oracle_point(self, var, noise_var):
+        with pytest.raises(ValueError):
+            awgn_oracle_point(var, noise_var)
+
+    @pytest.mark.parametrize("rate,d", [(NAN, 1.0), (1.0, NAN)])
+    def test_rd_point(self, rate, d):
+        with pytest.raises(ValueError):
+            RdPoint(rate=rate, distortion=d)
 
 
 class TestCheckPmf:

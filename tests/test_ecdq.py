@@ -19,29 +19,32 @@ TRIANGLE_ENTROPY = 0.5
 class TestEncodeDecode:
     def test_zero_dither(self):
         lat = scaled_integer(1.0, 1)
-        out = ecdq_encode(lat, np.array([0.0]), np.array([0.3]))
-        assert out.x_hat[0] == 0.0
+        z = np.array([0.0])
+        idx = ecdq_encode(lat, z, np.array([0.3]))
+        assert ecdq_decode(lat, z, idx)[0] == 0.0
 
     def test_hand_example(self):
         lat = scaled_integer(1.0, 1)
-        out = ecdq_encode(lat, np.array([0.3]), np.array([0.3]))
-        assert out.indices[0] == 1
-        assert out.x_hat[0] == pytest.approx(0.7)
+        z = np.array([0.3])
+        idx = ecdq_encode(lat, z, np.array([0.3]))
+        assert idx[0] == 1
+        assert ecdq_decode(lat, z, idx)[0] == pytest.approx(0.7)
 
     def test_roundtrip_exact(self):
+        # decoding the indices gives the nearest point of x + z, less z
         lat = scaled_integer(0.25, 3)
         rng = stream_rng(0, 0)
         x = rng.normal(size=(10_000, 3))
         z = lat.sample_dither(stream_rng(0, 1))
-        out = ecdq_encode(lat, z, x)
-        x_hat = ecdq_decode(lat, z, out.indices)
-        assert np.array_equal(x_hat, out.x_hat)
+        x_hat = ecdq_decode(lat, z, ecdq_encode(lat, z, x))
+        assert np.array_equal(x_hat, lat.nearest_point(x + z)[1] - z)
 
     def test_mismatched_dither_shifts(self):
         lat = scaled_integer(1.0, 1)
-        out = ecdq_encode(lat, np.array([0.2]), np.array([0.3]))
-        other = ecdq_decode(lat, np.array([0.4]), out.indices)
-        assert other[0] == pytest.approx(out.x_hat[0] - 0.2)
+        z = np.array([0.2])
+        idx = ecdq_encode(lat, z, np.array([0.3]))
+        other = ecdq_decode(lat, np.array([0.4]), idx)
+        assert other[0] == pytest.approx(ecdq_decode(lat, z, idx)[0] - 0.2)
 
     def test_zero_index_returns_negated_dither(self):
         lat = scaled_integer(1.0, 2)
@@ -135,7 +138,7 @@ def _rate_rowwise(lat, model, n, seed=0):
     for j in range(N_DITHERS):
         z = lat.sample_dither(stream_rng(seed, 1, j))
         x = model.sample(seed, n, stream=j).values
-        idx = ecdq_encode(lat, z, x).indices.reshape(n, k)
+        idx = ecdq_encode(lat, z, x).reshape(n, k)
         rates.append(plugin_entropy(_rowwise_counts(idx)) / k)
     rates = np.asarray(rates)
     return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(N_DITHERS))
@@ -191,7 +194,7 @@ class TestArithmeticCoder:
         lat = scaled_integer(1.0, 1)
         x = gaussian(0, 1).sample(7, 20_000).values
         z = lat.sample_dither(stream_rng(7, 1))
-        idx = ecdq_encode(lat, z, x).indices.ravel()
+        idx = ecdq_encode(lat, z, x).ravel()
         shifted = (idx - idx.min()).tolist()
         _, counts = np.unique(idx, return_counts=True)
         h = plugin_entropy(counts)

@@ -181,7 +181,7 @@ class TestCsv:
 
     def test_reports_csv(self, tmp_path, transform_report):
         p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(0.5, transform_report)], reference=True)
+        write_reports_csv(p, [(0.5, transform_report)])
         lines = p.read_text().splitlines()
         assert lines[0].startswith("scheme,param,n,seed,rate_nats")
         assert lines[0].endswith(",dp_rdf_nats,rdf_nats")
@@ -197,14 +197,14 @@ class TestCsv:
         # closed-form DP-RDF to print
         [(param, rep)] = rd_sweep("simple", [1.0], source, 10_000, seed=0)
         p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(param, rep)], reference=True)
+        write_reports_csv(p, [(param, rep)])
         cells = p.read_text().splitlines()[1].split(",")
         assert len(cells) == 12 and cells[10:] == ["", ""]
 
     def test_reports_csv_reference_gaussian_variance(self, tmp_path):
         [(param, rep)] = rd_sweep("simple", [1.0], gaussian(1, 4), 10_000, seed=0)
         p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(param, rep)], reference=True)
+        write_reports_csv(p, [(param, rep)])
         cells = p.read_text().splitlines()[1].split(",")
         assert float(cells[10]) == pytest.approx(dp_rdf_gaussian(4.0, rep.mse_per_dim),
                                                  rel=1e-9)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpquant.lattice import hexagonal, scaled_integer
+from dpquant.lattice import Lattice, hexagonal, scaled_integer
 from dpquant.rng import stream_rng
 
 
@@ -151,3 +151,13 @@ class TestValidation:
         # accepted it with cell volume 1
         with pytest.raises(ValueError, match="dim"):
             scaled_integer(0.1, 0)
+
+    def test_unknown_kind_refused(self):
+        # every kind but "scaled_integer" went down the hexagonal paths
+        with pytest.raises(ValueError, match="kind"):
+            Lattice("cube", 0.5 * np.eye(2))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_hexagonal_must_be_2d(self, k):
+        with pytest.raises(ValueError, match="2-D"):
+            Lattice("hexagonal", np.eye(k))

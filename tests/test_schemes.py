@@ -188,6 +188,12 @@ class TestFamilies:
         ("awgn", gaussian(0, 1), -1.0),
         ("awgn", uniform(0, 1), 1.0),
         ("transform", gaussian(0, 1), -0.5),
+        # NaN passed `step <= 0` and `noise_var < 0` alike: a NaN noise
+        # variance gave a report whose rate and MSE were NaN
+        ("resample", gaussian(0, 1), math.nan),
+        ("resample", gaussian(0, 1), math.inf),
+        ("awgn", gaussian(0, 1), math.nan),
+        ("awgn", gaussian(0, 1), math.inf),
     ])
     def test_bad_build_raises_scheme_error(self, family, source, param):
         with pytest.raises(SchemeError):

@@ -12,8 +12,7 @@ from dpquant.prob import gaussian, ks_statistic, laplace, uniform
 from dpquant.rng import stream_rng
 from dpquant import transform
 from dpquant.transform import (BivariateGaussian, dpq_transform,
-                               gaussian_smoothed_transform, rosenblatt_forward,
-                               rosenblatt_inverse, smoothed_cdf)
+                               gaussian_smoothed_transform, smoothed_cdf)
 
 PHI_1 = 0.841344746068543
 
@@ -120,39 +119,33 @@ class TestSmoothedCdf:
 class TestRosenblatt:
     def test_bivariate_center(self):
         bg = BivariateGaussian(rho=0.5)
-        u = rosenblatt_forward(bg, [0.0, 0.0])
+        u = bg.cdf([0.0, 0.0])
         assert np.allclose(u, [0.5, 0.5])
 
     def test_bivariate_conditional_formula(self):
         bg = BivariateGaussian(rho=0.5)
-        u = rosenblatt_forward(bg, [1.0, 0.5])
+        u = bg.cdf([1.0, 0.5])
         assert u[0, 0] == pytest.approx(PHI_1, abs=1e-6)
         assert u[0, 1] == pytest.approx(0.5, abs=1e-12)
-
-    def test_product_model_is_marginal_cdf(self):
-        m = gaussian(0, 1, dim=3)
-        x = np.array([[0.0, 1.0, -1.0]])
-        u = rosenblatt_forward(m, x)
-        assert np.allclose(u, m.cdf(x))
 
     def test_roundtrip(self):
         m = gaussian(0, 1, dim=4)
         rng = stream_rng(0, 0)
         u = rng.random((10_000, 4))
-        back = rosenblatt_forward(m, rosenblatt_inverse(m, u))
+        back = m.cdf(m.icdf(u))
         assert np.max(np.abs(back - u)) < 1e-7
 
     def test_roundtrip_bivariate(self):
         bg = BivariateGaussian(rho=0.8)
         rng = stream_rng(1, 0)
         u = rng.random((10_000, 2))
-        back = rosenblatt_forward(bg, rosenblatt_inverse(bg, u))
+        back = bg.cdf(bg.icdf(u))
         assert np.max(np.abs(back - u)) < 1e-7
 
     def test_inverse_sampling_law(self):
         bg = BivariateGaussian(rho=0.5)
         rng = stream_rng(2, 0)
-        x = rosenblatt_inverse(bg, rng.random((100_000, 2)))
+        x = bg.icdf(rng.random((100_000, 2)))
         for i in range(2):
             _, ok = ks_statistic(x[:, i], gaussian(0, 1))
             assert ok
@@ -162,12 +155,8 @@ class TestRosenblatt:
 
     def test_median_fixed_point(self):
         m = laplace(2.0, 1.0, dim=2)
-        x = rosenblatt_inverse(m, np.array([[0.5, 0.5]]))
+        x = m.icdf(np.array([[0.5, 0.5]]))
         assert np.allclose(x, 2.0, atol=1e-9)
-
-    def test_unsupported_structure(self):
-        with pytest.raises(ValueError):
-            rosenblatt_forward(object(), [0.0])
 
 
 class TestDpqTransform:
