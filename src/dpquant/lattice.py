@@ -1,63 +1,65 @@
 """Quantization lattices: nearest-point rule and dither sampling.
 
-Two lattices are provided.  ScaledInteger is the cubic lattice (step per
-axis, any dimension); its basic cell is the centered cube, symmetric per
-coordinate.  Hexagonal is the 2-D hexagonal lattice, whose Voronoi cell is a
-regular hexagon and exercises the non-product integration path of the
-cell-smoothed cdf.
+A lattice is its kind and its step.  `scaled_integer(step, dim)` is the cubic
+lattice step·Z^dim in any dimension; its basic cell is the centered cube,
+symmetric per coordinate.  `hexagonal(scale)` is the 2-D hexagonal lattice
+with minimum distance scale, whose Voronoi cell is a regular hexagon and
+exercises the non-product integration path of the cell-smoothed cdf.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Lattice", "scaled_integer", "hexagonal"]
 
-_CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.int64)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Lattice:
-    kind: str                 # "scaled_integer" | "hexagonal"
-    generator: np.ndarray     # k x k, columns are basis vectors
+    kind: str     # "scaled_integer" | "hexagonal"
+    step: float   # per-axis step of the cube; minimum distance of the hexagon
+    dim: int
 
     def __post_init__(self):
-        g = np.asarray(self.generator, dtype=float)
+        object.__setattr__(self, "step", float(self.step))
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.kind not in ("scaled_integer", "hexagonal"):
             raise ValueError(f"unknown lattice kind: {self.kind!r}")
-        if (g.ndim != 2 or not 1 <= len(g) == g.shape[1]
-                or not np.all(np.isfinite(g)) or abs(np.linalg.det(g)) < 1e-300):
-            raise ValueError("generator must be a finite nonsingular k x k "
-                             "matrix with dim k >= 1")
-        if self.kind == "hexagonal" and g.shape != (2, 2):
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be finite and > 0")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.kind == "hexagonal" and self.dim != 2:
             raise ValueError("a hexagonal lattice is 2-D")
 
     @property
-    def dim(self) -> int:
-        return len(self.generator)
+    def generator(self) -> np.ndarray:
+        """k x k matrix whose columns are the basis vectors."""
+        if self.kind == "scaled_integer":
+            return np.eye(self.dim) * self.step
+        return self.step * np.array([[1.0, 0.5],
+                                     [0.0, math.sqrt(3.0) / 2.0]])
 
     @property
     def cell_volume(self) -> float:
         return abs(float(np.linalg.det(self.generator)))
-
-    @property
-    def step(self) -> float:
-        """Per-axis step for ScaledInteger; scale (minimum distance) for Hexagonal."""
-        return float(self.generator[0, 0])
 
     # ---- quantization ------------------------------------------------------
 
     def nearest_point(self, x):
         """Nearest lattice point(s) to x; returns (index, point).
 
-        x may be a single k-vector or an (n, k) batch.  Ties: round-half-to-
-        even per coordinate for ScaledInteger, lexicographically smallest
-        index for Hexagonal.
+        x may be a single k-vector or an (n, k) batch; NaN and inf are
+        refused.  Ties: round-half-to-even per coordinate for the cube, the
+        lexicographically smallest index for the hexagon.
         """
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("cannot quantize NaN or inf")
         single = x.ndim == 1
         xb = x[None, :] if single else x
         if self.kind == "scaled_integer":
@@ -70,51 +72,49 @@ class Lattice:
         return idx, pt
 
     def _nearest_hex(self, xb):
-        # The nearest point is a corner of the basis parallelogram that holds
-        # x (Conway & Sloane 1982).  The corners are listed in lexicographic
-        # order, so argmin's first minimum breaks ties towards the smallest
-        # index.
-        base = np.floor(xb @ np.linalg.inv(self.generator).T).astype(np.int64)
-        cand_idx = base[:, None, :] + _CORNERS[None, :, :]         # (n, 4, 2)
-        cand_pt = cand_idx @ self.generator.T                      # (n, 4, 2)
-        best = np.argmin(np.sum((cand_pt - xb[:, None, :]) ** 2, axis=2), axis=1)
+        # The hexagonal lattice is the rectangular lattice s·(Z x √3Z), the
+        # even rows j, and its coset shifted by the second basis vector, the
+        # odd rows (Conway & Sloane 1982).  In each coset the nearest row is
+        # rint's, and the nearest point is one of the two columns beside x.
+        # Near-ties are left to the float distances of these four candidates,
+        # then to the smallest index.
+        r = xb[:, 1] / (self.step * math.sqrt(3.0))
+        j = np.repeat([2 * np.rint(r), 2 * np.rint(r - 0.5) + 1], 2, axis=0)
+        i = np.floor(xb[:, 0] / self.step - j / 2) + [[0], [1], [0], [1]]
+        cand_idx = np.stack([i, j], axis=-1).astype(np.int64)     # (4, n, 2)
+        cand_pt = cand_idx @ self.generator.T                     # (4, n, 2)
+        d2 = np.sum((cand_pt - xb) ** 2, axis=2)
+        best = np.lexsort((cand_idx[..., 1], cand_idx[..., 0], d2), axis=0)[0]
         rows = np.arange(len(xb))
-        return cand_idx[rows, best], cand_pt[rows, best]
+        return cand_idx[best, rows], cand_pt[best, rows]
 
     def point(self, index):
         """Lattice point for an integer index vector (or batch)."""
-        idx = np.asarray(index, dtype=np.int64)
-        return idx @ np.asarray(self.generator, dtype=float).T
+        return np.asarray(index, dtype=np.int64) @ self.generator.T
 
     # ---- dither ------------------------------------------------------------
 
     def sample_dither(self, rng: np.random.Generator, n: int | None = None):
         """Uniform draw(s) over the basic (Voronoi) cell.
 
-        ScaledInteger: per-axis uniform on [-step/2, step/2].  General case:
-        uniform on the fundamental parallelepiped folded into the Voronoi cell
-        (subtract the nearest lattice point), which is exact and rejection-free.
+        Cube: per-axis uniform on [-step/2, step/2].  Hexagon: uniform on the
+        fundamental parallelogram folded into the Voronoi cell (subtract the
+        nearest lattice point), which is exact and rejection-free.
         """
         m = 1 if n is None else n
         if self.kind == "scaled_integer":
             z = (rng.random((m, self.dim)) - 0.5) * self.step
         else:
-            u = rng.random((m, self.dim)) @ np.asarray(self.generator).T
+            u = rng.random((m, self.dim)) @ self.generator.T
             _, pt = self.nearest_point(u)
             z = u - pt
         return z[0] if n is None else z
 
 
 def scaled_integer(step: float, dim: int = 1) -> Lattice:
-    if not 0 < step < math.inf:
-        raise ValueError("step must be finite and > 0")
-    return Lattice(kind="scaled_integer", generator=np.eye(dim) * step)
+    return Lattice("scaled_integer", step, dim)
 
 
 def hexagonal(scale: float = 1.0) -> Lattice:
     """Hexagonal lattice with minimum distance = scale (dimension 2)."""
-    if not 0 < scale < math.inf:
-        raise ValueError("scale must be finite and > 0")
-    g = scale * np.array([[1.0, 0.5],
-                          [0.0, math.sqrt(3.0) / 2.0]])
-    return Lattice(kind="hexagonal", generator=g)
+    return Lattice("hexagonal", scale, 2)

@@ -11,7 +11,7 @@ the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -86,7 +86,7 @@ class ResampleDpq:
         return {"step": self.step}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TransformDpq:
     source: SourceModel
     seed: int
@@ -104,8 +104,7 @@ class TransformDpq:
         raise NotImplementedError("harness.evaluate measures the ECDQ rate")
 
     def describe(self) -> dict:
-        return {"lattice": {"kind": self.lat.kind, "step": self.lat.step,
-                            "dim": self.lat.dim}}
+        return {"lattice": asdict(self.lat)}
 
 
 @dataclass(frozen=True)

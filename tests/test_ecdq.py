@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpquant.coding import (arithmetic_decode, arithmetic_encode,
                             codelength_nats_per_symbol)
@@ -55,6 +57,29 @@ class TestEncodeDecode:
         lat = scaled_integer(1.0, 1)
         with pytest.raises(ValueError):
             ecdq_encode(lat, np.array([0.7]), np.array([0.0]))
+
+    @pytest.mark.parametrize("lat", [scaled_integer(0.5, 2), hexagonal(0.5)],
+                             ids=["cube", "hex"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_refused(self, lat, bad):
+        # NaN and inf were cast to index -2**63 with only a RuntimeWarning
+        x = np.array([[0.3, -0.2], [bad, 0.1]])
+        with pytest.raises(ValueError, match="NaN or inf"):
+            ecdq_encode(lat, np.zeros(2), x)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.sampled_from(["cube:1", "cube:2", "cube:3", "hex"]),
+           st.floats(-3.0, 3.0), st.integers(0, 2**32))
+    def test_error_lands_in_basic_cell(self, kind, log_step, seed):
+        # encoder and decoder each rebuild the dither from the seed alone;
+        # x - x_hat is then the nearest-point error, inside the basic cell
+        step = 10.0 ** log_step
+        lat = (hexagonal(step) if kind == "hex"
+               else scaled_integer(step, int(kind[-1])))
+        x = stream_rng(seed, 0).normal(size=(1000, lat.dim))
+        idx = ecdq_encode(lat, lat.sample_dither(stream_rng(seed, 1), 1000), x)
+        x_hat = ecdq_decode(lat, lat.sample_dither(stream_rng(seed, 1), 1000), idx)
+        assert np.all(lat.nearest_point(x - x_hat)[0] == 0)
 
 
 class TestErrorStatistics:

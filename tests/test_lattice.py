@@ -147,17 +147,32 @@ class TestValidation:
             build()
 
     def test_zero_dimensions_refused(self):
-        # det of a 0 x 0 generator is 1, so the nonsingularity test alone
-        # accepted it with cell volume 1
+        # a 0 x 0 generator has det 1, so this had cell volume 1
         with pytest.raises(ValueError, match="dim"):
             scaled_integer(0.1, 0)
 
     def test_unknown_kind_refused(self):
         # every kind but "scaled_integer" went down the hexagonal paths
         with pytest.raises(ValueError, match="kind"):
-            Lattice("cube", 0.5 * np.eye(2))
+            Lattice("cube", 0.5, 2)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_hexagonal_must_be_2d(self, k):
         with pytest.raises(ValueError, match="2-D"):
-            Lattice("hexagonal", np.eye(k))
+            Lattice("hexagonal", 1.0, k)
+
+    @pytest.mark.parametrize("args", [
+        ("scaled_integer", np.diag([0.1, 0.4])),
+        ("scaled_integer", np.diag([0.1, 0.4]), 2),
+    ], ids=["no-dim", "dim-2"])
+    def test_matrix_step_refused(self, args):
+        # a cube generator diag(0.1, 0.4) encoded with 0.1 on both axes but
+        # decoded with the whole matrix
+        with pytest.raises((TypeError, ValueError)):
+            Lattice(*args)
+
+    def test_integer_step_is_float(self):
+        lat, ref = scaled_integer(1), scaled_integer(1.0)
+        assert type(lat.step) is float and lat.step == 1.0 and lat == ref
+        assert lat.point([3]).dtype == ref.point([3]).dtype == np.float64
+        assert lat.nearest_point([2.2])[1].dtype == np.float64

@@ -210,6 +210,13 @@ class TestFamilies:
         with pytest.raises(NotImplementedError):
             TransformDpq(m, 0, scaled_integer(0.5)).rate([j])
 
+    def test_equal_builds_compare_equal(self):
+        m, m2 = gaussian(0, 1), gaussian(0, 1, dim=2)
+        assert build("transform", m, 3, 0.5) == build("transform", m, 3, 0.5)
+        assert build("transform", m2, 3, hexagonal(0.5)) == \
+            build("transform", m2, 3, hexagonal(0.5))
+        assert build("transform", m, 3, 0.5) != build("transform", m, 3, 0.25)
+
     def test_describe(self):
         m = gaussian(0, 1)
         assert SimpleDpq(m, 0).describe() == {}
@@ -217,3 +224,7 @@ class TestFamilies:
         assert AwgnOracle(m, 0, 0.5).describe() == {"noise_var": 0.5}
         assert TransformDpq(m, 0, scaled_integer(0.5)).describe() == {
             "lattice": {"kind": "scaled_integer", "step": 0.5, "dim": 1}}
+        # an integer step is stored as the float it means
+        one = build("transform", m, 0, 1).describe()
+        assert one == build("transform", m, 0, 1.0).describe()
+        assert type(one["lattice"]["step"]) is float
