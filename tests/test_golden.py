@@ -39,6 +39,12 @@ the last bits; its KS and rate fields stayed bit-identical (old -> new):
     moment_errors.mean       -0.013392789463406394 -> -0.013392789463406484
     moment_errors.skewness   -0.17292131414776274  -> -0.1729213141477715
     moment_errors.variance   -0.013007195287984441 -> -0.013007195287982887
+
+`transform_hex_inexact` runs the hexagonal path at scale 0.3, where the
+golden reports above, all at scale 0.5, cannot see a last-bit change in how
+the lattice points are formed.  It was captured from the nearest-point search
+that picks the smallest of four candidates with `np.lexsort`.  Its second axis fails KS at this seed, as `sweep_awgn` does: a golden pins
+the numbers, not the verdict.
 """
 
 import json
@@ -204,7 +210,26 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                                        'source': {'dim': 2,
                                                   'family': 'gaussian',
                                                   'params': [0.0, 1.0]}},
-                            'seed': 105}}
+                            'seed': 105},
+          'transform_hex_inexact': {'ks_per_axis': [[0.008170137144904388, True],
+                                                    [0.013644622093196224, False]],
+                                    'moment_errors': {'mean': -0.006045875027015718,
+                                                      'skewness': 0.022068216876804287,
+                                                      'variance': 0.007795605152729701},
+                                    'mse_per_dim': 0.006197456142722284,
+                                    'mse_se': 3.5282117318635416e-05,
+                                    'n': 10000,
+                                    'rate_nats_per_dim': 2.683209327509169,
+                                    'rate_se': 0.0012322749900318265,
+                                    'scheme': {'kind': 'TransformDpq',
+                                               'lattice': {'dim': 2,
+                                                           'kind': 'hexagonal',
+                                                           'step': 0.3},
+                                               'seed': 107,
+                                               'source': {'dim': 2,
+                                                          'family': 'gaussian',
+                                                          'params': [0.0, 1.0]}},
+                                    'seed': 107}}
 
 
 def _fields(report) -> dict:
@@ -220,6 +245,10 @@ EVALUATED = {
     "transform_cube": (TransformDpq(gaussian(0, 1), 14, scaled_integer(0.5)), 104),
     "transform_hex": (TransformDpq(gaussian(0, 1, dim=2), 15, hexagonal(0.5)),
                       105),
+    # At scale 0.3 the products in the lattice's matmul are inexact, so a
+    # nearest-point rule that forms its points another way moves this report.
+    "transform_hex_inexact": (
+        TransformDpq(gaussian(0, 1, dim=2), 16, hexagonal(0.3)), 107),
 }
 
 SWEPT = {"transform": 1.0, "resample": 0.5, "awgn": 0.25, "simple": 1.0}
