@@ -31,8 +31,8 @@ _RATE_TOL = 1e-4  # quadrature error bound of the analytic rate, nats
 
 
 def _check_dither(lat: Lattice, dither: np.ndarray):
-    _, pt = lat.nearest_point(dither)
-    if np.any(np.abs(pt) > 1e-9):
+    # by index, not by |point|: at a step near 1e-9 any point is that small
+    if np.any(lat.nearest_point(dither)[0]):
         raise ValueError("dither must lie inside the basic cell")
 
 

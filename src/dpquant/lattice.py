@@ -53,13 +53,14 @@ class Lattice:
     def nearest_point(self, x):
         """Nearest lattice point(s) to x; returns (index, point).
 
-        x may be a single k-vector or an (n, k) batch; NaN and inf are
-        refused.  Ties: round-half-to-even per coordinate for the cube, the
-        lexicographically smallest index for the hexagon.
+        x may be a single k-vector or an (n, k) batch.  NaN, inf and any
+        |x| >= 2**51 step are refused: past that the float index is no
+        longer an exact integer.  Ties: round-half-to-even per coordinate for
+        the cube, the lexicographically smallest index for the hexagon.
         """
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("cannot quantize NaN or inf")
+        if not np.all(np.abs(x) < 2.0 ** 51 * self.step):  # NaN fails too
+            raise ValueError("cannot quantize NaN or inf, or |x| >= 2**51 step")
         single = x.ndim == 1
         xb = x[None, :] if single else x
         if self.kind == "scaled_integer":
@@ -77,16 +78,23 @@ class Lattice:
         # odd rows (Conway & Sloane 1982).  In each coset the nearest row is
         # rint's, and the nearest point is one of the two columns beside x.
         # Near-ties are left to the float distances of these four candidates,
-        # then to the smallest index.
+        # then to the smallest index.  The points come from the matmul, whose
+        # fused multiply-add an elementwise i*G00 + j*G01 would not repeat.
+        won = []
         r = xb[:, 1] / (self.step * math.sqrt(3.0))
-        j = np.repeat([2 * np.rint(r), 2 * np.rint(r - 0.5) + 1], 2, axis=0)
-        i = np.floor(xb[:, 0] / self.step - j / 2) + [[0], [1], [0], [1]]
-        cand_idx = np.stack([i, j], axis=-1).astype(np.int64)     # (4, n, 2)
-        cand_pt = cand_idx @ self.generator.T                     # (4, n, 2)
-        d2 = np.sum((cand_pt - xb) ** 2, axis=2)
-        best = np.lexsort((cand_idx[..., 1], cand_idx[..., 0], d2), axis=0)[0]
-        rows = np.arange(len(xb))
-        return cand_idx[best, rows], cand_pt[best, rows]
+        for j in (2 * np.rint(r), 2 * np.rint(r - 0.5) + 1):
+            idx = np.empty((2, len(xb), 2))  # columns i and i + 1 of row j
+            idx[0, :, 0] = np.floor(xb[:, 0] / self.step - j / 2)
+            idx[1, :, 0] = idx[0, :, 0] + 1
+            idx[:, :, 1] = j
+            d = idx @ self.generator.T - xb
+            d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+            # one row, so the left column's smaller i wins a tie
+            won.append((np.minimum(d2[0], d2[1]), idx[0, :, 0] + (d2[1] < d2[0]), j))
+        (d2e, ie, je), (d2o, io, jo) = won
+        odd = (d2o < d2e) | (d2o == d2e) & ((io < ie) | (io == ie) & (jo < je))
+        idx = np.column_stack([np.where(odd, io, ie), np.where(odd, jo, je)])
+        return idx.astype(np.int64), idx @ self.generator.T
 
     def point(self, index):
         """Lattice point for an integer index vector (or batch)."""

@@ -44,15 +44,16 @@ def _hex_nodes(scale: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Chord rule over the hexagonal Voronoi cell: (a, h, w).
 
     The hexagon {|x| <= s/2, |y| <= h(x)}, h(x) = (s - |x|)/sqrt(3), is cut
-    into vertical chords.  `a` holds n Gauss-Legendre abscissae on each of
-    [-s/2, 0] and [0, s/2], `h` the half-chord at each and `w` their
-    weights.  The cell integral of g is approximated by
-    sum_i w_i int_{-h_i}^{h_i} g(a_i, y) dy.
+    into vertical chords.  `a` holds n Gauss-Legendre abscissae on [-s/2, 0]
+    and their mirror images on [0, s/2], and `w` their 2n weights.  The
+    mirror halves share their half-chords: `h` holds the n distinct ones,
+    h[k] at both a[k] and a[n + k].  The cell integral of g is approximated
+    by sum_k w_k int_{-h_k}^{h_k} g(a_k, y) dy over the 2n chords.
     """
     t, w = _gl_nodes(n)
-    a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
-    h = (scale - np.abs(a)) / math.sqrt(3.0)
-    return a, h, np.tile((scale / 4.0) * w, 2)
+    a = (scale / 4.0) * (1.0 + t)
+    h = (scale - a) / math.sqrt(3.0)
+    return np.concatenate([-a, a]), h, np.tile((scale / 4.0) * w, 2)
 
 
 def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
@@ -64,7 +65,8 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     the marginal cdf.  Hexagonal lattice: coordinate 0 averages the cdf over
     the cell's x-projection; coordinate 1 is the ratio of cell integrals
     conditioned on coordinate 0, both integrated along the cell's chords,
-    each chord's cdf average in closed form (`SourceModel.cdf_average`).
+    each chord's cdf average in closed form (`SourceModel.cdf_average`), once
+    per mirror pair of chords.
     """
     if model.dim != lat.dim:
         raise ValueError("base model and cell dimension mismatch")
@@ -81,7 +83,7 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
         if x_hat.shape[-1:] != (2,):
             raise ValueError("hexagonal path is 2-D")
         a, h, w = _hex_nodes(lat.step, _NODES)
-        wh = w * h
+        wh = w * np.tile(h, 2)
 
         def average(xb):
             x1, x2 = xb[:, 0, None], xb[:, 1, None]
@@ -90,7 +92,7 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
             den = np.sum(2.0 * f1, axis=-1)
             if np.any(den < 1e-300):
                 raise ValueError("conditioning value outside the source support")
-            chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
+            chords = np.tile(2.0 * model.cdf_average(x2 - h, x2 + h), 2)
             return np.column_stack([u1, np.sum(f1 * chords, axis=-1) / den])
 
         xb = x_hat.reshape(-1, 2)

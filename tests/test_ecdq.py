@@ -58,6 +58,14 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             ecdq_encode(lat, np.array([0.7]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lat", [scaled_integer(1e-12), hexagonal(1e-12)],
+                             ids=["cube", "hex"])
+    def test_dither_outside_tiny_cell_refused(self, lat):
+        # a check on |point| > 1e-9 let a dither five cells out through
+        dither = np.full(lat.dim, 5e-12)
+        with pytest.raises(ValueError, match="basic cell"):
+            ecdq_encode(lat, dither, np.zeros(lat.dim))
+
     @pytest.mark.parametrize("lat", [scaled_integer(0.5, 2), hexagonal(0.5)],
                              ids=["cube", "hex"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

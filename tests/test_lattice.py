@@ -52,10 +52,13 @@ class TestNearestPoint:
         d_got = np.linalg.norm(x - pt, axis=1)
         assert np.allclose(d_got, d_best, atol=1e-9)
 
-    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.3, 0.5, 1.0, 3.7, 123.4])
     def test_hex_corners_match_ring_search(self, scale):
         # Exhaustive search over the 5x5 index ring around the parallelogram,
-        # candidates in lexicographic order, first minimum wins ties.
+        # candidates in lexicographic order, first minimum wins ties.  Besides
+        # the lattice points, edge midpoints and Voronoi vertices, their 1 and
+        # 2 ulp neighbours on each side of each axis, where float distances,
+        # not the geometry, decide.
         lat = hexagonal(scale)
         g = lat.generator
         rng = stream_rng(8, 0)
@@ -67,8 +70,17 @@ class TestNearestPoint:
             0 * b1, b1 / 2, b2 / 2, (b1 + b2) / 2, (b2 - b1) / 2,  # edge midpoints
             (b1 + b2) / 3, 2 * (b1 + b2) / 3, (2 * b1 - b2) / 3,  # Voronoi vertices
             (2 * b2 - b1) / 3])
+        special = (lattice_pts[:500] + offsets).reshape(-1, 2)
+        near = []
+        for ulps in (1, 2):
+            up, down = special, special
+            for _ in range(ulps):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            near += [up, down, np.column_stack([up[:, 0], down[:, 1]]),
+                     np.column_stack([down[:, 0], up[:, 1]])]
         x = np.concatenate([
             rng.uniform(-20 * scale, 20 * scale, size=(20_000, 2)),
+            *near,
             (lattice_pts + offsets).reshape(-1, 2),
             (lattice_pts + t * b1).reshape(-1, 2),  # parallelogram edges
             (lattice_pts + t * b2).reshape(-1, 2),
@@ -80,6 +92,32 @@ class TestNearestPoint:
         want = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
         got, _ = lat.nearest_point(x)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lat", [scaled_integer(0.3, 2), hexagonal(1e-3),
+                                     hexagonal(0.3), hexagonal(123.4)],
+                             ids=["cube-0.3", "hex-1e-3", "hex-0.3", "hex-123.4"])
+    def test_point_is_point_of_index_bit_for_bit(self, lat):
+        # The encoder's dither is u - nearest_point(u)[1] and the decoder
+        # rebuilds with point(index): they agree only if these bits do.
+        rng = stream_rng(9, 0)
+        x = np.concatenate([rng.uniform(-40 * lat.step, 40 * lat.step, (20_000, 2)),
+                            lat.sample_dither(rng, 20_000)])
+        idx, pt = lat.nearest_point(x)
+        assert np.array_equal(pt.view(np.int64), lat.point(idx).view(np.int64))
+
+    @pytest.mark.parametrize("lat", [scaled_integer(1.0), hexagonal(1.0)],
+                             ids=["cube", "hex"])
+    def test_index_beyond_exact_float_range_refused(self, lat):
+        # 1e300 and 1e19 were cast to index -2**63 with only a RuntimeWarning
+        edge = 2.0 ** 51 * lat.step
+        below = np.full(lat.dim, np.nextafter(edge, 0))
+        idx, pt = lat.nearest_point(below)
+        assert np.max(np.abs(pt - below)) <= lat.step
+        for far in (1e300, 1e19, edge, -edge):
+            x = np.zeros(lat.dim)
+            x[0] = far
+            with pytest.raises(ValueError, match="2\\*\\*51"):
+                lat.nearest_point(x)
 
 
 class TestDither:

@@ -71,7 +71,29 @@ class TestSmoothedCdf:
     def test_hex_quadrature_integrates_volume(self):
         lat = hexagonal(1.7)
         _, h, w = transform._hex_nodes(lat.step, 32)
-        assert np.sum(2.0 * h * w) == pytest.approx(lat.cell_volume, rel=1e-12)
+        assert np.sum(2.0 * np.tile(h, 2) * w) == pytest.approx(lat.cell_volume, rel=1e-12)
+
+    @pytest.mark.parametrize("model", [gaussian(0.3, 1.5, dim=2),
+                                       laplace(-0.2, 0.8, dim=2)],
+                             ids=["gaussian", "laplace"])
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.7])
+    def test_hex_equals_64_chord_rule_bit_for_bit(self, model, scale):
+        # The rule written out on all 64 chords.  smoothed_cdf averages F
+        # once per mirror pair of chords; that must not move a bit.
+        lat = hexagonal(scale)
+        x = stream_rng(12, 0).normal(0.0, 2.0, size=(2000, 2))
+        t, wt = np.polynomial.legendre.leggauss(32)
+        a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
+        h = (scale - np.abs(a)) / math.sqrt(3.0)
+        wh = np.tile((scale / 4.0) * wt, 2) * h
+        x1, x2 = x[:, 0, None], x[:, 1, None]
+        u1 = np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1) / lat.cell_volume
+        f1 = wh * model.pdf(x1 + a)
+        chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
+        u2 = np.sum(f1 * chords, axis=-1) / np.sum(2.0 * f1, axis=-1)
+        want = np.column_stack([u1, u2])
+        got = smoothed_cdf(model, lat, x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
     def test_hex_matches_cell_integrals(self, scale):
