@@ -31,7 +31,7 @@ _RATE_TOL = 1e-4  # quadrature error bound of the analytic rate, nats
 
 
 def _check_dither(lat: Lattice, dither: np.ndarray):
-    # by index, not by |point|: at a step near 1e-9 any point is that small
+    # by index: at a step below about 1e-9 every point is smaller than any bound
     if np.any(lat.nearest_point(dither)[0]):
         raise ValueError("dither must lie inside the basic cell")
 

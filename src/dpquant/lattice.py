@@ -59,7 +59,8 @@ class Lattice:
         the cube, the lexicographically smallest index for the hexagon.
         """
         x = np.asarray(x, dtype=float)
-        if not np.all(np.abs(x) < 2.0 ** 51 * self.step):  # NaN fails too
+        lim = 2.0 ** 51 * self.step  # min and max are NaN if any x is
+        if not (-lim < x.min(initial=math.inf) and x.max(initial=-math.inf) < lim):
             raise ValueError("cannot quantize NaN or inf, or |x| >= 2**51 step")
         single = x.ndim == 1
         xb = x[None, :] if single else x
