@@ -31,7 +31,8 @@ _RATE_TOL = 1e-4  # quadrature error bound of the analytic rate, nats
 
 
 def _check_dither(lat: Lattice, dither: np.ndarray):
-    # by index: at a step below about 1e-9 every point is smaller than any bound
+    # by index: a bound on |point| such as 1e-9 lets whole cells through
+    # once the step is below it
     if np.any(lat.nearest_point(dither)[0]):
         raise ValueError("dither must lie inside the basic cell")
 

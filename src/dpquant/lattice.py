@@ -81,11 +81,11 @@ class Lattice:
         # Near-ties are left to the float distances of these four candidates,
         # then to the smallest index.  The points come from the matmul, whose
         # fused multiply-add an elementwise i*G00 + j*G01 would not repeat.
+        xs, r = xb[:, 0] / self.step, xb[:, 1] / (self.step * math.sqrt(3.0))
         won = []
-        r = xb[:, 1] / (self.step * math.sqrt(3.0))
         for j in (2 * np.rint(r), 2 * np.rint(r - 0.5) + 1):
             idx = np.empty((2, len(xb), 2))  # columns i and i + 1 of row j
-            idx[0, :, 0] = np.floor(xb[:, 0] / self.step - j / 2)
+            idx[0, :, 0] = np.floor(xs - j / 2)
             idx[1, :, 0] = idx[0, :, 0] + 1
             idx[:, :, 1] = j
             d = idx @ self.generator.T - xb

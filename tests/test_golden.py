@@ -43,7 +43,8 @@ the last bits; its KS and rate fields stayed bit-identical (old -> new):
 `transform_hex_inexact` runs the hexagonal path at scale 0.3, where the
 golden reports above, all at scale 0.5, cannot see a last-bit change in how
 the lattice points are formed.  It was captured from the nearest-point search
-that picks the smallest of four candidates with `np.lexsort`.  Its second axis fails KS at this seed, as `sweep_awgn` does: a golden pins
+that picks the smallest of four candidates with `np.lexsort`, and the
+two-coset tournament that replaced it reproduces it bit for bit.  Its second axis fails KS at this seed, as `sweep_awgn` does: a golden pins
 the numbers, not the verdict.
 """
 

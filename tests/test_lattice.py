@@ -111,7 +111,7 @@ class TestNearestPoint:
         # 1e300 and 1e19 were cast to index -2**63 with only a RuntimeWarning
         edge = 2.0 ** 51 * lat.step
         below = np.full(lat.dim, np.nextafter(edge, 0))
-        idx, pt = lat.nearest_point(below)
+        _, pt = lat.nearest_point(below)
         assert np.max(np.abs(pt - below)) <= lat.step
         for far in (1e300, 1e19, edge, -edge):
             x = np.zeros(lat.dim)

@@ -71,7 +71,8 @@ class TestSmoothedCdf:
     def test_hex_quadrature_integrates_volume(self):
         lat = hexagonal(1.7)
         _, h, w = transform._hex_nodes(lat.step, 32)
-        assert np.sum(2.0 * np.tile(h, 2) * w) == pytest.approx(lat.cell_volume, rel=1e-12)
+        assert (np.sum(2.0 * np.tile(h, 2) * w)
+                == pytest.approx(lat.cell_volume, rel=1e-12))
 
     @pytest.mark.parametrize("model", [gaussian(0.3, 1.5, dim=2),
                                        laplace(-0.2, 0.8, dim=2)],
