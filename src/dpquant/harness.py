@@ -1,14 +1,16 @@
 """Monte-Carlo evaluation of DPQ schemes and rate-distortion sweeps.
 
-Samples are processed in a fixed number of seed-indexed batches; statistics
-and their standard errors come from the batch means, so results are
-independent of how many workers process the batches.
+Samples are processed in a fixed number of seed-indexed batches.  Each batch
+is reduced where it is run, and the reductions are merged in batch order;
+standard errors come from the batch means.  So results are independent of
+how many workers process the batches.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -62,11 +64,11 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     Identical (scheme, n, seed) gives an identical report except wall_time,
     for any worker count.
 
-    The moments pool every coordinate of the n outputs: the variance is the
-    population variance, mean(d * d) with d the outputs less their mean, and
-    the skewness the mean of z * z * z with z = d / sqrt(variance), computed
-    with products rather than a power, which would call libm's pow per
-    element.
+    Each batch is reduced where it is run: to its MSE, its moments
+    (`_batch_moments`), its payload for ``scheme.rate`` and its rows of the
+    probability integral transform, ``cdf(output)`` per axis, which the KS
+    test compares with U(0, 1).  The moments pool every coordinate of the n
+    outputs, merged in batch order; the variance is the population variance.
     """
     if n < MIN_N:
         raise ValueError(f"need n >= {MIN_N}")
@@ -75,12 +77,20 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
     model = scheme.source
+    k = model.dim
+    marginal = dataclasses.replace(model, dim=1)
     sizes = [n // N_BATCHES + (1 if b < n % N_BATCHES else 0)
              for b in range(N_BATCHES)]
+    starts = np.cumsum([0] + sizes)
+    pit = np.empty((n, k))
 
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
-        return (x, *scheme.run(x, b))
+        xt, payload = scheme.run(x, b)
+        mse = np.mean((x - xt) ** 2)
+        xt = np.reshape(xt, (-1, k))
+        pit[starts[b]:starts[b + 1]] = marginal.cdf(xt)
+        return mse, _batch_moments(xt.ravel()), payload
 
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
@@ -88,13 +98,10 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     else:
         results = [run(b) for b in range(N_BATCHES)]
 
-    k = model.dim
-    batch_mse = np.array([np.mean((x - xt) ** 2) for x, xt, _ in results])
+    batch_mse = np.array([mse for mse, _, _ in results])
     mse = float(np.average(batch_mse, weights=sizes))
     mse_se = float(np.std(batch_mse, ddof=1) / math.sqrt(N_BATCHES))
 
-    outputs = np.concatenate([np.atleast_2d(xt.reshape(-1, k))
-                              for _, xt, _ in results])
     if isinstance(scheme, TransformDpq):
         # The ECDQ rate is re-measured on fresh samples, not taken from this
         # run's indices, until a conditional codelength of those replaces it.
@@ -102,21 +109,14 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     else:
         rate, rate_se = scheme.rate([p for _, _, p in results])
 
-    ks = [ks_statistic(outputs[:, i], dataclasses.replace(model, dim=1))
-          for i in range(k)]
+    ks = [ks_statistic(pit[:, i]) for i in range(k)]
 
-    flat = outputs.ravel()
-    m1 = float(flat.mean())
-    d = flat - m1
-    m2 = float(np.mean(d * d))
-    sd = math.sqrt(m2)
-    if sd > 0:
-        z = d / sd
-        skew = float(np.mean(z * z * z))
-    else:
-        skew = 0.0
+    count, m1, m2, m3 = functools.reduce(_merge_moments,
+                                         [m for _, m, _ in results])
+    var = m2 / count
+    skew = m3 / count / var ** 1.5 if var > 0 else 0.0
     moments = {"mean": m1 - model.mean(),
-               "variance": m2 - model.variance(),
+               "variance": var - model.variance(),
                "skewness": skew}  # all provided families are symmetric
 
     source = {"family": model.family.value, "params": list(model.params),
@@ -131,6 +131,35 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
         moment_errors=moments,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def _batch_moments(v) -> tuple[int, float, float, float]:
+    """(count, mean, M2, M3) of v, where M2 and M3 sum d * d and d * d * d
+    for d = v - mean; products rather than a power, which would call libm's
+    pow per element."""
+    mean = float(v.mean())
+    d = v - mean
+    dd = d * d
+    m2 = float(dd.sum())
+    dd *= d
+    return v.size, mean, m2, float(dd.sum())
+
+
+def _merge_moments(a, b) -> tuple[int, float, float, float]:
+    """The `_batch_moments` of two samples pooled, from theirs.
+
+    The pairwise update of Chan, Golub & LeVeque (1979), with Pebay's (2008)
+    term for M3: it combines centred sums, so it keeps the digits that raw
+    power sums lose when the spread is small against the mean.
+    """
+    na, ma, m2a, m3a = a
+    nb, mb, m2b, m3b = b
+    n = na + nb
+    delta = mb - ma
+    return (n, ma + delta * nb / n,
+            m2a + m2b + delta * delta * na * nb / n,
+            m3a + m3b + delta ** 3 * na * nb * (na - nb) / (n * n)
+            + 3.0 * delta * (na * m2b - nb * m2a) / n)
 
 
 def rd_sweep(family: str, params, source: SourceModel, n: int, seed: int,

@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import awgn_oracle_point
 from .ecdq import ecdq_decode, ecdq_encode
 from .lattice import Lattice, scaled_integer
-from .prob import Family, SourceModel, plugin_entropy
+from .prob import Family, SourceModel
 from .rng import stream_rng
 from .transform import dpq_transform
 
@@ -71,16 +71,18 @@ class ResampleDpq:
             raise ValueError("resampling scheme is scalar")
 
     def run(self, x, block):
-        j, x_tilde = resample_dpq(self, x, block=block)
-        return x_tilde.reshape(np.shape(x)), j
+        _, mass, x_tilde = _resample(self, x, block)
+        return x_tilde.reshape(np.shape(x)), -np.log(mass)
 
     def rate(self, payloads):
-        """Plug-in entropy of the pooled cell indices; SE from the batches."""
-        per_block = [plugin_entropy(np.unique(j, return_counts=True)[1])
-                     for j in payloads]
-        se = float(np.std(per_block, ddof=1) / math.sqrt(len(per_block)))
-        pooled = np.unique(np.concatenate(payloads), return_counts=True)[1]
-        return plugin_entropy(pooled), se
+        """Mean model codelength -log p(j) of the cells; SE from the batches.
+
+        Its expectation is the entropy of the cell index, which the batch
+        payloads estimate without the plug-in entropy's downward bias.
+        """
+        means = [np.mean(c) for c in payloads]
+        se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+        return float(np.average(means, weights=[c.size for c in payloads])), se
 
     def describe(self) -> dict:
         return {"step": self.step}
@@ -175,19 +177,25 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
     restricted to the cell, so its marginal is exactly the source law.
     Returns (cell indices, x_tilde).
     """
+    j, _, x_tilde = _resample(scheme, x, block)
+    return j, x_tilde
+
+
+def _resample(scheme: ResampleDpq, x, block: int):
+    """`resample_dpq`, which also returns each cell's mass p(j)."""
     x = np.asarray(x, dtype=float).ravel()
     step = scheme.step
     j = np.floor(x / step).astype(np.int64)
     fa = np.asarray(scheme.source.cdf(j * step))
-    fb = np.asarray(scheme.source.cdf((j + 1) * step))
-    if np.any(fb - fa <= 0):
+    mass = np.asarray(scheme.source.cdf((j + 1) * step)) - fa
+    if np.any(mass <= 0):
         raise ValueError("zero-probability base cell encountered")
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
-    u = fa + (fb - fa) * rng.random(x.shape)
+    u = fa + mass * rng.random(x.shape)
     x_tilde = np.asarray(scheme.source.icdf(u))
     # clip against icdf clamping at the far tails
     x_tilde = np.clip(x_tilde, j * step, np.nextafter((j + 1) * step, -np.inf))
-    return j, x_tilde
+    return j, mass, x_tilde
 
 
 def _block_dithers(scheme: TransformDpq, n: int, block: int) -> np.ndarray:

@@ -106,7 +106,7 @@ class TestErrorStatistics:
     def test_error_uniform(self):
         for step in (0.5, 1.0, 2.0):
             x, err = self._errors(step=step, seed=2)
-            d, ok = ks_statistic(err, uniform(-step / 2, step / 2))
+            d, ok = ks_statistic(uniform(-step / 2, step / 2).cdf(err))
             assert ok, f"step={step}: D={d}"
 
     def test_error_independent_of_source(self):

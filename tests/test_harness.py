@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import special, stats
 
 from dpquant.harness import (EvalReport, compare_to_bound, evaluate, rd_sweep,
                              write_curve_csv, write_reports_csv)
-from dpquant.lattice import scaled_integer
+from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.bounds import dp_rdf_gaussian
 from dpquant.prob import gaussian, laplace, uniform
 from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
@@ -87,6 +89,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100, seed=0)
 
+    # every reduction runs per batch, in the batch's worker; the merge goes
+    # in batch order, so the worker count cannot move any field
+    @pytest.mark.parametrize("scheme", [
+        SimpleDpq(gaussian(0, 1), 0),
+        ResampleDpq(laplace(0, 1), 0, 0.3),
+        TransformDpq(gaussian(0, 1, dim=2), 0, hexagonal(0.5)),
+        AwgnOracle(gaussian(0.5, 2), 0, 0.5),
+    ], ids=["simple", "resample", "transform-hex", "awgn"])
+    def test_report_independent_of_worker_count(self, scheme):
+        reports = []
+        for workers in (1, 2, 3):
+            rep = evaluate(scheme, 10_000, 9, workers=workers)
+            d = json.loads(rep.to_json())
+            d.pop("wall_time")
+            reports.append(d)
+        assert reports[0] == reports[1] == reports[2]
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_refused(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -113,10 +132,59 @@ class TestMoments:
         assert m["skewness"] == pytest.approx(stats.skew(out.ravel(), bias=True),
                                               abs=1e-12)
 
+    def test_large_mean_small_spread(self):
+        # At mean 1e4 and variance 1e-2, raw power sums lose about 8 digits,
+        # and stats.skew's one centring leaves 1.6e-11 in the skewness here;
+        # the reference is exact rational arithmetic on the outputs.
+        source = gaussian(1e4, 1e-2)
+        scheme = _Recorded(source, 0, lambda x: x)
+        rep = evaluate(scheme, 20_000, seed=4)
+        out = [Fraction(v) for b in sorted(scheme.outputs)
+               for v in scheme.outputs[b].ravel().tolist()]
+        mean = sum(out) / len(out)
+        m2 = sum((v - mean) ** 2 for v in out) / len(out)
+        m3 = sum((v - mean) ** 3 for v in out) / len(out)
+        m = rep.moment_errors
+        # one ulp of 1e4 is 1.8e-12
+        assert m["mean"] == pytest.approx(float(mean - Fraction(1e4)),
+                                          abs=2e-12)
+        assert m["variance"] == pytest.approx(float(m2 - Fraction(1e-2)),
+                                              abs=1e-12)
+        assert m["skewness"] == pytest.approx(float(m3) / float(m2) ** 1.5,
+                                              abs=1e-12)
+
     def test_skewed_output_reported(self):
         # negative control: Exp(1)-distributed outputs, whose skewness is 2
         expo = _Recorded(gaussian(0, 1), 0, lambda x: -np.log(special.ndtr(-x)))
         assert evaluate(expo, 20_000, seed=4).moment_errors["skewness"] > 1
+
+
+def _cell_entropy(model, step) -> float:
+    """Exact entropy -sum p_j ln p_j of the cells [j*step, (j+1)*step)."""
+    sd = math.sqrt(model.variance())
+    lo, hi = model.mean() - 40 * sd, model.mean() + 40 * sd
+    p = np.diff(model.cdf(np.arange(math.floor(lo / step),
+                                    math.ceil(hi / step) + 1) * step))
+    p = p[p > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
+class TestResampleRate:
+    # the mean codelength -ln p(j) estimates the cell entropy without bias
+    @pytest.mark.parametrize("source, step", [(gaussian(0, 1), 0.1),
+                                              (laplace(0, 1), 0.5)],
+                             ids=["gaussian", "laplace"])
+    def test_within_3_se_of_cell_entropy(self, source, step):
+        rep = evaluate(ResampleDpq(source, 0, step), 200_000, seed=8)
+        h = _cell_entropy(source, step)
+        assert abs(rep.rate_nats_per_dim - h) < 3 * rep.rate_se
+
+    def test_codelength_under_another_model_fails(self):
+        # negative control: cells coded under N(0, 0.25), checked against
+        # the cell entropy of N(0, 1)
+        rep = evaluate(ResampleDpq(gaussian(0, 0.25), 0, 0.1), 200_000, seed=8)
+        h = _cell_entropy(gaussian(0, 1), 0.1)
+        assert abs(rep.rate_nats_per_dim - h) > 3 * rep.rate_se
 
 
 class TestCompareToBound:

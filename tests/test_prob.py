@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
-from dpquant.prob import (Family, SourceModel, gaussian, ks_statistic, laplace,
-                          plugin_entropy, uniform)
+from dpquant.prob import (EPS, Family, SourceModel, gaussian, ks_statistic,
+                          laplace, plugin_entropy, uniform)
 
 # frozen from numeric integration of the standard normal pdf
 PHI_1 = 0.841344746068543
@@ -114,6 +114,32 @@ class TestIcdf:
             assert np.max(np.abs(back - xs)) < 1e-8
 
 
+class TestInPlaceScaling:
+    # cdf forms (x - c) / s, and icdf c + s * F^-1(u), in the one array each
+    # call allocates; both must keep the bits of the plain expressions
+    @pytest.mark.parametrize("model", [gaussian(0.3, 2.5), uniform(-1.5, 0.7),
+                                       laplace(-0.2, 1.7)],
+                             ids=["gaussian", "uniform", "laplace"])
+    def test_bit_identical_to_expressions(self, model):
+        law, c, s = model._place()
+        x = np.concatenate([np.linspace(-30, 30, 4001),
+                            model.sample(0, 1000).values.ravel()])
+        assert np.array_equal(model.cdf(x), law.cdf((x - c) / s))
+        assert model.cdf(0.7) == law.cdf((0.7 - c) / s)
+        assert np.array_equal(model.cdf([1, 2]),
+                              law.cdf((np.array([1.0, 2.0]) - c) / s))
+        # at, inside and beyond the clamp to [EPS, 1 - EPS]
+        u = np.concatenate([
+            [0.0, 1e-300, 1e-13, EPS, np.nextafter(EPS, 1.0), 1e-9, 0.5,
+             1 - 1e-9, np.nextafter(1 - EPS, 0.0), 1 - EPS, 1 - 1e-13, 1.0],
+            np.random.default_rng(1).random(1000)])
+        old = c + s * law.icdf(np.clip(u, EPS, 1.0 - EPS))
+        assert np.array_equal(model.icdf(u), old)
+        assert model.icdf(0.25) == c + s * law.icdf(0.25)
+        assert isinstance(model.cdf(0.7), float)
+        assert isinstance(model.icdf(0.25), float)
+
+
 class TestSampling:
     def test_gaussian_moments(self):
         s = gaussian(0, 1).sample(seed=11, n=100_000)
@@ -138,13 +164,13 @@ class TestSampling:
 class TestKs:
     def test_matching_model_passes_usually(self):
         m = gaussian(0, 1)
-        passes = sum(ks_statistic(m.sample(seed, 100_000).values, m)[1]
+        passes = sum(ks_statistic(m.cdf(m.sample(seed, 100_000).values))[1]
                      for seed in range(20))
         assert passes >= 18  # ~95% pass rate at the 5% level
 
     def test_shifted_model_fails(self):
         s = gaussian(0, 1).sample(seed=3, n=10_000)
-        d, ok = ks_statistic(s.values, gaussian(3, 1))
+        d, ok = ks_statistic(gaussian(3, 1).cdf(s.values))
         assert not ok
         assert d > 0.5  # sup |Phi(x) - Phi(x-3)| ~ 0.87
 
@@ -158,13 +184,31 @@ class TestKs:
         if tied:
             x = np.round(x, 1)
             assert np.unique(x).size < n
-        d, _ = ks_statistic(x, model)
+        d, _ = ks_statistic(model.cdf(x))
         assert d == pytest.approx(stats.kstest(x, model.cdf).statistic, abs=1e-15)
 
     def test_small_n_refused(self):
         s = gaussian(0, 1).sample(seed=0, n=10)
         with pytest.raises(ValueError):
-            ks_statistic(s.values, gaussian(0, 1))
+            ks_statistic(gaussian(0, 1).cdf(s.values))
+
+    def test_chunked_grid_matches_whole_grid(self):
+        # more rows than one chunk of the grid, and a partial last chunk
+        model = gaussian(0, 1)
+        x = model.sample(4, 150_001).values.ravel()
+        u = np.sort(model.cdf(x))
+        n = u.size
+        grid = np.arange(n + 1) / n
+        whole = max(np.max(grid[1:] - u), np.max(u - grid[:-1]))
+        assert ks_statistic(model.cdf(x))[0] == whole
+
+    @pytest.mark.parametrize("u", [[-0.1] + [0.5] * 30, [0.5] * 30 + [1.5],
+                                   [0.5] * 30 + [math.nan]],
+                             ids=["below", "above", "nan"])
+    def test_outside_unit_interval_refused(self, u):
+        # a raw sample passed in place of its cdf values is refused
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ks_statistic(u)
 
 
 class TestEntropy:

@@ -24,7 +24,7 @@ class TestSimpleDpq:
         sc = SimpleDpq(source=m, seed=2)
         x = m.sample(2, 50_000, stream=50).values
         xt = simple_dpq(sc, x)
-        _, ok = ks_statistic(xt.ravel(), m)
+        _, ok = ks_statistic(m.cdf(xt))
         assert ok
 
     def test_independent_of_source(self):
@@ -60,7 +60,7 @@ class TestResampleDpq:
         sc = ResampleDpq(source=m, seed=0, step=0.5)
         x = m.sample(0, 100_000, stream=50).values
         _, xt = resample_dpq(sc, x)
-        _, ok = ks_statistic(xt, m)
+        _, ok = ks_statistic(m.cdf(xt))
         assert ok
 
     def test_resampling_law_toy_oracle(self):
@@ -111,7 +111,7 @@ class TestTransformDpq:
         xt = transform_dpq_decode(sc, transform_dpq_encode(sc, x))
         mse = np.mean((x - xt) ** 2)
         assert 0.95 <= mse / (step ** 2 / 12) <= 1.05
-        _, ok = ks_statistic(xt.ravel(), m)
+        _, ok = ks_statistic(m.cdf(xt))
         assert ok
 
     def test_coarse_step_still_preserves_distribution(self):
@@ -119,7 +119,7 @@ class TestTransformDpq:
         sc = TransformDpq(source=m, seed=11, lat=scaled_integer(4.0, 1))
         x = m.sample(11, 100_000, stream=50).values
         xt = transform_dpq_decode(sc, transform_dpq_encode(sc, x))
-        _, ok = ks_statistic(xt.ravel(), m)
+        _, ok = ks_statistic(m.cdf(xt))
         assert ok
 
     def test_dim_mismatch(self):
@@ -140,7 +140,7 @@ class TestAwgnOracle:
         m = gaussian(0, 1)
         sc = AwgnOracle(source=m, seed=13, noise_var=1.0)
         x = m.sample(13, 100_000, stream=50).values
-        _, ok = ks_statistic(awgn_oracle_apply(sc, x).ravel(), m)
+        _, ok = ks_statistic(m.cdf(awgn_oracle_apply(sc, x)))
         assert ok
 
     def test_noiseless_limit(self):
@@ -168,7 +168,9 @@ class TestFamilies:
             assert np.array_equal(xt, transform_dpq_decode(sc, idx, block=3))
         elif isinstance(sc, ResampleDpq):
             j, ref = resample_dpq(sc, x, block=3)
-            assert np.array_equal(payload, j) and np.array_equal(xt.ravel(), ref)
+            mass = m.cdf((j + 1) * sc.step) - m.cdf(j * sc.step)
+            assert np.array_equal(payload, -np.log(mass))
+            assert np.array_equal(xt.ravel(), ref)
         else:
             ref = (simple_dpq if isinstance(sc, SimpleDpq) else awgn_oracle_apply)
             assert payload is None and np.array_equal(xt, ref(sc, x, block=3))
@@ -204,11 +206,16 @@ class TestFamilies:
         assert SimpleDpq(m, 0).rate([None]) == (0.0, 0.0)
         assert AwgnOracle(m, 0, 4.0).rate([None]) == (0.5 * math.log(2), 0.0)
         assert AwgnOracle(m, 0, 0.0).rate([None]) == (math.inf, 0.0)
-        # two equiprobable cells in every batch: ln 2 with zero spread
-        j = np.array([0, 1, 0, 1])
-        assert ResampleDpq(m, 0, 1.0).rate([j, j, j]) == (math.log(2), 0.0)
+        # codelengths of two equiprobable cells in every batch: ln 2 with
+        # zero spread
+        c = np.full(4, math.log(2))
+        assert ResampleDpq(m, 0, 1.0).rate([c, c, c]) == (math.log(2), 0.0)
+        # the mean over all samples, not over the batch means (2.5); the SE
+        # is the batch means' standard error, std([1, 4]) / sqrt(2)
+        rate, se = ResampleDpq(m, 0, 1.0).rate([np.ones(3), np.array([4.0])])
+        assert rate == 1.75 and se == pytest.approx(1.5, rel=1e-15)
         with pytest.raises(NotImplementedError):
-            TransformDpq(m, 0, scaled_integer(0.5)).rate([j])
+            TransformDpq(m, 0, scaled_integer(0.5)).rate([c])
 
     def test_equal_builds_compare_equal(self):
         m, m2 = gaussian(0, 1), gaussian(0, 1, dim=2)
