@@ -1,6 +1,6 @@
 import dataclasses
-import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -98,13 +98,26 @@ class TestEvaluate:
         AwgnOracle(gaussian(0.5, 2), 0, 0.5),
     ], ids=["simple", "resample", "transform-hex", "awgn"])
     def test_report_independent_of_worker_count(self, scheme):
-        reports = []
-        for workers in (1, 2, 3):
-            rep = evaluate(scheme, 10_000, 9, workers=workers)
-            d = json.loads(rep.to_json())
-            d.pop("wall_time")
-            reports.append(d)
-        assert reports[0] == reports[1] == reports[2]
+        one, two, three = (
+            dataclasses.replace(evaluate(scheme, 10_000, 9, workers=w),
+                                wall_time=0.0)
+            for w in (1, 2, 3))
+        assert one == two == three
+
+    def test_shared_pit_survives_thread_switching(self):
+        # The batches write their PIT rows into one shared array; with more
+        # workers than cores and threads switched every microsecond, a lost
+        # or misplaced write would move the KS fields.
+        scheme = ResampleDpq(gaussian(0, 1), 0, 0.3)
+        serial = evaluate(scheme, 20_000, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate(scheme, 20_000, 5, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert dataclasses.replace(threaded, wall_time=0.0) == \
+            dataclasses.replace(serial, wall_time=0.0)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_refused(self, workers):
@@ -180,8 +193,8 @@ class TestResampleRate:
         assert abs(rep.rate_nats_per_dim - h) < 3 * rep.rate_se
 
     def test_codelength_under_another_model_fails(self):
-        # negative control: cells coded under N(0, 0.25), checked against
-        # the cell entropy of N(0, 1)
+        # negative control: the rate of cells drawn and coded under
+        # N(0, 0.25), checked against the cell entropy of N(0, 1)
         rep = evaluate(ResampleDpq(gaussian(0, 0.25), 0, 0.1), 200_000, seed=8)
         h = _cell_entropy(gaussian(0, 1), 0.1)
         assert abs(rep.rate_nats_per_dim - h) > 3 * rep.rate_se
