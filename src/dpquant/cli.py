@@ -112,10 +112,14 @@ def _parse_grid(spec: str):
     try:
         if ":" in spec:
             lo, hi, count = spec.split(":")
-            return np.linspace(_finite(lo), _finite(hi), int(count))
-        return np.array([_finite(t) for t in spec.split(",")])
+            grid = np.linspace(_finite(lo), _finite(hi), int(count))
+        else:
+            grid = np.array([_finite(t) for t in spec.split(",")])
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from exc
+    if not grid.size:
+        raise UsageError(f"bad grid spec {spec!r}: empty grid")
+    return grid
 
 
 def _load_config(path: str) -> dict:

@@ -79,7 +79,7 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
         raise ValueError("model dimension must match the lattice")
     rates = []
     for j in range(N_DITHERS):
-        z = lat.sample_dither(stream_rng(seed, 1, j))
+        z = lat.sample_dither(stream_rng(seed, 1, j), 1)
         x = model.sample(seed, n, stream=j).values
         counts = _index_counts(ecdq_encode(lat, z, x).reshape(n, k))
         rates.append(plugin_entropy(counts) / k)

@@ -65,10 +65,11 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     for any worker count.
 
     Each batch is reduced where it is run: to its MSE, its moments
-    (`_batch_moments`), its payload for ``scheme.rate`` and its rows of the
-    probability integral transform, ``cdf(output)`` per axis, which the KS
-    test compares with U(0, 1).  The moments pool every coordinate of the n
-    outputs, merged in batch order; the variance is the population variance.
+    (`_batch_moments`), its payload for ``scheme.rate`` (a batch statistic or
+    None) and its rows of the probability integral transform, ``cdf(output)``
+    per axis, which the KS test compares with U(0, 1).  The moments pool every
+    coordinate of the n outputs, merged in batch order; the variance is the
+    population variance.
     """
     if n < MIN_N:
         raise ValueError(f"need n >= {MIN_N}")
@@ -78,7 +79,6 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     scheme = dataclasses.replace(scheme, seed=seed)
     model = scheme.source
     k = model.dim
-    marginal = dataclasses.replace(model, dim=1)
     sizes = [n // N_BATCHES + (1 if b < n % N_BATCHES else 0)
              for b in range(N_BATCHES)]
     starts = np.cumsum([0] + sizes)
@@ -89,7 +89,7 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
         xt, payload = scheme.run(x, b)
         mse = np.mean((x - xt) ** 2)
         xt = np.reshape(xt, (-1, k))
-        pit[starts[b]:starts[b + 1]] = marginal.cdf(xt)
+        pit[starts[b]:starts[b + 1]] = model.cdf(xt)
         return mse, _batch_moments(xt.ravel()), payload
 
     if workers > 1:

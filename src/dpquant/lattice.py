@@ -103,21 +103,17 @@ class Lattice:
 
     # ---- dither ------------------------------------------------------------
 
-    def sample_dither(self, rng: np.random.Generator, n: int | None = None):
-        """Uniform draw(s) over the basic (Voronoi) cell.
+    def sample_dither(self, rng: np.random.Generator, n: int):
+        """n uniform draws over the basic (Voronoi) cell, shape (n, dim).
 
         Cube: per-axis uniform on [-step/2, step/2].  Hexagon: uniform on the
         fundamental parallelogram folded into the Voronoi cell (subtract the
         nearest lattice point), which is exact and rejection-free.
         """
-        m = 1 if n is None else n
         if self.kind == "scaled_integer":
-            z = (rng.random((m, self.dim)) - 0.5) * self.step
-        else:
-            u = rng.random((m, self.dim)) @ self.generator.T
-            _, pt = self.nearest_point(u)
-            z = u - pt
-        return z[0] if n is None else z
+            return (rng.random((n, self.dim)) - 0.5) * self.step
+        u = rng.random((n, self.dim)) @ self.generator.T
+        return u - self.nearest_point(u)[1]
 
 
 def scaled_integer(step: float, dim: int = 1) -> Lattice:

@@ -4,7 +4,8 @@ Four kinds behind one interface, ``run(x, block) -> (x_tilde, payload)``,
 ``rate(payloads) -> (nats per dimension, se)`` and ``describe()``: the
 zero-rate synthesis scheme, resampling within the cells of a scalar quantizer,
 the transformation-based scheme built on ECDQ, and the scaled-AWGN
-construction that sits exactly on the Gaussian DP-RDF.  Encoder and decoder
+construction that sits exactly on the Gaussian DP-RDF.  A payload is a batch
+statistic or None, never a per-sample array.  Encoder and decoder
 rebuild the shared randomness from the same 64-bit seed; decoding never sees
 the source.
 """
@@ -71,18 +72,20 @@ class ResampleDpq:
             raise ValueError("resampling scheme is scalar")
 
     def run(self, x, block):
-        _, mass, x_tilde = _resample(self, x, block)
-        return x_tilde.reshape(np.shape(x)), -np.log(mass)
+        _, mass, x_tilde = resample_dpq(self, x, block)
+        codelength = float(np.mean(-np.log(mass)))
+        return x_tilde.reshape(np.shape(x)), (codelength, mass.size)
 
     def rate(self, payloads):
         """Mean model codelength -log p(j) of the cells; SE from the batches.
 
-        Its expectation is the entropy of the cell index, which the batch
-        payloads estimate without the plug-in entropy's downward bias.
+        Each payload is a batch's (mean codelength, rows).  The mean's
+        expectation is the entropy of the cell index, estimated without the
+        plug-in entropy's downward bias.
         """
-        means = [np.mean(c) for c in payloads]
+        means, rows = zip(*payloads)
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
-        return float(np.average(means, weights=[c.size for c in payloads])), se
+        return float(np.average(means, weights=rows)), se
 
     def describe(self) -> dict:
         return {"step": self.step}
@@ -100,7 +103,7 @@ class TransformDpq:
 
     def run(self, x, block):
         indices = transform_dpq_encode(self, x, block=block)
-        return transform_dpq_decode(self, indices, block=block), indices
+        return transform_dpq_decode(self, indices, block=block), None
 
     def rate(self, payloads):
         raise NotImplementedError("harness.evaluate measures the ECDQ rate")
@@ -175,14 +178,8 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
 
     Cell j is [j*step, (j+1)*step); the reconstruction is an inverse-cdf draw
     restricted to the cell, so its marginal is exactly the source law.
-    Returns (cell indices, x_tilde).
+    Returns (cell indices, cell masses p(j), x_tilde), each flat.
     """
-    j, _, x_tilde = _resample(scheme, x, block)
-    return j, x_tilde
-
-
-def _resample(scheme: ResampleDpq, x, block: int):
-    """`resample_dpq`, which also returns each cell's mass p(j)."""
     x = np.asarray(x, dtype=float).ravel()
     step = scheme.step
     j = np.floor(x / step).astype(np.int64)

@@ -84,7 +84,7 @@ def test_04_resampling_3db_loss(check):
     step = 0.05
     sc = ResampleDpq(source=m, seed=0, step=step)
     x = m.sample(0, 100_000, stream=77).values
-    j, xt = resample_dpq(sc, x)
+    j, _, xt = resample_dpq(sc, x)
     mse_resample = float(np.mean((x.ravel() - xt) ** 2))
     mse_base = float(np.mean((x.ravel() - (j + 0.5) * step) ** 2))
     ratio = mse_resample / mse_base

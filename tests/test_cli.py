@@ -55,6 +55,8 @@ class TestParsing:
         assert list(_parse_grid("0.5,2")) == [0.5, 2.0]
         with pytest.raises(UsageError):
             _parse_grid("a:b:c")
+        with pytest.raises(UsageError, match="empty grid"):
+            _parse_grid("0:1:0")
 
 
 class TestBounds:
@@ -443,6 +445,18 @@ class TestSpecGrammar:
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # exited 0 with a header-only CSV
+        ["bounds", "--dgrid", "0:1:0"],
+        # exited 4, "numerical failure: empty parameter grid"
+        ["sweep", "--family", "awgn", "--grid", "0:1:0", "-n", "10000"],
+    ], ids=["dgrid-empty", "sweep-empty"])
+    def test_empty_grid_exit(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "empty grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pmf", ["pmf:0.5,0.6", "pmf:1.2,-0.2", "pmf:"])
     @pytest.mark.parametrize("command", ["bounds", "eval"])

@@ -37,7 +37,7 @@ class TestEncodeDecode:
         lat = scaled_integer(0.25, 3)
         rng = stream_rng(0, 0)
         x = rng.normal(size=(10_000, 3))
-        z = lat.sample_dither(stream_rng(0, 1))
+        z = lat.sample_dither(stream_rng(0, 1), 1)
         x_hat = ecdq_decode(lat, z, ecdq_encode(lat, z, x))
         assert np.array_equal(x_hat, lat.nearest_point(x + z)[1] - z)
 
@@ -169,7 +169,7 @@ def _rate_rowwise(lat, model, n, seed=0):
     k = lat.dim
     rates = []
     for j in range(N_DITHERS):
-        z = lat.sample_dither(stream_rng(seed, 1, j))
+        z = lat.sample_dither(stream_rng(seed, 1, j), 1)
         x = model.sample(seed, n, stream=j).values
         idx = ecdq_encode(lat, z, x).reshape(n, k)
         rates.append(plugin_entropy(_rowwise_counts(idx)) / k)
@@ -226,7 +226,7 @@ class TestArithmeticCoder:
         from dpquant.prob import plugin_entropy
         lat = scaled_integer(1.0, 1)
         x = gaussian(0, 1).sample(7, 20_000).values
-        z = lat.sample_dither(stream_rng(7, 1))
+        z = lat.sample_dither(stream_rng(7, 1), 1)
         idx = ecdq_encode(lat, z, x).ravel()
         shifted = (idx - idx.min()).tolist()
         _, counts = np.unique(idx, return_counts=True)

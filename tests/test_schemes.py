@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import dpquant.schemes
+from dpquant.harness import MIN_N, N_BATCHES, evaluate
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, ks_statistic, uniform
 from dpquant.schemes import (FAMILIES, AwgnOracle, ResampleDpq, SchemeError,
@@ -41,7 +43,7 @@ class TestResampleDpq:
         step = 0.05
         sc = ResampleDpq(source=m, seed=4, step=step)
         x = m.sample(4, 100_000, stream=50).values
-        j, xt = resample_dpq(sc, x)
+        j, _, xt = resample_dpq(sc, x)
         mse_resample = np.mean((x.ravel() - xt) ** 2)
         midpoint = (j + 0.5) * step
         mse_base = np.mean((x.ravel() - midpoint) ** 2)
@@ -51,7 +53,7 @@ class TestResampleDpq:
         m = gaussian(0, 1)
         sc = ResampleDpq(source=m, seed=5, step=0.3)
         x = m.sample(5, 20_000, stream=50).values
-        j, xt = resample_dpq(sc, x)
+        j, _, xt = resample_dpq(sc, x)
         assert np.all(xt >= j * 0.3)
         assert np.all(xt < (j + 1) * 0.3)
 
@@ -59,7 +61,7 @@ class TestResampleDpq:
         m = gaussian(0, 1)
         sc = ResampleDpq(source=m, seed=0, step=0.5)
         x = m.sample(0, 100_000, stream=50).values
-        _, xt = resample_dpq(sc, x)
+        _, _, xt = resample_dpq(sc, x)
         _, ok = ks_statistic(m.cdf(xt))
         assert ok
 
@@ -70,7 +72,7 @@ class TestResampleDpq:
         step = 0.25
         sc = ResampleDpq(source=m, seed=7, step=step)
         x = m.sample(7, 100_000, stream=50).values
-        j, xt = resample_dpq(sc, x)
+        j, _, xt = resample_dpq(sc, x)
         for cell in range(4):
             got = np.mean(np.floor(xt / step).astype(int) == cell)
             assert got == pytest.approx(0.25, abs=0.01)
@@ -78,6 +80,21 @@ class TestResampleDpq:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             ResampleDpq(source=gaussian(0, 1), seed=0, step=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_evaluate_calls_resample_dpq_per_batch(self, monkeypatch, workers):
+        # `run` looks resample_dpq up by its module name, so a wrapper set
+        # there (a counter here, a tracer's span elsewhere) sees every batch
+        calls = []
+        real = dpquant.schemes.resample_dpq
+
+        def counted(scheme, x, block=0):
+            calls.append(block)
+            return real(scheme, x, block)
+
+        monkeypatch.setattr(dpquant.schemes, "resample_dpq", counted)
+        evaluate(ResampleDpq(gaussian(0, 1), 0, 0.5), MIN_N, 3, workers=workers)
+        assert sorted(calls) == list(range(N_BATCHES))
 
 
 class TestTransformDpq:
@@ -164,16 +181,31 @@ class TestFamilies:
         assert xt.shape == x.shape
         if isinstance(sc, TransformDpq):
             idx = transform_dpq_encode(sc, x, block=3)
-            assert np.array_equal(payload, idx)
+            assert payload is None
             assert np.array_equal(xt, transform_dpq_decode(sc, idx, block=3))
         elif isinstance(sc, ResampleDpq):
-            j, ref = resample_dpq(sc, x, block=3)
+            j, cell_mass, ref = resample_dpq(sc, x, block=3)
             mass = m.cdf((j + 1) * sc.step) - m.cdf(j * sc.step)
-            assert np.array_equal(payload, -np.log(mass))
+            assert np.array_equal(cell_mass, mass)
+            # the batch's mean codelength -log p(j), and its rows
+            assert payload == (np.mean(-np.log(mass)), len(x))
             assert np.array_equal(xt.ravel(), ref)
         else:
             ref = (simple_dpq if isinstance(sc, SimpleDpq) else awgn_oracle_apply)
             assert payload is None and np.array_equal(xt, ref(sc, x, block=3))
+
+    @pytest.mark.parametrize("family,source,param", [
+        *[(f, gaussian(0, 1), 0.5) for f in sorted(FAMILIES)],
+        ("transform", gaussian(0, 1, dim=2), hexagonal(0.5)),
+    ], ids=[*sorted(FAMILIES), "transform-hex"])
+    def test_payload_is_a_batch_statistic(self, family, source, param):
+        # a batch hands back None or a (statistic, rows) pair, never an
+        # array that grows with the batch
+        sc = build(family, source, 5, param)
+        _, payload = sc.run(source.sample(5, 1000, stream=50).values, 0)
+        if payload is not None:
+            stat, rows = payload
+            assert type(stat) is float and type(rows) is int and rows == 1000
 
     def test_built_classes(self):
         m = gaussian(0, 1)
@@ -206,16 +238,17 @@ class TestFamilies:
         assert SimpleDpq(m, 0).rate([None]) == (0.0, 0.0)
         assert AwgnOracle(m, 0, 4.0).rate([None]) == (0.5 * math.log(2), 0.0)
         assert AwgnOracle(m, 0, 0.0).rate([None]) == (math.inf, 0.0)
-        # codelengths of two equiprobable cells in every batch: ln 2 with
-        # zero spread
-        c = np.full(4, math.log(2))
+        # two equiprobable cells in every batch: a mean codelength of ln 2
+        # with zero spread
+        c = (math.log(2), 4)
         assert ResampleDpq(m, 0, 1.0).rate([c, c, c]) == (math.log(2), 0.0)
-        # the mean over all samples, not over the batch means (2.5); the SE
-        # is the batch means' standard error, std([1, 4]) / sqrt(2)
-        rate, se = ResampleDpq(m, 0, 1.0).rate([np.ones(3), np.array([4.0])])
+        # batch means 1 over 3 rows and 4 over 1 row: the mean over all
+        # samples, not over the batch means (2.5); the SE is the batch means'
+        # standard error, std([1, 4]) / sqrt(2)
+        rate, se = ResampleDpq(m, 0, 1.0).rate([(1.0, 3), (4.0, 1)])
         assert rate == 1.75 and se == pytest.approx(1.5, rel=1e-15)
         with pytest.raises(NotImplementedError):
-            TransformDpq(m, 0, scaled_integer(0.5)).rate([c])
+            TransformDpq(m, 0, scaled_integer(0.5)).rate([None])
 
     def test_equal_builds_compare_equal(self):
         m, m2 = gaussian(0, 1), gaussian(0, 1, dim=2)
