@@ -3,8 +3,7 @@
 encode: indices = nearest lattice point of (x + dither); decode forms the
 reconstruction point - dither, so the error is uniform over the negated basic
 cell and independent of the source.  Rate is reported as an entropy estimate,
-not realized as a bitstream; see coding.py for the arithmetic-coder
-validation.
+H(index | dither), not realized as a bitstream.
 """
 
 from __future__ import annotations

@@ -49,12 +49,6 @@ class EvalReport:
         d = dataclasses.asdict(self)
         return json.dumps(d, sort_keys=True)
 
-    @staticmethod
-    def from_json(s: str) -> "EvalReport":
-        d = json.loads(s)
-        d["ks_per_axis"] = [tuple(t) for t in d["ks_per_axis"]]
-        return EvalReport(**d)
-
 
 def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     """Monte-Carlo evaluation of one scheme at one parameter setting.

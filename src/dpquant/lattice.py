@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Lattice", "scaled_integer", "hexagonal"]
+__all__ = ["Lattice", "scaled_integer", "hexagonal", "check_range"]
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,17 @@ class Lattice:
     def nearest_point(self, x):
         """Nearest lattice point(s) to x; returns (index, point).
 
-        x may be a single k-vector or an (n, k) batch.  NaN, inf and any
-        |x| >= 2**51 step are refused: past that the float index is no
-        longer an exact integer.  Ties: round-half-to-even per coordinate for
-        the cube, the lexicographically smallest index for the hexagon.
+        x may be a single k-vector or an (n, k) batch; a last axis other
+        than k = dim is refused.  NaN, inf and any |x| >= 2**51 step are
+        refused too: past that the float index is no longer an exact integer.
+        Ties: round-half-to-even per coordinate for the cube, the
+        lexicographically smallest index for the hexagon.
         """
         x = np.asarray(x, dtype=float)
-        lim = 2.0 ** 51 * self.step  # min and max are NaN if any x is
-        if not (-lim < x.min(initial=math.inf) and x.max(initial=-math.inf) < lim):
-            raise ValueError("cannot quantize NaN or inf, or |x| >= 2**51 step")
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"x must have rows of width dim = {self.dim}, "
+                             f"got shape {x.shape}")
+        check_range(x, self.step)
         single = x.ndim == 1
         xb = x[None, :] if single else x
         if self.kind == "scaled_integer":
@@ -114,6 +116,15 @@ class Lattice:
             return (rng.random((n, self.dim)) - 0.5) * self.step
         u = rng.random((n, self.dim)) @ self.generator.T
         return u - self.nearest_point(u)[1]
+
+
+def check_range(x: np.ndarray, step: float):
+    """Refuse NaN, inf and any |x| >= 2**51 step, past which x / step rounds
+    to no exact integer.  One min and one max: either is NaN if any x is,
+    and NaN fails the comparison."""
+    lim = 2.0 ** 51 * step
+    if not (-lim < x.min(initial=math.inf) and x.max(initial=-math.inf) < lim):
+        raise ValueError("cannot quantize NaN or inf, or |x| >= 2**51 step")
 
 
 def scaled_integer(step: float, dim: int = 1) -> Lattice:

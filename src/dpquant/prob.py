@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -132,6 +133,9 @@ class SourceModel:
     dim: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise TypeError(f"family must be a Family, got {self.family!r}")
+        object.__setattr__(self, "dim", operator.index(self.dim))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if len(self.params) != 2:

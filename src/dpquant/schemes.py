@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import awgn_oracle_point
 from .ecdq import ecdq_decode, ecdq_encode
-from .lattice import Lattice, scaled_integer
+from .lattice import Lattice, check_range, scaled_integer
 from .prob import Family, SourceModel
 from .rng import stream_rng
 from .transform import dpq_transform
@@ -178,10 +178,12 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
 
     Cell j is [j*step, (j+1)*step); the reconstruction is an inverse-cdf draw
     restricted to the cell, so its marginal is exactly the source law.
-    Returns (cell indices, cell masses p(j), x_tilde), each flat.
+    Returns (cell indices, cell masses p(j), x_tilde), each flat.  NaN, inf
+    and any |x| >= 2**51 step are refused, as `Lattice.nearest_point` does.
     """
     x = np.asarray(x, dtype=float).ravel()
     step = scheme.step
+    check_range(x, step)
     j = np.floor(x / step).astype(np.int64)
     fa = np.asarray(scheme.source.cdf(j * step))
     mass = np.asarray(scheme.source.cdf((j + 1) * step)) - fa

@@ -9,7 +9,7 @@ from dpquant.bounds import (_LAMBDAS, RdPoint, awgn_oracle_point, check_pmf,
                             discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             rdf_gaussian, sinkhorn_coupling, slb_mse)
-from dpquant.prob import gaussian, plugin_entropy
+from dpquant.prob import gaussian
 
 # frozen from the jointly-Gaussian mutual-information oracle -0.5 ln(1 - rho^2),
 # rho = 1 - D/2

@@ -152,6 +152,14 @@ class TestEval:
         assert main(["eval", "--scheme", "simple", "-n", "10000",
                      "--out", str(out)]) == EXIT_NUMERIC
 
+    def test_resample_step_beyond_index_range_exit(self, tmp_path, capsys):
+        # printed numpy's "invalid value encountered in cast" warning, then
+        # "zero-probability base cell encountered"
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "resample:step=1e-300", "-n", "10000",
+                     "--out", str(out)]) == EXIT_NUMERIC
+        assert "2**51" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_deterministic_and_above_bound(self, tmp_path):

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpquant.coding import (arithmetic_decode, arithmetic_encode,
-                            codelength_nats_per_symbol)
 from dpquant.ecdq import (N_DITHERS, _index_counts, ecdq_decode, ecdq_encode,
                           ecdq_rate_analytic, ecdq_rate_empirical)
 from dpquant.lattice import hexagonal, scaled_integer
@@ -212,24 +210,3 @@ class TestIndexHistogram:
         assert ecdq_rate_empirical(lat, model, 10_000, seed=3) == \
             _rate_rowwise(lat, model, 10_000, seed=3)
 
-
-class TestArithmeticCoder:
-    def test_roundtrip(self):
-        rng = stream_rng(0, 0)
-        syms = rng.integers(0, 7, size=2000).tolist()
-        bits = arithmetic_encode(syms, 7)
-        assert arithmetic_decode(bits, len(syms), 7) == syms
-
-    def test_codelength_validates_entropy_estimate(self):
-        # indices of an ECDQ run: codelength within 0.05 nats of the plug-in
-        # entropy estimate
-        from dpquant.prob import plugin_entropy
-        lat = scaled_integer(1.0, 1)
-        x = gaussian(0, 1).sample(7, 20_000).values
-        z = lat.sample_dither(stream_rng(7, 1), 1)
-        idx = ecdq_encode(lat, z, x).ravel()
-        shifted = (idx - idx.min()).tolist()
-        _, counts = np.unique(idx, return_counts=True)
-        h = plugin_entropy(counts)
-        rate = codelength_nats_per_symbol(shifted, max(shifted) + 1)
-        assert abs(rate - h) < 0.05

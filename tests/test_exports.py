@@ -1,9 +1,13 @@
 """Each module's `__all__` names exactly the public functions and classes it
-defines, so a deleted name cannot stay listed and a new one cannot go unlisted."""
+defines, so a deleted name cannot stay listed and a new one cannot go unlisted;
+and `import dpquant` loads every module, so none is left that nothing uses."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +28,16 @@ def test_all_matches_public_definitions(name):
               and obj.__module__ == mod.__name__}
     unlisted = sorted(public - set(mod.__all__))
     assert not unlisted, f"defined but missing from __all__: {unlisted}"
+
+
+def test_package_import_loads_every_module():
+    # in a fresh interpreter, so that no other test's imports count
+    root = os.path.dirname(os.path.dirname(dpquant.__file__))
+    code = ("import sys, dpquant; "
+            "print(*(m for m in sys.modules if m.startswith('dpquant.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": root}).stdout
+    loaded = {m.removeprefix("dpquant.") for m in out.split()}
+    orphans = sorted(set(MODULES) - loaded)
+    assert not orphans, f"modules `import dpquant` does not load: {orphans}"

@@ -119,6 +119,18 @@ class TestNearestPoint:
             with pytest.raises(ValueError, match="2\\*\\*51"):
                 lat.nearest_point(x)
 
+    @pytest.mark.parametrize("lat,shape", [
+        (scaled_integer(0.5, 3), (4, 2)),
+        (scaled_integer(0.5, 3), (2,)),
+        (hexagonal(1.0), (4, 1)),
+        (hexagonal(1.0), (4, 3)),
+    ], ids=["cube3-rows-2", "cube3-vector-2", "hex-rows-1", "hex-rows-3"])
+    def test_row_width_must_be_dim(self, lat, shape):
+        # the cube returned 2-wide indices; the hexagon raised IndexError on
+        # 1-wide rows and a broadcast error on 3-wide ones
+        with pytest.raises(ValueError, match="dim"):
+            lat.nearest_point(np.zeros(shape))
+
 
 class TestDither:
     def test_cube_moments(self):

@@ -305,3 +305,15 @@ class TestValidation:
     def test_parameter_count_refused(self, family, params):
         with pytest.raises(ValueError, match="needs 2 parameters"):
             SourceModel(family, params)
+
+    def test_non_integer_dim_refused(self):
+        # gaussian(dim=2.0) was built, and `sample` then raised TypeError
+        with pytest.raises(TypeError):
+            gaussian(dim=2.0)
+        model = gaussian(dim=np.int64(2))
+        assert type(model.dim) is int and model == gaussian(dim=2)
+
+    def test_family_must_be_a_family(self):
+        # a family name raised KeyError from the `_LAWS` lookup
+        with pytest.raises(TypeError, match="Family"):
+            SourceModel("gaussian", (0.0, 1.0))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpquant.schemes
 from dpquant.harness import MIN_N, N_BATCHES, evaluate
-from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import gaussian, ks_statistic, uniform
+from dpquant.lattice import Lattice, hexagonal, scaled_integer
+from dpquant.prob import SourceModel, gaussian, ks_statistic, uniform
 from dpquant.schemes import (FAMILIES, AwgnOracle, ResampleDpq, SchemeError,
                              SimpleDpq, TransformDpq, awgn_oracle_apply, build,
                              resample_dpq, simple_dpq, transform_dpq_decode,
@@ -81,6 +83,19 @@ class TestResampleDpq:
         with pytest.raises(ValueError):
             ResampleDpq(source=gaussian(0, 1), seed=0, step=0.0)
 
+    @pytest.mark.parametrize("step,bad", [
+        (1e-300, None), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    ], ids=["step-1e-300", "nan", "inf", "-inf"])
+    def test_input_beyond_exact_index_range_refused(self, step, bad):
+        # floor(x / step) was cast to int64 with a RuntimeWarning; at step
+        # 1e-300 the run then failed as a zero-probability base cell
+        m = gaussian(0, 1)
+        x = m.sample(0, 1000, stream=50).values
+        if bad is not None:
+            x[7] = bad
+        with pytest.raises(ValueError, match="2\\*\\*51"):
+            resample_dpq(ResampleDpq(m, 0, step), x)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_evaluate_calls_resample_dpq_per_batch(self, monkeypatch, workers):
         # `run` looks resample_dpq up by its module name, so a wrapper set
@@ -143,6 +158,34 @@ class TestTransformDpq:
         with pytest.raises(ValueError):
             TransformDpq(source=gaussian(0, 1, dim=2), seed=0,
                          lat=scaled_integer(1.0, 1))
+
+    def test_flat_scalar_input_refused(self):
+        # a flat x became one n-wide row under a single dither, and decode
+        # then failed inside a matmul
+        m = gaussian(0, 1)
+        sc = TransformDpq(source=m, seed=0, lat=scaled_integer(0.5, 1))
+        x = m.sample(0, 1000, stream=50).values
+        with pytest.raises(ValueError, match="dim"):
+            transform_dpq_encode(sc, x.ravel())
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(lat=st.one_of(
+               st.builds(scaled_integer, st.floats(0.05, 4.0), st.integers(1, 3)),
+               st.builds(hexagonal, st.floats(0.05, 4.0))),
+           seed=st.integers(0, 2 ** 64 - 1),
+           block=st.integers(0, N_BATCHES - 1))
+    def test_run_is_decode_of_encode_sharing_only_the_seed(self, lat, seed, block):
+        # the decoder side is a scheme rebuilt from the source, the seed and
+        # the lattice alone, handed nothing but the indices
+        source = gaussian(0, 1, dim=lat.dim)
+        x = source.sample(seed, 2000, stream=50).values
+        scheme = TransformDpq(source, seed, lat)
+        fresh = TransformDpq(SourceModel(source.family, source.params, source.dim),
+                             seed, Lattice(lat.kind, lat.step, lat.dim))
+        want = transform_dpq_decode(fresh, transform_dpq_encode(scheme, x, block),
+                                    block)
+        got = scheme.run(x, block)[0]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAwgnOracle:
