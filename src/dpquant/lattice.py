@@ -54,15 +54,16 @@ class Lattice:
         """Nearest lattice point(s) to x; returns (index, point).
 
         x may be a single k-vector or an (n, k) batch; a last axis other
-        than k = dim is refused.  NaN, inf and any |x| >= 2**51 step are
-        refused too: past that the float index is no longer an exact integer.
+        than k = dim, or more than two axes, is refused.  NaN, inf and any
+        |x| >= 2**51 step are refused too: past that the float index is no
+        longer an exact integer.
         Ties: round-half-to-even per coordinate for the cube, the
         lexicographically smallest index for the hexagon.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise ValueError(f"x must have rows of width dim = {self.dim}, "
-                             f"got shape {x.shape}")
+        if x.shape[-1:] != (self.dim,) or x.ndim > 2:
+            raise ValueError(f"x must be a vector or rows of width dim = "
+                             f"{self.dim}, got shape {x.shape}")
         check_range(x, self.step)
         single = x.ndim == 1
         xb = x[None, :] if single else x

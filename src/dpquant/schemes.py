@@ -102,8 +102,16 @@ class TransformDpq:
             raise ValueError("source and lattice dimension mismatch")
 
     def run(self, x, block):
-        indices = transform_dpq_encode(self, x, block=block)
-        return transform_dpq_decode(self, indices, block=block), None
+        """Decode of encode, with the batch's dithers drawn once.
+
+        Both ends run here, so the decoder takes the encoder's dithers
+        instead of rebuilding them from the seed; the lattice drew them
+        into its cell, so `ecdq_encode`'s dither check is skipped.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        z = _block_dithers(self, len(x), block)
+        indices = self.lat.nearest_point(x + z)[0]
+        return _reconstruct(self, indices, z), None
 
     def rate(self, payloads):
         raise NotImplementedError("harness.evaluate measures the ECDQ rate")
@@ -166,9 +174,17 @@ def build(family: str, source: SourceModel, seed: int, param):
         raise SchemeError(f"{family}: {exc}") from exc
 
 
+def _check_finite(x: np.ndarray):
+    # the schemes that do not quantize would pass NaN and inf through
+    if not np.isfinite(x).all():
+        raise ValueError("x contains NaN or inf")
+
+
 def simple_dpq(scheme: SimpleDpq, x, block: int = 0) -> np.ndarray:
-    """Synthesize from the source law, ignoring x.  Rate 0."""
+    """Synthesize from the source law, ignoring x but for refusing NaN and
+    inf, as every scheme does.  Rate 0."""
     x = np.asarray(x, dtype=float)
+    _check_finite(x)
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
     return np.asarray(scheme.source.icdf(rng.random(x.shape)))
 
@@ -212,14 +228,19 @@ def transform_dpq_encode(scheme: TransformDpq, x, block: int = 0) -> np.ndarray:
 def transform_dpq_decode(scheme: TransformDpq, indices, block: int = 0) -> np.ndarray:
     """Regenerate the dithers from the seed, undo ECDQ, apply the transform."""
     indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-    z = _block_dithers(scheme, len(indices), block)
-    x_hat = ecdq_decode(scheme.lat, z, indices)
-    return dpq_transform(scheme.source, scheme.lat, x_hat)
+    return _reconstruct(scheme, indices, _block_dithers(scheme, len(indices), block))
+
+
+def _reconstruct(scheme: TransformDpq, indices, z) -> np.ndarray:
+    return dpq_transform(scheme.source, scheme.lat, ecdq_decode(scheme.lat, z, indices))
 
 
 def awgn_oracle_apply(scheme: AwgnOracle, x, block: int = 0) -> np.ndarray:
-    """x_tilde = sqrt(var/(var+eta^2)) (x - mu + N) + mu, N ~ N(0, eta^2)."""
+    """x_tilde = sqrt(var/(var+eta^2)) (x - mu + N) + mu, N ~ N(0, eta^2).
+
+    NaN and inf in x are refused."""
     x = np.asarray(x, dtype=float)
+    _check_finite(x)
     mu, var = scheme.source.params
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
     noise = rng.standard_normal(x.shape) * math.sqrt(scheme.noise_var)

@@ -124,10 +124,14 @@ class TestNearestPoint:
         (scaled_integer(0.5, 3), (2,)),
         (hexagonal(1.0), (4, 1)),
         (hexagonal(1.0), (4, 3)),
-    ], ids=["cube3-rows-2", "cube3-vector-2", "hex-rows-1", "hex-rows-3"])
+        (scaled_integer(0.5, 2), (2, 3, 2)),
+        (hexagonal(1.0), (2, 3, 2)),
+    ], ids=["cube3-rows-2", "cube3-vector-2", "hex-rows-1", "hex-rows-3",
+            "cube2-3d", "hex-3d"])
     def test_row_width_must_be_dim(self, lat, shape):
         # the cube returned 2-wide indices; the hexagon raised IndexError on
-        # 1-wide rows and a broadcast error on 3-wide ones
+        # 1-wide rows and a broadcast error on 3-wide ones.  A 3-D batch the
+        # cube quantized elementwise, and the hexagon hit a broadcast error
         with pytest.raises(ValueError, match="dim"):
             lat.nearest_point(np.zeros(shape))
 

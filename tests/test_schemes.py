@@ -187,6 +187,31 @@ class TestTransformDpq:
         got = scheme.run(x, block)[0]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("lat,rows_per_sample", [
+        (scaled_integer(0.5, 2), 1), (hexagonal(0.5), 2)], ids=["cube", "hex"])
+    def test_run_draws_and_searches_each_dither_once(self, monkeypatch, lat,
+                                                     rows_per_sample):
+        # one draw per batch, and one nearest-point row per sample for the
+        # encode, plus on the hexagon one for folding the dither into the cell
+        draws, rows = [], []
+        real_draw, real_search = Lattice.sample_dither, Lattice.nearest_point
+
+        def counted_draw(self, rng, n):
+            draws.append(n)
+            return real_draw(self, rng, n)
+
+        def counted_search(self, x):
+            rows.append(len(np.atleast_2d(x)))
+            return real_search(self, x)
+
+        monkeypatch.setattr(Lattice, "sample_dither", counted_draw)
+        monkeypatch.setattr(Lattice, "nearest_point", counted_search)
+        source = gaussian(0, 1, dim=2)
+        x = source.sample(4, 1000, stream=50).values
+        TransformDpq(source, 4, lat).run(x, 2)
+        assert draws == [1000]
+        assert sum(rows) == rows_per_sample * 1000
+
 
 class TestAwgnOracle:
     def test_mse_matches_closed_form(self):
@@ -236,6 +261,16 @@ class TestFamilies:
         else:
             ref = (simple_dpq if isinstance(sc, SimpleDpq) else awgn_oracle_apply)
             assert payload is None and np.array_equal(xt, ref(sc, x, block=3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_run_refuses_nan_and_inf(self, family, bad):
+        # simple and awgn do not quantize, and passed such rows through
+        m = gaussian(0, 1)
+        x = m.sample(5, 1000, stream=50).values
+        x[17] = bad
+        with pytest.raises(ValueError):
+            build(family, m, 5, 0.5).run(x, 0)
 
     @pytest.mark.parametrize("family,source,param", [
         *[(f, gaussian(0, 1), 0.5) for f in sorted(FAMILIES)],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.special import ndtr
 from scipy.stats import spearmanr
@@ -206,6 +208,29 @@ class TestDpqTransform:
         xs = np.linspace(-5, 5, 400)[:, None]
         g = dpq_transform(m, scaled_integer(1.0, 1), xs).ravel()
         assert np.all(np.diff(g) >= 0)
+
+    # a grid of 101 points around a centre, from near-adjacent floats to
+    # points a tenth apart, so that x stays inside the support
+    _grid = st.builds(lambda c, d: c + d * np.arange(-50, 51),
+                      st.floats(-8.0, 8.0), st.floats(1e-6, 0.1))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(make=st.sampled_from([gaussian, laplace, uniform]),
+           step=st.floats(1e-4, 10.0), xs=_grid)
+    def test_cube_weakly_monotone(self, make, step, xs):
+        g = dpq_transform(make(), scaled_integer(step, 1), xs[:, None]).ravel()
+        assert np.all(np.diff(g) >= 0)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(make=st.sampled_from([gaussian, laplace]),
+           scale=st.floats(0.05, 4.0), xs=_grid, other=st.floats(-8.0, 8.0))
+    def test_hex_weakly_monotone_per_axis(self, make, scale, xs, other):
+        # coordinate 0 in x1 at a fixed x2, coordinate 1 in x2 at a fixed x1
+        m, lat = make(dim=2), hexagonal(scale)
+        fixed = np.full_like(xs, other)
+        g1 = dpq_transform(m, lat, np.column_stack([xs, fixed]))[:, 0]
+        g2 = dpq_transform(m, lat, np.column_stack([fixed, xs]))[:, 1]
+        assert np.all(np.diff(g1) >= 0) and np.all(np.diff(g2) >= 0)
 
     def test_jacobian_condition(self):
         # f_X(g(x)) g'(x) = f_{X_hat}(x), g' by central differences
