@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: `bounds` (analytic/solved curves), `eval` (one scheme
-evaluation), `sweep` (rate-distortion sweep).  Options may come from a flat
-key=value config file; explicit flags override the file.  The resolved
-config is echoed as comment lines into every output for reproducibility.
+evaluation), `sweep` (rate-distortion sweep).  Each option is one
+`add_argument`, with its default and its check.  A flat key=value config
+file sets the subcommand's defaults, which pass the same checks; explicit
+flags override the file.  The resolved config is echoed as comment lines
+into every output for reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 bound-check failure,
 4 numerical failure.
@@ -37,21 +39,6 @@ class UsageError(Exception):
     pass
 
 
-# name -> (constructor, {key: default}) for each spec kind.  A default of
-# None marks a required key; a value is an int where the default is one and a
-# float otherwise.  Keys None: the spec lists positional floats, a pmf that
-# `bounds.check_pmf` validates and that only the `bounds` command takes.
-_SOURCES = {"gaussian": (gaussian, {"mean": 0.0, "var": 1.0}),
-            "uniform": (uniform, {"a": 0.0, "b": 1.0}),
-            "laplace": (laplace, {"loc": 0.0, "scale": 1.0}),
-            "pmf": (check_pmf, None)}
-_LATTICES = {"cube": (scaled_integer, {"step": None, "dim": 1}),
-             "hex": (hexagonal, {"scale": 1.0})}
-# schemes.build makes a scheme once its source and lattice are known
-_SCHEMES = {name: (sch.build, {key: default} if key else {})
-            for name, (_, key, default) in sch.FAMILIES.items()}
-
-
 def _finite(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
@@ -59,13 +46,26 @@ def _finite(text: str) -> float:
     return x
 
 
-def _parse_spec(kind: str, spec: str, table: dict):
-    """(name, values) of a `name[:key=value,...]` spec of one kind.
+# name -> (constructor, {key: converter}) for each spec kind; a key left out
+# takes the constructor's own default.  Keys None: the spec lists positional
+# floats, a pmf that `bounds.check_pmf` validates and that only the `bounds`
+# command takes.
+_SOURCES = {"gaussian": (gaussian, {"mean": _finite, "var": _finite}),
+            "uniform": (uniform, {"a": _finite, "b": _finite}),
+            "laplace": (laplace, {"loc": _finite, "scale": _finite}),
+            "pmf": (check_pmf, None)}
+_LATTICES = {"cube": (scaled_integer, {"step": _finite, "dim": int}),
+             "hex": (hexagonal, {"scale": _finite})}
+# schemes.build makes a scheme once its source and lattice are known; the
+# parameter's default is the family's own, in schemes.FAMILIES
+_SCHEMES = {name: (sch.build, {key: _finite} if key else {})
+            for name, (_, key, _) in sch.FAMILIES.items()}
 
-    The values are the spec's, else the table's defaults; a positional spec
-    gives a list.  An unknown name, an unknown key, a missing required key
-    and a value that is not a finite number are usage errors that name it.
-    """
+
+def _parse_spec(kind: str, spec: str, table: dict):
+    """(name, values) of a `name[:key=value,...]` spec of one kind: the given
+    values, converted, or a list for a positional spec.  An unknown name or
+    key and a value that is not a finite number are usage errors naming it."""
     name, _, rest = spec.partition(":")
     if name not in table:
         raise UsageError(f"unknown {kind} {name!r} in {spec!r}; "
@@ -75,28 +75,26 @@ def _parse_spec(kind: str, spec: str, table: dict):
     try:
         if keys is None:
             return name, [_finite(t) for t in items]
-        values = dict(keys)
+        values = {}
         for item in items:
             key, eq, val = item.partition("=")
             if not eq or key not in keys:
                 raise UsageError(f"{kind} {name} takes "
                                  f"{', '.join(keys) or 'no key'}, not {item!r}")
-            values[key] = int(val) if isinstance(keys[key], int) else _finite(val)
+            values[key] = keys[key](val)
     except ValueError as exc:
         raise UsageError(f"bad {kind} spec {spec!r}: {exc}") from None
-    missing = [k for k, v in values.items() if v is None]
-    if missing:
-        raise UsageError(f"{kind} {name} needs {', '.join(missing)} in {spec!r}")
     return name, values
 
 
 def _build(kind: str, spec: str, table: dict):
-    """The source or lattice a spec names; a value it refuses is a usage error."""
+    """The source or lattice a spec names.  A value it refuses, or a required
+    key left out (the constructor's TypeError names it), is a usage error."""
     name, values = _parse_spec(kind, spec, table)
     make = table[name][0]
     try:
         return make(values) if isinstance(values, list) else make(**values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {kind} spec {spec!r}: {exc}") from None
 
 
@@ -122,9 +120,53 @@ def _parse_grid(spec: str):
     return grid
 
 
-def _load_config(path: str) -> dict:
+def _integer(key: str, least: int | None = None):
+    """A `type=` for an integer option that is at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{key} must be an integer, got {text!r}") from None
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(
+                f"{key} must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _one_of(key: str, *names: str):
+    """A `type=` for an option that takes one of `names`."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"{key} must be one of {', '.join(map(repr, names))}, "
+                f"not {text!r}")
+        return text
+    return parse
+
+
+class _Switch(argparse.Action):
+    """A flag that stores "1"; a config-file value passes its `type=`."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "1")
+
+
+def _options(args) -> dict:
+    """The subcommand's options, as parsed: what a config file may set."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "config")}
+
+
+def _load_config(args) -> dict:
+    """The `key=value` lines of ``args.config``.  A key that is not one of the
+    subcommand's options is a usage error that names it."""
     cfg = {}
-    with open(path) as f:
+    with open(args.config) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -133,66 +175,20 @@ def _load_config(path: str) -> dict:
                 raise UsageError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
             cfg[key.strip()] = val.strip()
-    return cfg
-
-
-# options whose value is an integer, from a flag, the config file or DPQ_SEED
-_INT_KEYS = ("n", "seed", "workers")
-
-
-def _resolve(args, config_keys):
-    """Flags override config-file values; returns the resolved dict.
-
-    A config-file key outside `config_keys` is a usage error.  The values of
-    `_INT_KEYS` are converted to int here, once; a value that is not an
-    integer, an `n` below `harness.MIN_N` or a worker count below 1 is a
-    usage error.
-    """
-    cfg = _load_config(args.config) if args.config else {}
-    unread = sorted(set(cfg) - set(config_keys))
+    unread = sorted(set(cfg) - set(_options(args)))
     if unread:
         raise UsageError(f"{args.command} does not read config key(s) "
                          f"{', '.join(unread)}")
-    resolved = {}
-    for key, default in config_keys.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in cfg:
-            resolved[key] = cfg[key]
-        else:
-            resolved[key] = default
-        if key in _INT_KEYS:
-            try:
-                resolved[key] = int(resolved[key])
-            except ValueError:
-                raise UsageError(f"{key} must be an integer, "
-                                 f"got {resolved[key]!r}") from None
-        if key == "workers" and resolved[key] < 1:
-            raise UsageError(f"workers must be >= 1, got {resolved[key]}")
-        if key == "n" and resolved[key] < MIN_N:
-            raise UsageError(f"n must be >= {MIN_N}, got {resolved[key]}")
-    return resolved
-
-
-def _units_scale(units: str) -> float:
-    if units == "nats":
-        return 1.0
-    if units == "bits":
-        return 1.0 / LN2
-    raise UsageError(f"unknown units {units!r}")
+    return cfg
 
 
 def cmd_bounds(args) -> int:
-    cfg = _resolve(args, {"source": "gaussian:var=1", "dgrid": None,
-                          "cost": None, "out": "bounds.csv"})
+    cfg = _options(args)
     src = _build("source", cfg["source"], _SOURCES)
     if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
         if cfg.pop("dgrid") is not None:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
-        cfg["cost"] = cfg["cost"] or "hamming"
-        if cfg["cost"] != "hamming":
-            raise UsageError("only the hamming cost table is built in")
+        cfg["cost"] = "hamming"  # the one cost table, and the default
         pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(src.size))
         write_points_csv(cfg["out"], pts, config=cfg)
         return EXIT_OK
@@ -219,16 +215,12 @@ def _build_scheme(cfg, seed):
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(args, {"source": "gaussian:var=1", "scheme": "simple",
-                          "lattice": "cube:step=0.1", "n": "100000",
-                          "seed": os.environ.get("DPQ_SEED", "0"),
-                          "units": "nats", "out": "report.json",
-                          "workers": "1", "check_bound": "0"})
+    cfg = _options(args)
     scheme, param = _build_scheme(cfg, cfg["seed"])
-    check_bound = cfg["check_bound"] not in ("0", "", "false")
+    check_bound = cfg["check_bound"] in ("1", "true")
     if check_bound and scheme.source.family is not Family.GAUSSIAN:
         raise UsageError("--check-bound needs a Gaussian source")
-    scale = _units_scale(cfg["units"])
+    scale = 1.0 / LN2 if cfg["units"] == "bits" else 1.0
     report = evaluate(scheme, cfg["n"], cfg["seed"], workers=cfg["workers"])
     payload = json.loads(report.to_json())
     payload["config"] = {k: str(v) for k, v in cfg.items()}
@@ -247,11 +239,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve(args, {"source": "gaussian:var=1", "family": "transform",
-                          "grid": "0.05,0.1,0.2,0.5,1,2,4",
-                          "n": "100000",
-                          "seed": os.environ.get("DPQ_SEED", "0"),
-                          "out": "sweep.csv", "workers": "1"})
+    cfg = _options(args)
     src = _continuous_source(cfg["source"], "sweep")
     grid = _parse_grid(cfg["grid"])
     rows = rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
@@ -260,51 +248,59 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """(the `dpq` parser, {command: its subparser}).  Shared options are added
+    in a loop, not by `parents=`, which would share their actions (and so a
+    config file's defaults) between the subparsers."""
     p = argparse.ArgumentParser(prog="dpq",
                                 description="Distribution preserving quantization tools")
     sub = p.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--source")
-    common.add_argument("--out")
-
-    run = argparse.ArgumentParser(add_help=False, parents=[common])
-    run.add_argument("--seed")
-    run.add_argument("--workers")
-    run.add_argument("-n", dest="n")
-
-    b = sub.add_parser("bounds", parents=[common], help="emit bound curves")
+    commands = {}
+    for name, func, out, about in (
+            ("bounds", cmd_bounds, "bounds.csv", "emit bound curves"),
+            ("eval", cmd_eval, "report.json", "evaluate one scheme"),
+            ("sweep", cmd_sweep, "sweep.csv", "rate-distortion sweep")):
+        c = commands[name] = sub.add_parser(name, help=about)
+        c.set_defaults(func=func)
+        c.add_argument("--config", help="flat key=value config file")
+        c.add_argument("--source", default="gaussian:var=1")
+        c.add_argument("--out", default=out)
+        if name != "bounds":
+            c.add_argument("--seed", type=_integer("seed"),
+                           default=os.environ.get("DPQ_SEED", "0"))
+            c.add_argument("--workers", type=_integer("workers", 1), default="1")
+            c.add_argument("-n", type=_integer("n", MIN_N), default="100000")
+    b, e, s = commands.values()
     b.add_argument("--dgrid", help="lo:hi:count or comma list")
-    b.add_argument("--cost", choices=["hamming"],
-                   help="cost table, for a pmf source only")
-    b.set_defaults(func=cmd_bounds)
-
-    e = sub.add_parser("eval", parents=[run], help="evaluate one scheme")
-    e.add_argument("--scheme", help="simple | resample:step=D | transform | awgn:eta2=V")
-    e.add_argument("--lattice", help="cube:step=D[,dim=K] | hex:scale=S")
-    e.add_argument("--units", choices=["nats", "bits"])
-    e.add_argument("--check-bound", dest="check_bound", action="store_const",
-                   const="1")
-    e.set_defaults(func=cmd_eval)
-
-    s = sub.add_parser("sweep", parents=[run], help="rate-distortion sweep")
-    s.add_argument("--family", help="transform | resample | awgn | simple")
-    s.add_argument("--grid", help="parameter grid, lo:hi:count or comma list")
-    s.set_defaults(func=cmd_sweep)
-    return p
+    b.add_argument("--cost", type=_one_of("cost", "hamming"),
+                   help="cost table, for a pmf source only: hamming")
+    e.add_argument("--scheme", default="simple",
+                   help="simple | resample:step=D | transform | awgn:eta2=V")
+    e.add_argument("--lattice", default="cube:step=0.1",
+                   help="cube:step=D[,dim=K] | hex:scale=S")
+    e.add_argument("--units", type=_one_of("units", "nats", "bits"),
+                   default="nats", help="nats | bits")
+    e.add_argument("--check-bound", dest="check_bound", action=_Switch,
+                   type=_one_of("check_bound", "", "0", "1", "false", "true"),
+                   default="0")
+    s.add_argument("--family", default="transform",
+                   help="transform | resample | awgn | simple")
+    s.add_argument("--grid", default="0.05,0.1,0.2,0.5,1,2,4",
+                   help="parameter grid, lo:hi:count or comma list")
+    return p, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:  # its values become the subcommand's defaults
+            commands[args.command].set_defaults(**_load_config(args))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (UsageError, sch.SchemeError) as exc:
+    except (UsageError, sch.SchemeError, OSError) as exc:  # OSError: a path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import dp_rdf_gaussian, rdf_gaussian
 from .ecdq import ecdq_rate_empirical
-from .prob import SourceModel, gaussian, ks_statistic
+from .prob import Family, SourceModel, gaussian, ks_statistic
 from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
@@ -179,6 +179,13 @@ def _dp_rdf_slope(var: float, d: float) -> float:
     return -(var - d / 2.0) / (2.0 * (var * d - d * d / 4.0))
 
 
+def _report_source(report: EvalReport) -> SourceModel:
+    """The source model a report's scheme ran on, rebuilt from its dict."""
+    source = report.scheme["source"]
+    return SourceModel(Family(source["family"]), tuple(source["params"]),
+                       source["dim"])
+
+
 def compare_to_bound(report: EvalReport) -> dict:
     """Check a report against the Gaussian DP-RDF lower bound.
 
@@ -187,10 +194,10 @@ def compare_to_bound(report: EvalReport) -> dict:
     propagated through the bound's slope, so that schemes whose rate is
     analytic (zero SE) do not false-alarm from mse noise alone.
     """
-    fam = report.scheme["source"]
-    if fam["family"] != "gaussian":
+    model = _report_source(report)
+    if model.family is not Family.GAUSSIAN:
         raise ValueError("closed-form bound check needs a Gaussian source")
-    var = fam["params"][1]
+    var = model.variance()
     d = report.mse_per_dim
     bound = dp_rdf_gaussian(var, d)
     margin = report.rate_nats_per_dim - bound
@@ -267,8 +274,9 @@ def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
                 f"{rep.rate_nats_per_dim:.10g},{rep.rate_se:.10g},"
                 f"{rep.mse_per_dim:.10g},{rep.mse_se:.10g},"
                 f"{ks_max:.10g},{int(ks_pass)}")
-        if rep.scheme["source"]["family"] == "gaussian":
-            var, d = rep.scheme["source"]["params"][1], rep.mse_per_dim
+        model = _report_source(rep)
+        if model.family is Family.GAUSSIAN:
+            var, d = model.variance(), rep.mse_per_dim
             line += f",{dp_rdf_gaussian(var, d):.10g},{rdf_gaussian(var, d):.10g}"
         else:  # the closed-form bounds are Gaussian only
             line += ",,"

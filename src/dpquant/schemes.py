@@ -139,7 +139,7 @@ class AwgnOracle:
         """The closed form of `bounds.awgn_oracle_point`, exact: SE 0."""
         if self.noise_var == 0:
             return math.inf, 0.0
-        return awgn_oracle_point(self.source.params[1], self.noise_var).rate, 0.0
+        return awgn_oracle_point(self.source.variance(), self.noise_var).rate, 0.0
 
     def describe(self) -> dict:
         return {"noise_var": self.noise_var}
@@ -241,7 +241,7 @@ def awgn_oracle_apply(scheme: AwgnOracle, x, block: int = 0) -> np.ndarray:
     NaN and inf in x are refused."""
     x = np.asarray(x, dtype=float)
     _check_finite(x)
-    mu, var = scheme.source.params
+    mu, var = scheme.source.mean(), scheme.source.variance()
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
     noise = rng.standard_normal(x.shape) * math.sqrt(scheme.noise_var)
     return math.sqrt(var / (var + scheme.noise_var)) * (x - mu + noise) + mu

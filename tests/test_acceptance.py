@@ -12,12 +12,13 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.stats import spearmanr
 
+import dpquant.schemes
 from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             sinkhorn_coupling)
 from dpquant.harness import compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import scaled_integer
-from dpquant.prob import gaussian, ks_statistic
+from dpquant.prob import KS_ALPHA_005_COEFF, gaussian, ks_statistic
 from dpquant.rng import stream_rng
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              resample_dpq, transform_dpq_decode,
@@ -92,21 +93,38 @@ def test_04_resampling_3db_loss(check):
            1.9 <= ratio <= 2.1, f"ratio={ratio:.3f}")
 
 
-def test_05_distribution_preservation_all_rates(check):
+def test_05_distribution_preservation_all_rates(check, monkeypatch):
+    # Negative control: the ECDQ output decoded without the transform,
+    # X + U with U uniform on the cell, whose cdf is the cell average of the
+    # source cdf.  Where KS cannot resolve that cdf's distance D from the
+    # source's at this n (sqrt(n) D below the 5% coefficient 1.36), the
+    # control cannot fail and the row says so.
     m = gaussian(0, 1)
+    n = 100_000
+    grid = np.linspace(-8.0, 8.0, 16_001)
     ok = True
     details = []
     for step in (0.1, 1.0, 4.0):
-        passes = 0
+        d_control = float(np.max(np.abs(
+            m.cdf_average(grid - step / 2, grid + step / 2) - m.cdf(grid))))
+        powered = math.sqrt(n) * d_control > KS_ALPHA_005_COEFF
+        passes = rejected = 0
         for seed in (0, 1, 2):
             sc = TransformDpq(source=m, seed=seed,
                               lat=scaled_integer(step, 1))
-            x = m.sample(seed, 100_000, stream=77).values
-            xt = transform_dpq_decode(sc, transform_dpq_encode(sc, x))
-            _, p = ks_statistic(m.cdf(xt))
-            passes += p
-        ok = ok and passes >= 2
-        details.append(f"step={step}: {passes}/3 seeds")
+            x = m.sample(seed, n, stream=77).values
+            indices = transform_dpq_encode(sc, x)
+            passes += ks_statistic(m.cdf(transform_dpq_decode(sc, indices)))[1]
+            with monkeypatch.context() as mp:
+                mp.setattr(dpquant.schemes, "dpq_transform",
+                           lambda model, lat, x_hat: x_hat)
+                control = transform_dpq_decode(sc, indices)
+            rejected += not ks_statistic(m.cdf(control))[1]
+        ok = ok and passes >= 2 and (rejected >= 2 or not powered)
+        power = (f"untransformed control rejected on {rejected}/3" if powered
+                 else f"no power at n = 1e5: sqrt(n)*D = "
+                      f"{math.sqrt(n) * d_control:.3f} < {KS_ALPHA_005_COEFF}")
+        details.append(f"step={step}: {passes}/3 seeds, {power}")
     check(5, "transform scheme output passes KS at every rate", ok,
            "; ".join(details))
 

@@ -323,6 +323,47 @@ class TestUsageErrors:
         assert main(["eval", "--seed", "4", "-n", "10000",
                      "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("key,value", [
+        ("check_bound", "off"), ("check_bound", "no"), ("check_bound", "False"),
+        ("units", "furlongs"),
+    ], ids=["check-bound-off", "check-bound-no", "check-bound-False", "units"])
+    def test_bad_config_value_exit(self, tmp_path, capsys, key, value):
+        # check_bound=off, no or False turned the bound check on
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"{key}={value}\n")
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "simple", "-n", "10000", "--config",
+                     str(cfgf), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,on", [("0", False), ("false", False),
+                                          ("", False), ("1", True),
+                                          ("true", True)])
+    def test_check_bound_config_values(self, tmp_path, capsys, value, on):
+        # a check that is on refuses the uniform source
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"check_bound={value}\n")
+        rc = main(["eval", "--scheme", "simple", "-n", "10000", "--config",
+                   str(cfgf), "--source", "uniform:a=0,b=1",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == (EXIT_USAGE if on else EXIT_OK)
+        assert ("needs a Gaussian source" in capsys.readouterr().err) == on
+
+    def test_missing_config_file_exit(self, tmp_path, capsys):
+        cfgf = tmp_path / "absent.cfg"
+        assert main(["bounds", "--config", str(cfgf),
+                     "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_config_defaults_stay_on_their_subcommand(self, monkeypatch):
+        monkeypatch.delenv("DPQ_SEED", raising=False)
+        parser, commands = cli.build_parser()
+        commands["eval"].set_defaults(seed="5", source="uniform:a=0,b=1")
+        args = parser.parse_args(["sweep"])
+        assert args.seed == 0 and args.source == "gaussian:var=1"
+        assert parser.parse_args(["eval"]).seed == 5
+
     def test_check_bound_non_gaussian_exit(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["eval", "--scheme", "simple", "--source", "uniform:a=0,b=1",

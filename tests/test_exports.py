@@ -1,6 +1,7 @@
 """Each module's `__all__` names exactly the public functions and classes it
 defines, so a deleted name cannot stay listed and a new one cannot go unlisted;
-and `import dpquant` loads every module, so none is left that nothing uses."""
+`import dpquant` loads every module, so none is left that nothing uses; and
+the installed `dpq` command is the CLI's `main`."""
 
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,12 @@ def test_package_import_loads_every_module():
     loaded = {m.removeprefix("dpquant.") for m in out.split()}
     orphans = sorted(set(MODULES) - loaded)
     assert not orphans, f"modules `import dpquant` does not load: {orphans}"
+
+
+def test_dpq_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["dpq"].partition(":")
+    assert getattr(importlib.import_module(module), attr) \
+        is importlib.import_module("dpquant.cli").main
