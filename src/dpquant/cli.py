@@ -4,8 +4,9 @@ Subcommands: `bounds` (analytic/solved curves), `eval` (one scheme
 evaluation), `sweep` (rate-distortion sweep).  Each option is one
 `add_argument`, with its default and its check.  A flat key=value config
 file sets the subcommand's defaults, which pass the same checks; explicit
-flags override the file.  The resolved config is echoed as comment lines
-into every output for reproducibility.
+flags override the file.  Each command writes its own output file, a CSV
+(`bounds`, `sweep`) or a JSON report (`eval`), with the resolved config
+echoed into it for reproducibility.
 
 Exit codes: 0 success, 2 usage error, 3 bound-check failure,
 4 numerical failure.
@@ -18,14 +19,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import schemes as sch
-from .bounds import check_pmf, discrete_dp_rdf_curve
-from .harness import (LN2, MIN_N, compare_to_bound, evaluate, rd_sweep,
-                      write_curve_csv, write_points_csv, write_reports_csv)
+from .bounds import (check_pmf, discrete_dp_rdf_curve, dp_rdf_gaussian,
+                     dp_rdf_sandwich_gaussian, rdf_gaussian, slb_mse)
+from .harness import MIN_N, compare_to_bound, evaluate, rd_sweep
 from .lattice import hexagonal, scaled_integer
 from .prob import Family, SourceModel, gaussian, laplace, uniform
 
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_NUMERIC = 4
+
+_LN2 = math.log(2.0)
+_CURVE_HEADER = "D,rate_nats,rate_bits,source"
 
 
 class UsageError(Exception):
@@ -65,7 +69,8 @@ _SCHEMES = {name: (sch.build, {key: _finite} if key else {})
 def _parse_spec(kind: str, spec: str, table: dict):
     """(name, values) of a `name[:key=value,...]` spec of one kind: the given
     values, converted, or a list for a positional spec.  An unknown name or
-    key and a value that is not a finite number are usage errors naming it."""
+    key, a key given twice and a value that is not a finite number are usage
+    errors naming it."""
     name, _, rest = spec.partition(":")
     if name not in table:
         raise UsageError(f"unknown {kind} {name!r} in {spec!r}; "
@@ -81,6 +86,8 @@ def _parse_spec(kind: str, spec: str, table: dict):
             if not eq or key not in keys:
                 raise UsageError(f"{kind} {name} takes "
                                  f"{', '.join(keys) or 'no key'}, not {item!r}")
+            if key in values:
+                raise UsageError(f"{kind} spec {spec!r} gives {key} twice")
             values[key] = keys[key](val)
     except ValueError as exc:
         raise UsageError(f"bad {kind} spec {spec!r}: {exc}") from None
@@ -164,7 +171,8 @@ def _options(args) -> dict:
 
 def _load_config(args) -> dict:
     """The `key=value` lines of ``args.config``.  A key that is not one of the
-    subcommand's options is a usage error that names it."""
+    subcommand's options, or that is given twice, is a usage error that
+    names it."""
     cfg = {}
     with open(args.config) as f:
         for line in f:
@@ -174,7 +182,10 @@ def _load_config(args) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
+            key = key.strip()
+            if key in cfg:
+                raise UsageError(f"config key {key} given twice")
+            cfg[key] = val.strip()
     unread = sorted(set(cfg) - set(_options(args)))
     if unread:
         raise UsageError(f"{args.command} does not read config key(s) "
@@ -182,7 +193,22 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _write_csv(path, config: dict, header: str, rows):
+    """`# key=value` lines of the config, sorted by key, the header, the rows."""
+    lines = [f"# {k}={v}" for k, v in sorted(config.items())]
+    with open(path, "w") as f:
+        f.write("\n".join([*lines, header, *rows]) + "\n")
+
+
+def _curve_row(d: float, rate: float, name: str) -> str:
+    return f"{d:.10g},{rate:.10g},{rate / _LN2:.10g},{name}"
+
+
 def cmd_bounds(args) -> int:
+    """Bound curves, one `D,rate_nats,rate_bits,source` row per (D, curve):
+    the solver's dp_rdf_discrete points for a pmf, by distortion; for a
+    Gaussian, the closed forms dp_rdf, rdf and slb at each --dgrid value, and
+    sandwich_upper where 0 < D < 2 var."""
     cfg = _options(args)
     src = _build("source", cfg["source"], _SOURCES)
     if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
@@ -190,15 +216,25 @@ def cmd_bounds(args) -> int:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
         cfg["cost"] = "hamming"  # the one cost table, and the default
         pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(src.size))
-        write_points_csv(cfg["out"], pts, config=cfg)
+        rows = [_curve_row(p.distortion, p.rate, "dp_rdf_discrete")
+                for p in sorted(pts, key=lambda q: q.distortion)]
+        _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
         return EXIT_OK
     if cfg.pop("cost") is not None:
         raise UsageError("--cost applies only to a pmf source")
     if src.family is not Family.GAUSSIAN:
         raise UsageError("closed-form bound curves need a Gaussian or pmf source")
     cfg["dgrid"] = cfg["dgrid"] or "0.01:2:200"
-    write_curve_csv(cfg["out"], src.variance(), _parse_grid(cfg["dgrid"]),
-                    config=cfg)
+    var = src.variance()
+    rows = []
+    for d in _parse_grid(cfg["dgrid"]):
+        curves = {"dp_rdf": dp_rdf_gaussian(var, d),
+                  "rdf": rdf_gaussian(var, d),
+                  "slb": slb_mse(src, d)}
+        if 0 < d < 2 * var:
+            curves["sandwich_upper"] = dp_rdf_sandwich_gaussian(var, d)[1]
+        rows += [_curve_row(d, r, name) for name, r in curves.items()]
+    _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
     return EXIT_OK
 
 
@@ -220,9 +256,9 @@ def cmd_eval(args) -> int:
     check_bound = cfg["check_bound"] in ("1", "true")
     if check_bound and scheme.source.family is not Family.GAUSSIAN:
         raise UsageError("--check-bound needs a Gaussian source")
-    scale = 1.0 / LN2 if cfg["units"] == "bits" else 1.0
+    scale = 1.0 / _LN2 if cfg["units"] == "bits" else 1.0
     report = evaluate(scheme, cfg["n"], cfg["seed"], workers=cfg["workers"])
-    payload = json.loads(report.to_json())
+    payload = asdict(report)
     payload["config"] = {k: str(v) for k, v in cfg.items()}
     payload["param"] = param
     payload["rate_reported"] = report.rate_nats_per_dim * scale
@@ -239,12 +275,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """One row per grid point, by MSE; the dp_rdf_nats,rdf_nats columns are
+    the Gaussian closed forms at the measured MSE, left empty for any other
+    source, which has none."""
     cfg = _options(args)
     src = _continuous_source(cfg["source"], "sweep")
     grid = _parse_grid(cfg["grid"])
-    rows = rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
-                    workers=cfg["workers"])
-    write_reports_csv(cfg["out"], rows, config=cfg)
+    rows = []
+    for param, rep in rd_sweep(cfg["family"], grid, src, cfg["n"], cfg["seed"],
+                               workers=cfg["workers"]):
+        ks_max = max(d for d, _ in rep.ks_per_axis)
+        ks_pass = all(p for _, p in rep.ks_per_axis)
+        row = (f"{rep.scheme['kind']},{param:.10g},{rep.n},{rep.seed},"
+               f"{rep.rate_nats_per_dim:.10g},{rep.rate_se:.10g},"
+               f"{rep.mse_per_dim:.10g},{rep.mse_se:.10g},"
+               f"{ks_max:.10g},{int(ks_pass)},")
+        if src.family is Family.GAUSSIAN:
+            var, d = src.variance(), rep.mse_per_dim
+            row += f"{dp_rdf_gaussian(var, d):.10g},{rdf_gaussian(var, d):.10g}"
+        else:
+            row += ","
+        rows.append(row)
+    _write_csv(cfg["out"], cfg,
+               "scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,"
+               "ks_pass,dp_rdf_nats,rdf_nats", rows)
     return EXIT_OK
 
 

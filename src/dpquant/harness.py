@@ -11,20 +11,18 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
-import json
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import dp_rdf_gaussian, rdf_gaussian
+from .bounds import dp_rdf_gaussian
 from .ecdq import ecdq_rate_empirical
-from .prob import Family, SourceModel, gaussian, ks_statistic
+from .prob import Family, SourceModel, ks_statistic
 from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
-           "write_curve_csv", "write_points_csv", "write_reports_csv",
            "N_BATCHES", "MIN_N"]
 
 N_BATCHES = 20
@@ -44,10 +42,6 @@ class EvalReport:
     ks_per_axis: list          # [(D_n, passed), ...]
     moment_errors: dict        # mean/variance/skewness deltas
     wall_time: float
-
-    def to_json(self) -> str:
-        d = dataclasses.asdict(self)
-        return json.dumps(d, sort_keys=True)
 
 
 def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
@@ -206,79 +200,3 @@ def compare_to_bound(report: EvalReport) -> dict:
     return {"above_bound": bool(margin >= -tol),
             "margin_nats": float(margin),
             "tolerance_nats": float(tol)}
-
-
-# ---- CSV emission ---------------------------------------------------------------
-
-LN2 = math.log(2.0)
-_CURVE_HEADER = "D,rate_nats,rate_bits,source"
-
-
-def _curve_row(d: float, rate: float, name: str) -> str:
-    return f"{d:.10g},{rate:.10g},{rate / LN2:.10g},{name}"
-
-
-def _write_csv(path, config: dict | None, header: str, rows):
-    """`# key=value` lines of the config, sorted by key, the header, the rows."""
-    lines = [f"# {k}={v}" for k, v in sorted((config or {}).items())]
-    lines.append(header)
-    lines += rows
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def write_curve_csv(path, var: float, d_grid, config: dict | None = None):
-    """Analytic bound curves over a distortion grid.
-
-    Columns: D,rate_nats,rate_bits,source -- one row per (D, curve) pair,
-    `source` naming the curve (dp_rdf, rdf, slb, sandwich_upper).
-    """
-    from .bounds import dp_rdf_sandwich_gaussian, slb_mse
-    model = gaussian(0.0, var)
-    rows = []
-    for d in d_grid:
-        curves = {"dp_rdf": dp_rdf_gaussian(var, d),
-                  "rdf": rdf_gaussian(var, d),
-                  "slb": slb_mse(model, d)}
-        if 0 < d < 2 * var:
-            curves["sandwich_upper"] = dp_rdf_sandwich_gaussian(var, d)[1]
-        rows += [_curve_row(d, r, name) for name, r in curves.items()]
-    _write_csv(path, config, _CURVE_HEADER, rows)
-
-
-def write_points_csv(path, points, config: dict):
-    """Solved discrete DP-RDF points (`bounds.RdPoint`), by distortion.
-
-    The columns of `write_curve_csv`, with `source` dp_rdf_discrete.
-    """
-    rows = [_curve_row(p.distortion, p.rate, "dp_rdf_discrete")
-            for p in sorted(points, key=lambda q: q.distortion)]
-    _write_csv(path, config, _CURVE_HEADER, rows)
-
-
-def write_reports_csv(path, rows: list[tuple[float, EvalReport]],
-                      config: dict | None = None):
-    """Measured sweep points.
-
-    Columns: scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass,
-    then the dp_rdf_nats,rdf_nats reference columns, left empty for a
-    non-Gaussian source, which has no closed form.
-    """
-    header = ("scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,ks_max,ks_pass,"
-              "dp_rdf_nats,rdf_nats")
-    lines = []
-    for param, rep in rows:
-        ks_max = max(d for d, _ in rep.ks_per_axis)
-        ks_pass = all(p for _, p in rep.ks_per_axis)
-        line = (f"{rep.scheme['kind']},{param:.10g},{rep.n},{rep.seed},"
-                f"{rep.rate_nats_per_dim:.10g},{rep.rate_se:.10g},"
-                f"{rep.mse_per_dim:.10g},{rep.mse_se:.10g},"
-                f"{ks_max:.10g},{int(ks_pass)}")
-        model = _report_source(rep)
-        if model.family is Family.GAUSSIAN:
-            var, d = model.variance(), rep.mse_per_dim
-            line += f",{dp_rdf_gaussian(var, d):.10g},{rdf_gaussian(var, d):.10g}"
-        else:  # the closed-form bounds are Gaussian only
-            line += ",,"
-        lines.append(line)
-    _write_csv(path, config, header, lines)

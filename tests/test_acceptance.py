@@ -13,6 +13,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import spearmanr
 
 import dpquant.schemes
+import dpquant.transform
 from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             sinkhorn_coupling)
@@ -24,7 +25,7 @@ from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              resample_dpq, transform_dpq_decode,
                              transform_dpq_encode)
 from dpquant.transform import (BivariateGaussian, dpq_transform,
-                               gaussian_smoothed_transform)
+                               gaussian_smoothed_transform, smoothed_cdf)
 
 
 @pytest.fixture
@@ -94,37 +95,68 @@ def test_04_resampling_3db_loss(check):
 
 
 def test_05_distribution_preservation_all_rates(check, monkeypatch):
-    # Negative control: the ECDQ output decoded without the transform,
-    # X + U with U uniform on the cell, whose cdf is the cell average of the
-    # source cdf.  Where KS cannot resolve that cdf's distance D from the
-    # source's at this n (sqrt(n) D below the 5% coefficient 1.36), the
-    # control cannot fail and the row says so.
+    # Negative controls, each decoding the same indices wrongly: without the
+    # transform (X + U with U uniform on the cell, whose cdf is the cell
+    # average F~ of the source cdf F), with a 2-node rule in place of the
+    # 32-node one, and with a decoder model of variance 1.21.  D is the sup
+    # over the grid of the control's cdf distance from F: |F~ - F|,
+    # |u_2 - u_32| for the smoothed cdfs u_k of the k-node rules, and
+    # |F~(x) - F(F_w^-1(F~_w(x)))| for the wrong model's F_w.  Where KS cannot
+    # resolve D at this n (sqrt(n) D below the 5% coefficient 1.36), a control
+    # cannot fail and its row says so, with how far the transform moves the
+    # outputs.
     m = gaussian(0, 1)
+    wrong = gaussian(0, 1.21)
     n = 100_000
     grid = np.linspace(-8.0, 8.0, 16_001)
     ok = True
     details = []
     for step in (0.1, 1.0, 4.0):
-        d_control = float(np.max(np.abs(
-            m.cdf_average(grid - step / 2, grid + step / 2) - m.cdf(grid))))
-        powered = math.sqrt(n) * d_control > KS_ALPHA_005_COEFF
-        passes = rejected = 0
+        lat = scaled_integer(step, 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(dpquant.transform, "_NODES", 2)
+            u_2 = smoothed_cdf(m, lat, grid)
+        cell_cdf = m.cdf_average(grid - step / 2, grid + step / 2)
+        wrong_cdf = m.cdf(wrong.icdf(
+            wrong.cdf_average(grid - step / 2, grid + step / 2)))
+        d_controls = {
+            "untransformed": np.max(np.abs(cell_cdf - m.cdf(grid))),
+            "2-node": np.max(np.abs(u_2 - smoothed_cdf(m, lat, grid))),
+            "variance-1.21": np.max(np.abs(cell_cdf - wrong_cdf)),
+        }
+        passes = shift = 0
+        rejected = dict.fromkeys(d_controls, 0)
         for seed in (0, 1, 2):
-            sc = TransformDpq(source=m, seed=seed,
-                              lat=scaled_integer(step, 1))
+            sc = TransformDpq(source=m, seed=seed, lat=lat)
             x = m.sample(seed, n, stream=77).values
             indices = transform_dpq_encode(sc, x)
-            passes += ks_statistic(m.cdf(transform_dpq_decode(sc, indices)))[1]
+            decoded = transform_dpq_decode(sc, indices)
+            passes += ks_statistic(m.cdf(decoded))[1]
+            controls = {}
             with monkeypatch.context() as mp:
                 mp.setattr(dpquant.schemes, "dpq_transform",
                            lambda model, lat, x_hat: x_hat)
-                control = transform_dpq_decode(sc, indices)
-            rejected += not ks_statistic(m.cdf(control))[1]
-        ok = ok and passes >= 2 and (rejected >= 2 or not powered)
-        power = (f"untransformed control rejected on {rejected}/3" if powered
-                 else f"no power at n = 1e5: sqrt(n)*D = "
-                      f"{math.sqrt(n) * d_control:.3f} < {KS_ALPHA_005_COEFF}")
-        details.append(f"step={step}: {passes}/3 seeds, {power}")
+                controls["untransformed"] = transform_dpq_decode(sc, indices)
+            with monkeypatch.context() as mp:
+                mp.setattr(dpquant.transform, "_NODES", 2)
+                controls["2-node"] = transform_dpq_decode(sc, indices)
+            controls["variance-1.21"] = transform_dpq_decode(
+                TransformDpq(source=wrong, seed=seed, lat=lat), indices)
+            for name, y in controls.items():
+                rejected[name] += not ks_statistic(m.cdf(y))[1]
+            shift = max(shift, np.max(np.abs(decoded - controls["untransformed"])))
+        ok = ok and passes >= 2
+        notes = [f"{passes}/3 seeds"]
+        for name, d in d_controls.items():
+            if math.sqrt(n) * d > KS_ALPHA_005_COEFF:
+                ok = ok and rejected[name] >= 2
+                notes.append(f"{name} control rejected on {rejected[name]}/3")
+            else:
+                notes.append(f"{name} control: no power at n = 1e5, sqrt(n)*D = "
+                             f"{math.sqrt(n) * d:.2g} < {KS_ALPHA_005_COEFF}")
+        notes.append(f"the transform moves an output by at most "
+                     f"{shift / step:.2f} cell")
+        details.append(f"step={step}: " + ", ".join(notes))
     check(5, "transform scheme output passes KS at every rate", ok,
            "; ".join(details))
 

@@ -6,11 +6,14 @@ import pytest
 
 import dpquant.bounds
 import dpquant.cli as cli
+from dpquant.bounds import dp_rdf_gaussian, rdf_gaussian
 from dpquant.cli import (EXIT_BOUND, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                          UsageError, _LATTICES, _SOURCES, _build, _build_scheme,
                          _parse_grid, main)
+from dpquant.harness import evaluate
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import Family, gaussian, laplace, uniform
+from dpquant.schemes import TransformDpq
 
 
 def _rows(path):
@@ -197,7 +200,75 @@ class TestSweep:
         assert rows[0]["seed"] == "42"
 
 
+class TestCsv:
+    def test_curve_csv(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        assert main(["bounds", "--dgrid", "0.5,2", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[:4] == ["# dgrid=0.5,2", f"# out={out}",
+                             "# source=gaussian:var=1",
+                             "D,rate_nats,rate_bits,source"]
+        body = [l.split(",") for l in lines[4:]]
+        # D=0.5 has 4 curves, D=2 drops the sandwich upper arm
+        assert len(body) == 7
+        assert [r[3] for r in body if r[0] == "2"] == ["dp_rdf", "rdf", "slb"]
+        dp_row = next(r for r in body if r[0] == "0.5" and r[3] == "dp_rdf")
+        assert float(dp_row[1]) == pytest.approx(
+            -0.5 * math.log(0.5 - 0.0625), rel=1e-9)
+        assert float(dp_row[2]) == pytest.approx(float(dp_row[1]) / math.log(2),
+                                                 rel=1e-8)
+
+    def test_reports_csv(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0.5", "-n", "20000", "--seed", "7",
+                     "--out", str(out)]) == EXIT_OK
+        lines = [l for l in out.read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == ("scheme,param,n,seed,rate_nats,rate_se,mse,mse_se,"
+                            "ks_max,ks_pass,dp_rdf_nats,rdf_nats")
+        cells = lines[1].split(",")
+        assert cells[:4] == ["TransformDpq", "0.5", "20000", "7"]
+        rep = evaluate(TransformDpq(gaussian(0, 1), 0, scaled_integer(0.5)),
+                       20_000, seed=7)
+        assert float(cells[4]) == pytest.approx(rep.rate_nats_per_dim, rel=1e-9)
+        assert cells[9] == "1"
+
+    @pytest.mark.parametrize("source", ["uniform:a=2,b=3", "laplace:scale=1"],
+                             ids=["uniform", "laplace"])
+    def test_reports_csv_reference_empty_for_non_gaussian(self, tmp_path,
+                                                          source):
+        # there is no closed-form DP-RDF to print for these families
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "simple", "--grid", "1", "-n", "10000",
+                     "--source", source, "--out", str(out)]) == EXIT_OK
+        _, rows = _rows(out)
+        assert len(rows[0]) == 12
+        assert rows[0]["dp_rdf_nats"] == rows[0]["rdf_nats"] == ""
+
+    def test_reports_csv_reference_gaussian_variance(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--family", "simple", "--grid", "1", "-n", "10000",
+                     "--source", "gaussian:mean=1,var=4",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = _rows(out)
+        mse = float(rows[0]["mse"])
+        assert float(rows[0]["dp_rdf_nats"]) == pytest.approx(
+            dp_rdf_gaussian(4.0, mse), rel=1e-9)
+        assert float(rows[0]["rdf_nats"]) == pytest.approx(
+            rdf_gaussian(4.0, mse), rel=1e-9)
+
+
 class TestUsageErrors:
+    def test_config_key_twice_exit(self, tmp_path, capsys):
+        # ran with the last value, seed 2
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("seed=1\nseed=2\n")
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "simple", "-n", "10000", "--config",
+                     str(cfgf), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "seed given twice" in capsys.readouterr().err
+
     def test_bad_source_exit(self, tmp_path):
         assert main(["bounds", "--source", "cauchy:x=1",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -474,9 +545,17 @@ class TestSpecGrammar:
         (["eval", "--scheme", "transform", "--lattice", "cube:step=nan"], "nan"),
         (["eval", "--scheme", "awgn:eta2=inf"], "inf"),
         (["bounds", "--source", "pmf:nan,0.5"], "nan"),
+        # a key given twice: the last value won, and the echoed config
+        # showed both
+        (["bounds", "--source", "gaussian:var=1,var=4", "--dgrid", "1"],
+         "var twice"),
+        (["eval", "--scheme", "resample:step=0.5,step=0.05"], "step twice"),
+        (["eval", "--scheme", "transform", "--lattice", "cube:step=0.5,step=1"],
+         "step twice"),
     ], ids=["gaussian-variance", "uniform-mean", "laplace-scal", "hex-scal",
             "cube-dims", "cube-no-step", "unknown-lattice", "simple-step",
-            "gaussian-nan", "cube-nan", "awgn-inf", "pmf-nan"])
+            "gaussian-nan", "cube-nan", "awgn-inf", "pmf-nan", "source-twice",
+            "scheme-twice", "lattice-twice"])
     def test_bad_key_exit(self, tmp_path, capsys, argv, key):
         out = tmp_path / "x.out"
         n = ["-n", "10000"] * (argv[0] != "bounds")

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from dpquant.harness import (EvalReport, compare_to_bound, evaluate, rd_sweep,
-                             write_curve_csv, write_reports_csv)
+from dpquant.harness import EvalReport, compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.bounds import dp_rdf_gaussian
-from dpquant.prob import gaussian, laplace, uniform
+from dpquant.prob import gaussian, laplace
 from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
 
 
@@ -238,50 +236,3 @@ class TestSweep:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             rd_sweep("nope", [1.0], gaussian(0, 1), 20_000, seed=0)
-
-
-class TestCsv:
-    def test_curve_csv(self, tmp_path):
-        p = tmp_path / "curves.csv"
-        write_curve_csv(p, 1.0, [0.5, 2.0], config={"var": 1.0})
-        lines = p.read_text().splitlines()
-        assert lines[0] == "# var=1.0"
-        assert lines[1] == "D,rate_nats,rate_bits,source"
-        body = [l.split(",") for l in lines[2:]]
-        # D=0.5 has 4 curves, D=2.0 drops the sandwich upper arm
-        assert len(body) == 7
-        dp_row = next(r for r in body if r[0] == "0.5" and r[3] == "dp_rdf")
-        assert float(dp_row[1]) == pytest.approx(
-            -0.5 * math.log(0.5 - 0.0625), rel=1e-9)
-        assert float(dp_row[2]) == pytest.approx(float(dp_row[1]) / math.log(2),
-                                                 rel=1e-8)
-
-    def test_reports_csv(self, tmp_path, transform_report):
-        p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(0.5, transform_report)])
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("scheme,param,n,seed,rate_nats")
-        assert lines[0].endswith(",dp_rdf_nats,rdf_nats")
-        cells = lines[1].split(",")
-        assert cells[0] == "TransformDpq"
-        assert float(cells[4]) == pytest.approx(
-            transform_report.rate_nats_per_dim, rel=1e-9)
-        assert cells[9] == "1"
-
-    @pytest.mark.parametrize("source", [uniform(2, 3), laplace(0, 1)])
-    def test_reports_csv_reference_empty_for_non_gaussian(self, tmp_path, source):
-        # params[1] is not the variance of these families; there is no
-        # closed-form DP-RDF to print
-        [(param, rep)] = rd_sweep("simple", [1.0], source, 10_000, seed=0)
-        p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(param, rep)])
-        cells = p.read_text().splitlines()[1].split(",")
-        assert len(cells) == 12 and cells[10:] == ["", ""]
-
-    def test_reports_csv_reference_gaussian_variance(self, tmp_path):
-        [(param, rep)] = rd_sweep("simple", [1.0], gaussian(1, 4), 10_000, seed=0)
-        p = tmp_path / "sweep.csv"
-        write_reports_csv(p, [(param, rep)])
-        cells = p.read_text().splitlines()[1].split(",")
-        assert float(cells[10]) == pytest.approx(dp_rdf_gaussian(4.0, rep.mse_per_dim),
-                                                 rel=1e-9)
