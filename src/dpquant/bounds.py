@@ -6,7 +6,10 @@ DP-RDF solver, traced over a Lagrange-multiplier grid.  The solver finds the
 entropic coupling whose two marginals both equal the source pmf by a damped
 Newton solve of its symmetric scaling equations; the pmf must pass
 `check_pmf` and the cost table must be a distortion measure (symmetric,
-zero on the diagonal).
+zero on the diagonal).  Each Newton step is one Cholesky solve: the zero
+diagonal gives every row of the symmetric Newton matrix a diagonal that
+exceeds its off-diagonal sum by 2 P_ii > 0, so the matrix is positive
+definite.
 
 All rates are in nats.
 """
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import lapack
 
 from .prob import SourceModel
 
@@ -141,6 +145,18 @@ _MIN_STEP = 2.0 ** -60
 
 MAX_ALPHABET = 64  # the largest pmf the coupling solver takes
 
+# exp(_EXP_ZERO) is 0.0; so is exp of every argument at or below it
+_EXP_ZERO = -745.2
+
+
+def _exp(x):
+    """np.exp(x), bit for bit, without evaluating exp where the result is 0.
+
+    Arguments at or below `_EXP_ZERO` (-inf included) take 0.0 directly: exp
+    takes its slow path on arguments whose results underflow.  NaN fails the
+    comparison, so it still goes through exp and stays NaN."""
+    return np.exp(x, out=np.zeros(x.shape), where=~(x <= _EXP_ZERO))
+
 
 def check_pmf(pmf) -> np.ndarray:
     """pmf as a float array; ValueError unless its entries are finite, >= 0,
@@ -164,17 +180,20 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
     the cost is symmetric, so the minimizer is
     P_ij = exp(a_i + a_j) p_i p_j exp(-lam e_ij) with a single vector a over
     the symbols where p > 0 (Knight & Ruiz 2013).  Each damped Newton step
-    solves (diag(r) + P) d = p - r, r the row sums, and halves the step until
-    ||r - p||^2 passes an Armijo test; symbols with p = 0 get a zero row and
-    column.
+    solves (diag(r) + P) d = p - r, r the row sums, by one Cholesky
+    factorization (entries below 1e-150 min(r) dropped), and halves the step
+    until ||r - p||^2 passes an Armijo test; symbols with p = 0 get a zero
+    row and column.
 
     The pmf must pass `check_pmf`.  The cost must be a distortion measure:
     finite, nonnegative, symmetric and zero on the diagonal.  The zero
-    diagonal keeps every P_ii > 0, so the Newton matrix stays positive
-    definite at any lam.
+    diagonal keeps every P_ii > 0, so row i of the symmetric Newton matrix
+    has a diagonal r_i + P_ii that exceeds its off-diagonal sum r_i - P_ii
+    by 2 P_ii: the matrix is strictly diagonally dominant, hence positive
+    definite, at any lam, even where the kernel exp(-lam e) is not.
     Returns once ``marginal_residual() < tol``; raises ``RuntimeError`` after
-    ``max_iter`` Newton steps, on a singular solve or when no step length down
-    to 2^-60 reduces the residual.
+    ``max_iter`` Newton steps, on a failed factorization or when no step
+    length down to 2^-60 reduces the residual.
     """
     p = check_pmf(pmf)
     e = np.asarray(cost, dtype=float)
@@ -187,31 +206,50 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
         raise ValueError("lam must be finite and >= 0")
 
     pos = p > 0
+    support = np.ix_(pos, pos)
     q = p[pos]
-    log_k = np.log(q)[:, None] + np.log(q)[None, :] - lam * e[np.ix_(pos, pos)]
+    log_k = np.log(q)[:, None] + np.log(q)[None, :] - lam * e[support]
+    diag = np.diag_indices(q.size)
 
     def scaled(a):
         # the coupling on the support at scaling a, its row sums and ||r - p||^2
-        k = np.exp(a[:, None] + a[None, :] + log_k)
+        x = np.add.outer(a, a)
+        x += log_k
+        k = _exp(x)
         r = k.sum(axis=1)
         return k, r, (q - r) @ (q - r)
+
+    def status(steps):
+        # on a full support, the bits of marginal_residual()
+        res = max(np.abs(r - q).max(), np.abs(k.sum(axis=0) - q).max())
+        return f"marginal residual {res:.3e} after {steps} Newton steps"
 
     a = np.zeros(q.size)
     k, r, f = scaled(a)
     for steps in itertools.count():
-        joint = np.zeros((m, m))
-        joint[np.ix_(pos, pos)] = k
-        coupling = Coupling(joint=joint, row_marginal=p, col_marginal=p, cost=e)
-        res = coupling.marginal_residual()
-        if res < tol:
-            return coupling
-        where = f"marginal residual {res:.3e} after {steps} Newton steps"
+        # the columns are the rows summed in another order; the coupling's own
+        # residual checks both
+        if np.abs(r - q).max() < tol:
+            joint = np.zeros((m, m))
+            joint[support] = k
+            coupling = Coupling(joint=joint, row_marginal=p, col_marginal=p,
+                                cost=e)
+            if coupling.marginal_residual() < tol:
+                return coupling
         if steps >= max_iter:
-            raise RuntimeError(f"Newton solve did not converge: {where}")
-        try:
-            d = np.linalg.solve(np.diag(r) + k, q - r)
-        except np.linalg.LinAlgError:
-            raise RuntimeError(f"singular Newton matrix: {where}") from None
+            raise RuntimeError(f"Newton solve did not converge: {status(steps)}")
+        newton = k.copy()
+        newton[diag] += r
+        # Entries below 1e-150 min(r) move d far less than its rounding
+        # error, yet the factorization multiplies them into subnormals, which
+        # take the CPU's slow path.  Dropping off-diagonal entries keeps the
+        # matrix strictly diagonally dominant.
+        newton[newton < 1e-150 * r.min()] = 0.0
+        # the Newton matrix is symmetric, so its transpose is the same matrix
+        # in the Fortran order that LAPACK factors in place
+        _, d, info = lapack.dposv(newton.T, q - r, overwrite_a=True, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"singular Newton matrix: {status(steps)}")
         # The Newton direction descends ||r - p||^2 at rate -2f, so the Armijo
         # test is f(t) <= (1 - 2 c t) f; trial points that overflow fail it.
         t = 1.0
@@ -222,7 +260,7 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
                     break
                 t *= 0.5
             else:
-                raise RuntimeError(f"Newton line search failed: {where}")
+                raise RuntimeError(f"Newton line search failed: {status(steps)}")
         a, k, r, f = a + t * d, k_t, r_t, f_t
 
 

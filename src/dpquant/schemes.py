@@ -201,15 +201,30 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
     step = scheme.step
     check_range(x, step)
     j = np.floor(x / step).astype(np.int64)
-    fa = np.asarray(scheme.source.cdf(j * step))
-    mass = np.asarray(scheme.source.cdf((j + 1) * step)) - fa
+    if j.size and j.max() - j.min() + 2 <= j.size:
+        # price each distinct cell edge once; float(j) * step is the product
+        # the per-sample form takes, so both forms agree bit for bit
+        j0 = j.min()
+        edges = np.arange(j0, j.max() + 2) * step
+        f = np.asarray(scheme.source.cdf(edges))
+        fa, mass = f[j - j0], np.diff(f)[j - j0]
+
+        def edge(k):  # each row's cell edge k steps above its lower edge
+            return edges[j - (j0 - k)]
+    else:
+        # more edges than rows (a tiny step or a heavy tail): price per sample
+        def edge(k):
+            return (j + k) * step
+
+        fa = np.asarray(scheme.source.cdf(edge(0)))
+        mass = np.asarray(scheme.source.cdf(edge(1))) - fa
     if np.any(mass <= 0):
         raise ValueError("zero-probability base cell encountered")
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
     u = fa + mass * rng.random(x.shape)
     x_tilde = np.asarray(scheme.source.icdf(u))
     # clip against icdf clamping at the far tails
-    x_tilde = np.clip(x_tilde, j * step, np.nextafter((j + 1) * step, -np.inf))
+    x_tilde = np.clip(x_tilde, edge(0), np.nextafter(edge(1), -np.inf))
     return j, mass, x_tilde
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpquant.bounds import (_LAMBDAS, RdPoint, awgn_oracle_point, check_pmf,
+from dpquant.bounds import (_EXP_ZERO, _LAMBDAS, RdPoint, _exp,
+                            awgn_oracle_point, check_pmf,
                             discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
                             dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
                             rdf_gaussian, sinkhorn_coupling, slb_mse)
@@ -278,6 +279,28 @@ class TestSinkhorn:
         c = sinkhorn_coupling([0.5, 0.0, 0.5], 1.0 - np.eye(3), 2.0)
         assert np.all(c.joint[1] == 0) and np.all(c.joint[:, 1] == 0)
         assert c.marginal_residual() < 1e-10
+
+    def test_masked_exp_is_exp_bit_for_bit(self):
+        assert np.exp(_EXP_ZERO) == 0.0
+        x = np.concatenate([np.linspace(-800.0, 710.0, 100_001),
+                            np.linspace(-745.13, -708.4, 10_001),  # subnormal results
+                            [_EXP_ZERO, np.nextafter(_EXP_ZERO, 0.0), -np.inf, np.nan]])
+        with np.errstate(over="ignore"):
+            got, want = _exp(x), np.exp(x)
+        assert np.isnan(got[-1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the solver's 2-D tables, across the subnormal band
+        x = x[:10_000].reshape(100, 100)
+        assert np.array_equal(_exp(x).view(np.int64), np.exp(x).view(np.int64))
+
+    def test_kernel_need_not_be_positive_semidefinite(self):
+        # exp(-lam e) has an eigenvalue of -0.276 here; the Newton matrix
+        # diag(r) + P stays positive definite through its 2 P_ii margin
+        cost = np.array([[0.0, 0.1, 5.0], [0.1, 0.0, 0.1], [5.0, 0.1, 0.0]])
+        assert np.linalg.eigvalsh(np.exp(-cost)).min() < -0.27
+        c = sinkhorn_coupling([0.3, 0.4, 0.3], cost, 1.0)
+        assert c.marginal_residual() < 1e-10
+        assert np.array_equal(c.joint, c.joint.T)
 
     @pytest.mark.parametrize("cost", [
         np.array([[0.0, 1.0], [2.0, 0.0]]),

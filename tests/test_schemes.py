@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import dpquant.schemes
 from dpquant.harness import MIN_N, N_BATCHES, evaluate
 from dpquant.lattice import Lattice, hexagonal, scaled_integer
-from dpquant.prob import SourceModel, gaussian, ks_statistic, uniform
+from dpquant.prob import SourceModel, gaussian, ks_statistic, laplace, uniform
+from dpquant.rng import stream_rng
 from dpquant.schemes import (FAMILIES, AwgnOracle, ResampleDpq, SchemeError,
                              SimpleDpq, TransformDpq, awgn_oracle_apply, build,
                              resample_dpq, simple_dpq, transform_dpq_decode,
@@ -95,6 +96,44 @@ class TestResampleDpq:
             x[7] = bad
         with pytest.raises(ValueError, match="2\\*\\*51"):
             resample_dpq(ResampleDpq(m, 0, step), x)
+
+    @staticmethod
+    def _per_sample(sc, x, block):
+        # the form that prices both edges of every sample's cell
+        j = np.floor(x / sc.step).astype(np.int64)
+        lo, hi = j * sc.step, (j + 1) * sc.step
+        fa = sc.source.cdf(lo)
+        mass = sc.source.cdf(hi) - fa
+        rng = stream_rng(sc.seed, dpquant.schemes._TAG_SCHEME, block)
+        xt = sc.source.icdf(fa + mass * rng.random(x.shape))
+        return j, mass, np.clip(xt, lo, np.nextafter(hi, -np.inf))
+
+    @pytest.mark.parametrize("step", [1e-6, 0.1, 4.0])
+    @pytest.mark.parametrize("source", [gaussian(0, 1), laplace(0, 1), uniform(-1, 2)],
+                             ids=["gaussian", "laplace", "uniform"])
+    def test_edge_table_matches_per_sample_form(self, source, step):
+        # step 1e-6 spans more edges than rows and takes the per-sample form
+        sc = ResampleDpq(source, 6, step)
+        x = source.sample(6, 20_000, stream=50).values.ravel()
+        j = np.floor(x / step)
+        assert (j.max() - j.min() + 2 > x.size) == (step == 1e-6)
+        for got, want in zip(resample_dpq(sc, x, block=2), self._per_sample(sc, x, 2)):
+            assert np.array_equal(got, want)
+
+    def test_each_cell_edge_priced_once(self, monkeypatch):
+        sizes = []
+        real = SourceModel.cdf
+
+        def counted(model, v):
+            sizes.append(np.size(v))
+            return real(model, v)
+
+        m = gaussian(0, 1)
+        x = m.sample(8, 100_000, stream=50).values
+        monkeypatch.setattr(SourceModel, "cdf", counted)
+        j, _, _ = resample_dpq(ResampleDpq(m, 8, 0.1), x)
+        assert sizes == [j.max() - j.min() + 2]
+        assert sizes[0] < 200
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_evaluate_calls_resample_dpq_per_batch(self, monkeypatch, workers):
