@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -145,6 +146,9 @@ _MIN_STEP = 2.0 ** -60
 
 MAX_ALPHABET = 64  # the largest pmf the coupling solver takes
 
+_TOL = 1e-10     # the solver's default marginal residual
+_MAX_ITER = 100  # and its default limit on Newton steps
+
 # exp(_EXP_ZERO) is 0.0; so is exp of every argument at or below it
 _EXP_ZERO = -745.2
 
@@ -171,8 +175,8 @@ def check_pmf(pmf) -> np.ndarray:
     return p
 
 
-def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
-                      max_iter: int = 100) -> Coupling:
+def sinkhorn_coupling(pmf, cost, lam: float, tol: float = _TOL,
+                      max_iter: int = _MAX_ITER) -> Coupling:
     """Entropic coupling with both marginals pinned to pmf, by symmetric Newton.
 
     The coupling minimizes I(coupling) + lam * expected cost over the polytope
@@ -195,6 +199,26 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
     ``max_iter`` Newton steps, on a failed factorization or when no step
     length down to 2^-60 reduces the residual.
     """
+    tables = _tables(pmf, cost)
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be finite and >= 0")
+    return _solve(tables, lam, tol, max_iter)
+
+
+class _Tables(NamedTuple):
+    """The solver's lam-independent inputs; q is p on its support."""
+
+    p: np.ndarray
+    e: np.ndarray
+    support: tuple           # np.ix_ grid of the support's rows and columns
+    q: np.ndarray
+    log_qq: np.ndarray       # log q_i + log q_j
+    e_support: np.ndarray    # e on the support
+
+
+def _tables(pmf, cost) -> _Tables:
+    """The `_Tables` of a pmf and cost; ValueError unless the pmf passes
+    `check_pmf` and the cost is a distortion measure (`sinkhorn_coupling`)."""
     p = check_pmf(pmf)
     e = np.asarray(cost, dtype=float)
     m = p.size
@@ -202,13 +226,18 @@ def sinkhorn_coupling(pmf, cost, lam: float, tol: float = 1e-10,
         raise ValueError("cost must be a finite nonnegative m x m table")
     if not np.array_equal(e, e.T) or np.any(np.diag(e) != 0):
         raise ValueError("cost must be symmetric with a zero diagonal")
-    if not 0 <= lam < math.inf:
-        raise ValueError("lam must be finite and >= 0")
-
     pos = p > 0
     support = np.ix_(pos, pos)
     q = p[pos]
-    log_k = np.log(q)[:, None] + np.log(q)[None, :] - lam * e[support]
+    log_q = np.log(q)
+    return _Tables(p, e, support, q, log_q[:, None] + log_q[None, :], e[support])
+
+
+def _solve(tables: _Tables, lam: float, tol: float, max_iter: int) -> Coupling:
+    """`sinkhorn_coupling` on the `_tables` of its pmf and cost."""
+    p, e, support, q, log_qq, e_support = tables
+    m = p.size
+    log_k = log_qq - lam * e_support
     diag = np.diag_indices(q.size)
 
     def scaled(a):
@@ -271,10 +300,12 @@ _LAMBDAS = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 63)])
 
 def discrete_dp_rdf_curve(pmf, cost) -> list[RdPoint]:
     """Trace the discrete DP-RDF by sweeping the Lagrange multiplier over
-    the 64 values of `_LAMBDAS`."""
+    the 64 values of `_LAMBDAS`: `sinkhorn_coupling` at each, with the pmf
+    and cost checked and their tables built once."""
+    tables = _tables(pmf, cost)
     points = []
     for lam in _LAMBDAS:
-        c = sinkhorn_coupling(pmf, cost, float(lam))
+        c = _solve(tables, float(lam), _TOL, _MAX_ITER)
         points.append(RdPoint(rate=max(0.0, c.mutual_information()),
                               distortion=c.expected_cost()))
     return points

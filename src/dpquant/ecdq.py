@@ -9,6 +9,7 @@ H(index | dither), not realized as a bitstream.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 from scipy import integrate
@@ -55,14 +56,20 @@ def _index_counts(idx: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_counts=True)[1]
 
 
-def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
-                        seed: int = 0) -> tuple[float, float]:
-    """Empirical rate of the ECDQ, nats per dimension.
+def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
+                        n: int, seed: int = 0) -> list[tuple[float, float]]:
+    """Empirical rate of the ECDQ on each of `lattices`, nats per dimension.
 
     Approximates H(index | dither)/k by the plug-in entropy of the index
-    sequence under each of `N_DITHERS` fixed dithers, averaged.  Returns
-    (rate, standard error over dithers).  The index histogram runs over the
-    observed support only, a small negative bias for heavy tails.
+    sequence under each of `N_DITHERS` fixed dithers, averaged.  Returns one
+    (rate, standard error over dithers) per lattice, in order.  The index
+    histogram runs over the observed support only, a small negative bias for
+    heavy tails.
+
+    Dither pass j draws the source sample ``model.sample(seed, n, stream=j)``
+    once and encodes it on every lattice, each under its own dither from
+    ``stream_rng(seed, 1, j)``; so each result is bit-identical to a call on
+    that lattice alone.  Every lattice must have the model's dimension.
 
     The histogram is counted on flat keys: each index column is shifted by
     its minimum, each row becomes one int64 with `np.ravel_multi_index`, and
@@ -73,17 +80,19 @@ def ecdq_rate_empirical(lat: Lattice, model: SourceModel, n: int,
     """
     if n < 10_000:
         raise ValueError("need n >= 1e4 for a stable entropy estimate")
-    k = lat.dim
-    if model.dim != k:
-        raise ValueError("model dimension must match the lattice")
-    rates = []
+    lattices = list(lattices)
+    k = model.dim
+    if any(lat.dim != k for lat in lattices):
+        raise ValueError("model dimension must match every lattice")
+    rates = np.empty((len(lattices), N_DITHERS))
     for j in range(N_DITHERS):
-        z = lat.sample_dither(stream_rng(seed, 1, j), 1)
         x = model.sample(seed, n, stream=j).values
-        counts = _index_counts(ecdq_encode(lat, z, x).reshape(n, k))
-        rates.append(plugin_entropy(counts) / k)
-    rates = np.asarray(rates)
-    return float(rates.mean()), float(rates.std(ddof=1) / math.sqrt(N_DITHERS))
+        for i, lat in enumerate(lattices):
+            z = lat.sample_dither(stream_rng(seed, 1, j), 1)
+            counts = _index_counts(ecdq_encode(lat, z, x).reshape(n, k))
+            rates[i, j] = plugin_entropy(counts) / k
+    return [(float(r.mean()), float(r.std(ddof=1) / math.sqrt(N_DITHERS)))
+            for r in rates]
 
 
 def ecdq_rate_analytic(model: SourceModel, lat: Lattice) -> float:

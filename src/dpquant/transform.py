@@ -29,7 +29,10 @@ __all__ = [
 # Gauss-Legendre nodes on the cube's step and on each half of the hexagon's
 # x-projection; the hexagon's chords are averaged in closed form
 _NODES = 32
-_CHUNK = 4096  # rows per batch, so the (rows, nodes) temporaries stay in cache
+# Floats per (rows, nodes) temporary, 128 KB: 512 rows on the cube, 256 on the
+# hexagon.  Blocks that size stay in L2 and malloc reuses them; the 1-2 MB
+# temporaries of 4096-row blocks were mapped from fresh pages every time.
+_BLOCK_FLOATS = 16_384
 _HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
 _STD = gaussian(0.0, 1.0)
 
@@ -79,6 +82,7 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
             return 0.5 * np.sum(w * model.cdf(xb[:, None] + tau), axis=-1)
 
         xb = x_hat.reshape(-1)
+        nodes = tau.size
     else:
         if x_hat.shape[-1:] != (2,):
             raise ValueError("hexagonal path is 2-D")
@@ -96,9 +100,11 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
             return np.column_stack([u1, np.sum(f1 * chords, axis=-1) / den])
 
         xb = x_hat.reshape(-1, 2)
+        nodes = a.size
+    rows = max(1, _BLOCK_FLOATS // nodes)
     u = np.empty_like(xb)
-    for lo in range(0, len(xb), _CHUNK):
-        u[lo:lo + _CHUNK] = average(xb[lo:lo + _CHUNK])
+    for lo in range(0, len(xb), rows):
+        u[lo:lo + rows] = average(xb[lo:lo + rows])
     return u.reshape(x_hat.shape)
 
 

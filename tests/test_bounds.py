@@ -226,6 +226,20 @@ class TestSinkhorn:
         rates = [q.rate for q in pts]
         assert all(r1 >= r2 - 1e-9 for r1, r2 in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("pmf,cost", [
+        (np.full(16, 1 / 16), np.subtract.outer(np.arange(16.0), np.arange(16.0)) ** 2),
+        ([0.2, 0.0, 0.3, 0.5], 1.0 - np.eye(4)),
+    ], ids=["uniform16-squared", "zero-symbol-hamming"])
+    def test_curve_equals_separate_solves(self, pmf, cost):
+        # the curve checks its inputs and builds its tables once; each point
+        # must still be the one sinkhorn_coupling gives alone, bit for bit
+        want = []
+        for lam in _LAMBDAS:
+            c = sinkhorn_coupling(pmf, cost, float(lam))
+            want.append(RdPoint(rate=max(0.0, c.mutual_information()),
+                                distortion=c.expected_cost()))
+        assert discrete_dp_rdf_curve(pmf, cost) == want
+
     def test_matches_binary_closed_form(self):
         # bisect lambda so the expected Hamming cost hits 0.11, then compare
         # with ln 2 - H_b(0.11)

@@ -116,7 +116,7 @@ class TestErrorStatistics:
 class TestRate:
     def test_coarse_cell_band(self):
         lat = scaled_integer(4.0, 1)
-        rate, _ = ecdq_rate_empirical(lat, gaussian(0, 1), 20_000, seed=0)
+        [(rate, _)] = ecdq_rate_empirical([lat], gaussian(0, 1), 20_000, seed=0)
         assert 0 < rate < 1
 
     def test_huge_cell_near_zero(self):
@@ -124,14 +124,15 @@ class TestRate:
         # The true rate is 0.018 nats (ecdq_rate_analytic): about 8% of
         # dithers put a cell boundary within 4 sigma of the mean, so a
         # 16-dither estimate is 0 or a few hundredths.
-        rate, _ = ecdq_rate_empirical(lat, gaussian(0, 1), 20_000, seed=0)
+        [(rate, _)] = ecdq_rate_empirical([lat], gaussian(0, 1), 20_000, seed=0)
         assert rate < 0.1
 
     @pytest.mark.parametrize("step", [0.25, 0.5, 1.0])
     def test_empirical_matches_analytic(self, step):
         lat = scaled_integer(step, 1)
         analytic = ecdq_rate_analytic(gaussian(0, 1), lat)
-        empirical, _ = ecdq_rate_empirical(lat, gaussian(0, 1), 100_000, seed=1)
+        [(empirical, _)] = ecdq_rate_empirical([lat], gaussian(0, 1), 100_000,
+                                               seed=1)
         assert abs(empirical - analytic) < 0.02
 
     def test_analytic_high_rate_value(self):
@@ -207,6 +208,29 @@ class TestIndexHistogram:
         (hexagonal(0.5), gaussian(0, 1, 2)),
     ], ids=["cube-gaussian", "cube-laplace", "hex-gaussian"])
     def test_rate_bit_identical_to_rowwise(self, lat, model):
-        assert ecdq_rate_empirical(lat, model, 10_000, seed=3) == \
-            _rate_rowwise(lat, model, 10_000, seed=3)
+        assert ecdq_rate_empirical([lat], model, 10_000, seed=3) == \
+            [_rate_rowwise(lat, model, 10_000, seed=3)]
 
+
+class TestMultiLattice:
+    """One estimator pass over several lattices: each result is the
+    single-lattice call's, bit for bit."""
+
+    @pytest.mark.parametrize("lats,model", [
+        ([scaled_integer(s, 1) for s in (0.1, 1.0, 4.0)], gaussian(0, 1)),
+        ([scaled_integer(s, 1) for s in (0.1, 1.0, 4.0)], laplace(0, 1)),
+        ([hexagonal(0.5), hexagonal(1.0)], gaussian(0, 1, 2)),
+    ], ids=["cube-gaussian", "cube-laplace", "hex-gaussian"])
+    def test_each_lattice_matches_its_own_call(self, lats, model):
+        joint = ecdq_rate_empirical(lats, model, 10_000, seed=3)
+        alone = [ecdq_rate_empirical([lat], model, 10_000, seed=3)[0]
+                 for lat in lats]
+        assert joint == alone
+        assert len({rate for rate, _ in joint}) == len(lats)
+
+    @pytest.mark.parametrize("lats", [[scaled_integer(1.0, 1), hexagonal(1.0)],
+                                      [scaled_integer(1.0, 2)]],
+                             ids=["one-of-two", "cube-2d"])
+    def test_lattice_of_another_dimension_refused(self, lats):
+        with pytest.raises(ValueError, match="dimension"):
+            ecdq_rate_empirical(lats, gaussian(0, 1), 10_000)

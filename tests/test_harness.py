@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy import special, stats
 from dpquant.harness import EvalReport, compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, laplace
-from dpquant.schemes import AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq
+from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
+                             build)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,6 +230,25 @@ class TestSweep:
         r = [rep.rate_nats_per_dim for _, rep in pts]
         assert d == sorted(d)
         assert all(a > b for a, b in zip(r, r[1:]))
+
+    @pytest.mark.parametrize("source", [gaussian(0, 1), laplace(0, 1)],
+                             ids=["gaussian", "laplace"])
+    def test_transform_points_match_separate_evaluations(self, source):
+        # the sweep measures its ECDQ rates in one estimator pass; every
+        # report must still be the one evaluate gives alone
+        grid = [0.1, 1.0, 4.0]
+        t0 = time.perf_counter()
+        pts = rd_sweep("transform", grid, source, 20_000, seed=5)
+        elapsed = time.perf_counter() - t0
+        got = {p: dataclasses.asdict(rep) for p, rep in pts}
+        walls = [d.pop("wall_time") for d in got.values()]
+        for p in grid:
+            want = dataclasses.asdict(evaluate(build("transform", source, 5, p),
+                                               20_000, 5))
+            want.pop("wall_time")
+            assert got[p] == want, p
+        assert all(w > 0 for w in walls)
+        assert sum(walls) <= elapsed
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):

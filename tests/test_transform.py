@@ -31,6 +31,28 @@ def _laplace_pdf(x):
     return 0.5 * math.exp(-abs(x))
 
 
+class TestBlockSize:
+    """smoothed_cdf gives the same bits for any block budget: each row's
+    arithmetic does not depend on the rows beside it."""
+
+    N = 3001  # a multiple of none of the block heights tried
+
+    @pytest.mark.parametrize("lat,width,default_rows", [
+        (scaled_integer(0.5, 1), transform._NODES, 512),
+        (hexagonal(0.5), 2 * transform._NODES, 256)], ids=["cube", "hex"])
+    @pytest.mark.parametrize("family", [gaussian, laplace])
+    def test_bit_identical_for_any_block(self, monkeypatch, lat, width,
+                                         default_rows, family):
+        model = family(0, 1, lat.dim)
+        x = np.random.default_rng(4).normal(size=(self.N, lat.dim)).squeeze() * 1.5
+        default = smoothed_cdf(model, lat, x)
+        assert transform._BLOCK_FLOATS // width == default_rows
+        for rows in (1, 7, 4096, self.N + 1):
+            monkeypatch.setattr(transform, "_BLOCK_FLOATS", rows * width)
+            u = smoothed_cdf(model, lat, x)
+            assert np.array_equal(u.view(np.int64), default.view(np.int64)), rows
+
+
 class TestSmoothedCdf:
     def test_gaussian_symmetry(self):
         u = smoothed_cdf(gaussian(0, 1), scaled_integer(0.5, 1), 0.0)
