@@ -51,8 +51,20 @@ def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
 
 def _index_counts(idx: np.ndarray) -> np.ndarray:
     """Counts of the distinct rows of an (n, k) integer array, rows ascending."""
-    lo = idx.min(axis=0)
-    keys = np.ravel_multi_index((idx - lo).T, tuple(idx.max(axis=0) - lo + 1))
+    # one column at a time: a min over axis 0 of (n, k) is a strided
+    # reduction, about 25 times slower
+    cols = [idx[:, c] for c in range(idx.shape[1])]
+    lo = [int(col.min()) for col in cols]
+    spans = [int(col.max()) - m + 1 for col, m in zip(cols, lo)]
+    size = math.prod(spans)
+    if size > np.iinfo(np.int64).max:
+        raise ValueError("index span too wide for int64 keys")
+    keys = cols[0] - lo[0]
+    for col, m, span in zip(cols[1:], lo[1:], spans[1:]):
+        keys = keys * span + (col - m)
+    if size <= len(keys):
+        counts = np.bincount(keys)
+        return counts[counts > 0]
     return np.unique(keys, return_counts=True)[1]
 
 
@@ -72,9 +84,11 @@ def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
     that lattice alone.  Every lattice must have the model's dimension.
 
     The histogram is counted on flat keys: each index column is shifted by
-    its minimum, each row becomes one int64 with `np.ravel_multi_index`, and
-    the keys are counted with a 1-D `np.unique`.  Row-major keys sort like
-    the rows themselves, so the counts come out in the order of a row-wise
+    its minimum and each row becomes one row-major int64 key.  The keys are
+    counted by `np.bincount` when the product of the column spans is at most
+    n, so the count array is never longer than the keys, and by a 1-D
+    `np.unique` otherwise.  Row-major keys sort like the rows themselves, so
+    either way the counts come out in the order of a row-wise
     `np.unique(axis=0)`.  An index span too wide for int64 keys raises
     ValueError.
     """

@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["Lattice", "scaled_integer", "hexagonal", "check_range"]
 
+_HEX_ROWS = 8192  # rows per block of the hexagon's nearest-point search
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -77,13 +79,63 @@ class Lattice:
         return idx, pt
 
     def _nearest_hex(self, xb):
+        # Blocks of _HEX_ROWS rows keep each temporary at 64 KB, in L2; one
+        # pass over 3e4 rows took about twice as long.  The points come from
+        # the matmul, whose fused multiply-add an elementwise i*G00 + j*G01
+        # would not repeat.
+        idx = np.empty(xb.shape)
+        for lo in range(0, len(xb), _HEX_ROWS):
+            idx[lo:lo + _HEX_ROWS] = self._round_hex(xb[lo:lo + _HEX_ROWS])
+        return idx.astype(np.int64), idx @ self.generator.T
+
+    def _round_hex(self, xb):
         # The hexagonal lattice is the rectangular lattice s·(Z x √3Z), the
         # even rows j, and its coset shifted by the second basis vector, the
-        # odd rows (Conway & Sloane 1982).  In each coset the nearest row is
-        # rint's, and the nearest point is one of the two columns beside x.
-        # Near-ties are left to the float distances of these four candidates,
-        # then to the smallest index.  The points come from the matmul, whose
-        # fused multiply-add an elementwise i*G00 + j*G01 would not repeat.
+        # odd rows (Conway & Sloane 1982).  In scaled coordinates xs = x/s,
+        # r = y/(s√3), each coset's nearest point is per-axis rounding: row
+        # j = 2·rint(r) or 2·rint(r - ½) + 1, column i = rint(xs - j/2), at
+        # scaled squared distance ex² + 3·ey².  The nearer coset wins.
+        #
+        # Rows near a tie go to the tournament, which decides them as it
+        # always has.  With M = 1 + |xs| + |r| and u = 2**-53, every quantity
+        # either path compares (a column offset from ½, the two cosets'
+        # squared distances, in units of s and s²) is within 64·u·M =
+        # 2**-47·M of its exact value: a few roundings, each of a sum or
+        # product no larger than M.  A row farther than the margin 2**-40·M
+        # from every tie, a factor of 128 over that bound, is decided alike
+        # by both.  Past |x| = 2**39·s the margin exceeds ½ and every row
+        # falls back.  The bound needs s² to be a normal float, as the
+        # tournament's squared distances do; outside 2**-500 < s < 2**500
+        # every row falls back.
+        s = self.step
+        if not 2.0 ** -500 < s < 2.0 ** 500:
+            return self._tournament(xb)
+        xs, r = xb[:, 0] / s, xb[:, 1] / (s * math.sqrt(3.0))
+        re, ro = np.rint(r), np.rint(r - 0.5) + 0.5  # j/2 of each coset, exact
+        ue, uo = xs - re, xs - ro
+        ie, io = np.rint(ue), np.rint(uo)
+        ue -= ie
+        uo -= io
+        ve, vo = r - re, r - ro
+        de = ue * ue + 3.0 * (ve * ve)
+        do = uo * uo + 3.0 * (vo * vo)
+        odd = do < de
+        idx = np.empty(xb.shape)
+        # exact blends of integers: np.where is slow on a random mask
+        idx[:, 0] = ie + odd * (io - ie)
+        idx[:, 1] = 2.0 * (re + odd * (ro - re))
+        margin = 2.0 ** -40 * (1.0 + np.abs(xs) + np.abs(r))
+        near = ((np.maximum(np.abs(ue), np.abs(uo)) > 0.5 - margin)
+                | (np.abs(de - do) < margin))
+        if near.any():
+            idx[near] = self._tournament(xb[near])
+        return idx
+
+    def _tournament(self, xb):
+        # The near-tie resolver, float indices of xb's nearest points.  In
+        # each coset the nearest row is rint's, and the nearest point is one
+        # of the two columns beside x.  The float distances of these four
+        # candidates decide, then the smallest index.
         xs, r = xb[:, 0] / self.step, xb[:, 1] / (self.step * math.sqrt(3.0))
         won = []
         for j in (2 * np.rint(r), 2 * np.rint(r - 0.5) + 1):
@@ -97,8 +149,7 @@ class Lattice:
             won.append((np.minimum(d2[0], d2[1]), idx[0, :, 0] + (d2[1] < d2[0]), j))
         (d2e, ie, je), (d2o, io, jo) = won
         odd = (d2o < d2e) | (d2o == d2e) & ((io < ie) | (io == ie) & (jo < je))
-        idx = np.column_stack([np.where(odd, io, ie), np.where(odd, jo, je)])
-        return idx.astype(np.int64), idx @ self.generator.T
+        return np.column_stack([np.where(odd, io, ie), np.where(odd, jo, je)])
 
     def point(self, index):
         """Lattice point for an integer index vector (or batch)."""

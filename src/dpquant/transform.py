@@ -88,10 +88,11 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
             raise ValueError("hexagonal path is 2-D")
         a, h, w = _hex_nodes(lat.step, _NODES)
         wh = w * np.tile(h, 2)
+        vol = lat.cell_volume
 
         def average(xb):
             x1, x2 = xb[:, 0, None], xb[:, 1, None]
-            u1 = np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1) / lat.cell_volume
+            u1 = np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1) / vol
             f1 = wh * model.pdf(x1 + a)
             den = np.sum(2.0 * f1, axis=-1)
             if np.any(den < 1e-300):

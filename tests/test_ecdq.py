@@ -196,6 +196,27 @@ class TestIndexHistogram:
         idx = np.tile([-7, 3], (10, 1))
         assert list(_index_counts(idx)) == [10]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("spans", [
+        {1: (999,), 2: (27, 37), 3: (3, 9, 37)},
+        {1: (1000,), 2: (10, 100), 3: (10, 10, 10)},
+        {1: (1001,), 2: (7, 143), 3: (7, 11, 13)},
+    ], ids=["span-n-1", "span-n", "span-n+1"])
+    def test_counts_on_both_sides_of_bincount(self, k, spans, monkeypatch):
+        # 1000 rows whose index spans multiply to n - 1, n and n + 1: the
+        # first two are counted by bincount, the third by unique, so no
+        # count array is longer than the keys
+        spans = np.array(spans[k])
+        rng = stream_rng(6, 0)
+        lo = -(spans // 2) - 3
+        idx = lo + rng.integers(0, spans, size=(1000, k))
+        idx[:2] = [lo, lo + spans - 1]  # both ends of every column
+        assert (idx < 0).any(axis=0).all()
+        bins, bincount = [], np.bincount
+        monkeypatch.setattr(np, "bincount", lambda keys: bins.append(bincount(keys)) or bins[-1])
+        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
+        assert [len(b) for b in bins] == ([] if spans.prod() > 1000 else [spans.prod()])
+
     def test_span_too_wide_for_int64_keys(self):
         # 2**41 * 2**41 keys do not fit an int64: refused, no array is built
         idx = np.array([[0, 0], [2**40, -(2**40)]])

@@ -7,6 +7,28 @@ from dpquant.lattice import Lattice, hexagonal, scaled_integer
 from dpquant.rng import stream_rng
 
 
+def _hex_ties(g):
+    """Offsets from a lattice point of the point itself, then of the edge
+    midpoints and Voronoi vertices around it; g is the generator."""
+    b1, b2 = g[:, 0], g[:, 1]
+    return np.array([
+        0 * b1, b1 / 2, b2 / 2, (b1 + b2) / 2, (b2 - b1) / 2,  # edge midpoints
+        (b1 + b2) / 3, 2 * (b1 + b2) / 3, (2 * b1 - b2) / 3,  # Voronoi vertices
+        (2 * b2 - b1) / 3])
+
+
+def _ulp_neighbours(x):
+    """The 1 and 2 ulp neighbours of the rows x on each side of each axis."""
+    near = []
+    for ulps in (1, 2):
+        up, down = x, x
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        near += [up, down, np.column_stack([up[:, 0], down[:, 1]]),
+                 np.column_stack([down[:, 0], up[:, 1]])]
+    return near
+
+
 class TestNearestPoint:
     def test_simple_rounding(self):
         lat = scaled_integer(1.0, 1)
@@ -66,21 +88,10 @@ class TestNearestPoint:
         lattice_pts = idx @ g.T
         b1, b2 = g[:, 0], g[:, 1]
         t = rng.random((2000, 1, 1))
-        offsets = np.array([
-            0 * b1, b1 / 2, b2 / 2, (b1 + b2) / 2, (b2 - b1) / 2,  # edge midpoints
-            (b1 + b2) / 3, 2 * (b1 + b2) / 3, (2 * b1 - b2) / 3,  # Voronoi vertices
-            (2 * b2 - b1) / 3])
-        special = (lattice_pts[:500] + offsets).reshape(-1, 2)
-        near = []
-        for ulps in (1, 2):
-            up, down = special, special
-            for _ in range(ulps):
-                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-            near += [up, down, np.column_stack([up[:, 0], down[:, 1]]),
-                     np.column_stack([down[:, 0], up[:, 1]])]
+        offsets = _hex_ties(g)
         x = np.concatenate([
             rng.uniform(-20 * scale, 20 * scale, size=(20_000, 2)),
-            *near,
+            *_ulp_neighbours((lattice_pts[:500] + offsets).reshape(-1, 2)),
             (lattice_pts + offsets).reshape(-1, 2),
             (lattice_pts + t * b1).reshape(-1, 2),  # parallelogram edges
             (lattice_pts + t * b2).reshape(-1, 2),
@@ -92,6 +103,48 @@ class TestNearestPoint:
         want = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
         got, _ = lat.nearest_point(x)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 0.3, 0.5, 1.0, 3.7, 123.4])
+    def test_hex_rounding_matches_tournament(self, scale):
+        # Rounding decides the clear rows and the tournament the near-ties;
+        # together they must pick the tournament's index on every row.  Rows
+        # 1 to 1e8 cells out: uniform ones, and the lattice points, edge
+        # midpoints and Voronoi vertices with their 1 and 2 ulp neighbours,
+        # where rounding and the tournament's float distances can disagree.
+        lat = hexagonal(scale)
+        g = lat.generator
+        rng = stream_rng(10, 0)
+        x = []
+        for cells in (1, 30, 10**4, 10**8):
+            idx = rng.integers(-cells, cells, size=(300, 1, 2), endpoint=True)
+            ties = (idx @ g.T + _hex_ties(g)).reshape(-1, 2)
+            x += [rng.uniform(-cells * scale, cells * scale, size=(5000, 2)),
+                  ties, *_ulp_neighbours(ties)]
+        x = np.concatenate(x)
+        got, _ = lat._nearest_hex(x)
+        assert np.array_equal(got, lat._tournament(x))
+
+    def test_hex_ties_reach_the_tournament(self, monkeypatch):
+        # The filter must not vanish: every edge midpoint and Voronoi vertex,
+        # a tie up to rounding, goes to the tournament, and no row of a
+        # Gaussian batch does, or rounding would decide nothing.
+        lat = hexagonal(0.5)
+        g = lat.generator
+        seen = []
+        tournament = Lattice._tournament
+
+        def spy(self, xb):
+            seen.append(xb.copy())
+            return tournament(self, xb)
+
+        monkeypatch.setattr(Lattice, "_tournament", spy)
+        idx = stream_rng(11, 0).integers(-30, 30, size=(200, 1, 2))
+        ties = (idx @ g.T + _hex_ties(g)[1:]).reshape(-1, 2)
+        lat.nearest_point(ties)
+        assert {tuple(row) for row in ties} <= {tuple(row) for row in np.concatenate(seen)}
+        seen.clear()
+        lat.nearest_point(stream_rng(12, 0).normal(size=(20_000, 2)))
+        assert seen == []
 
     @pytest.mark.parametrize("lat", [scaled_integer(0.3, 2), hexagonal(1e-3),
                                      hexagonal(0.3), hexagonal(123.4)],
