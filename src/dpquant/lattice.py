@@ -105,11 +105,12 @@ class Lattice:
         # from every tie, a factor of 128 over that bound, is decided alike
         # by both.  Past |x| = 2**39·s the margin exceeds ½ and every row
         # falls back.  The bound needs s² to be a normal float, as the
-        # tournament's squared distances do; outside 2**-500 < s < 2**500
-        # every row falls back.
+        # tournament's squared distances do, which would overflow or
+        # underflow in units of x: outside 2**-500 < s < 2**500, x/s is
+        # rounded on the unit hexagon, near-ties by its tournament.
         s = self.step
         if not 2.0 ** -500 < s < 2.0 ** 500:
-            return self._tournament(xb)
+            return hexagonal(1.0)._round_hex(xb / s)
         xs, r = xb[:, 0] / s, xb[:, 1] / (s * math.sqrt(3.0))
         re, ro = np.rint(r), np.rint(r - 0.5) + 0.5  # j/2 of each coset, exact
         ue, uo = xs - re, xs - ro

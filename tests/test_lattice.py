@@ -124,6 +124,33 @@ class TestNearestPoint:
         got, _ = lat._nearest_hex(x)
         assert np.array_equal(got, lat._tournament(x))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 2.0 ** 600, 2.0 ** -600],
+                             ids=["1e160", "1e-160", "2**600", "2**-600"])
+    def test_hex_extreme_scales_match_unit_search(self, scale):
+        # Outside 2**-500 < s < 2**500 squared distances in units of x
+        # overflow or underflow, so the search rounds x/s on the unit
+        # hexagon.  Against an exhaustive 7x7 neighbour search on x/s, first
+        # minimum in lexicographic order: uniform rows within 3 cells, and
+        # the lattice points, edge midpoints and Voronoi vertices with their
+        # 1 and 2 ulp neighbours, which at a power-of-two scale stay exact.
+        g = hexagonal(1.0).generator
+        rng = stream_rng(13, 0)
+        ties = (rng.integers(-3, 3, size=(200, 1, 2), endpoint=True) @ g.T
+                + _hex_ties(g)).reshape(-1, 2)
+        unit = np.concatenate([rng.uniform(-3.0, 3.0, size=(2000, 2)), ties,
+                               *_ulp_neighbours(ties)])
+        x = unit * scale
+        us = x / scale
+        ring = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)])
+        base = np.floor(us @ np.linalg.inv(g).T).astype(np.int64)
+        cand = base[:, None, :] + ring[None, :, :]
+        d2 = np.sum((cand @ g.T - us[:, None, :]) ** 2, axis=2)
+        want = cand[np.arange(len(x)), np.argmin(d2, axis=1)]
+        lat = hexagonal(scale)
+        got, pt = lat.nearest_point(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(pt, lat.point(got))
+
     def test_hex_ties_reach_the_tournament(self, monkeypatch):
         # The filter must not vanish: every edge midpoint and Voronoi vertex,
         # a tie up to rounding, goes to the tournament, and no row of a
