@@ -31,18 +31,73 @@ def _laplace_pdf(x):
     return 0.5 * math.exp(-abs(x))
 
 
+def _hex_rule(model, scale, x, m):
+    """The hexagon's chord rule written out at m Gauss-Legendre nodes per
+    half-cell, each sum formed once per mirror pair of chords ±a_k."""
+    t, wt = np.polynomial.legendre.leggauss(m)
+    a = (scale / 4.0) * (1.0 + t)
+    h = (scale - a) / math.sqrt(3.0)
+    wh = (scale / 4.0) * wt * h
+    x1, x2 = x[:, 0, None], x[:, 1, None]
+    u1 = 2.0 / hexagonal(scale).cell_volume * np.sum(
+        wh * (model.cdf(x1 - a) + model.cdf(x1 + a)), axis=-1)
+    f1 = wh * (model.pdf(x1 - a) + model.pdf(x1 + a))
+    u2 = (np.sum(f1 * model.cdf_average(x2 - h, x2 + h), axis=-1)
+          / np.sum(f1, axis=-1))
+    return np.column_stack([u1, u2])
+
+
+def _gaussian_hex_nodes(scale, var):
+    """Nodes per half-cell of the Gaussian's hexagon rule: 8 + ceil(2 s/sigma)."""
+    return 8 + math.ceil(2.0 * scale / math.sqrt(var))
+
+
+# s/sigma of the sized rule's accuracy check, from far below to far above the
+# 0.5 sigma of the benchmark's hexagon
+_HEX_RATIOS = (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+
+def _hex_reference_excess(var, ratio, u_of):
+    """Per axis, max |u - u_256| over its bound, where u = u_of(model, scale, x)
+    and u_k is `_hex_rule` at k nodes per half-cell.  A value above 1 fails.
+
+    The bound is twice the 32-node rule's max |u_32 - u_256|, or the rounding
+    floor if that is larger: 2**-48 for sums of up to 144 terms below 1, and
+    below s = sigma/16 2**-52 sigma/s, the rounding of
+    `SourceModel.cdf_average` on chords that short, which a rule of fewer
+    chords averages less (about 1e-13 at s = 1e-3 sigma for every node
+    count).  The rows are uniform out to 8 sigma + s, where the tail is the
+    integrand's only feature, and drawn from the source.
+    """
+    sigma = math.sqrt(var)
+    scale = ratio * sigma
+    model = gaussian(0.0, var, dim=2)
+    rng = stream_rng(13, 0)
+    lim = 8.0 * sigma + scale
+    x = np.concatenate([rng.uniform(-lim, lim, size=(400, 2)),
+                        sigma * rng.standard_normal((400, 2))])
+    ref = _hex_rule(model, scale, x, 256)
+    err32 = np.max(np.abs(_hex_rule(model, scale, x, 32) - ref), axis=0)
+    err = np.max(np.abs(u_of(model, scale, x) - ref), axis=0)
+    return err / np.maximum(2.0 * err32, 2.0 ** -52 * max(16.0, 1.0 / ratio))
+
+
 class TestBlockSize:
     """smoothed_cdf gives the same bits for any block budget: each row's
     arithmetic does not depend on the rows beside it."""
 
     N = 3001  # a multiple of none of the block heights tried
 
-    @pytest.mark.parametrize("lat,width,default_rows", [
-        (scaled_integer(0.5, 1), transform._NODES, 512),
-        (hexagonal(0.5), 2 * transform._NODES, 256)], ids=["cube", "hex"])
+    # Per family, the floats per row of a (rows, nodes) temporary and the
+    # rows per block.  The hexagon's Gaussian rule takes 8 + ceil(2 s/sigma)
+    # = 9 nodes per half-cell at s = 0.5 sigma; the Laplace rule keeps 32.
+    @pytest.mark.parametrize("lat,blocks", [
+        (scaled_integer(0.5, 1), {gaussian: (32, 512), laplace: (32, 512)}),
+        (hexagonal(0.5), {gaussian: (9, 1820), laplace: (32, 512)})],
+        ids=["cube", "hex"])
     @pytest.mark.parametrize("family", [gaussian, laplace])
-    def test_bit_identical_for_any_block(self, monkeypatch, lat, width,
-                                         default_rows, family):
+    def test_bit_identical_for_any_block(self, monkeypatch, lat, blocks, family):
+        width, default_rows = blocks[family]
         model = family(0, 1, lat.dim)
         x = np.random.default_rng(4).normal(size=(self.N, lat.dim)).squeeze() * 1.5
         default = smoothed_cdf(model, lat, x)
@@ -83,42 +138,64 @@ class TestSmoothedCdf:
         assert np.max(np.abs(u32 - u64) / np.maximum(np.abs(u64), 1e-12)) < 1e-8
 
     def test_hex_node_doubling_error(self, monkeypatch):
+        # the sized rule (10 nodes per half-cell at 0.8 sigma) against twice
+        # its nodes
         base = gaussian(0, 1, dim=2)
         lat = hexagonal(0.8)
         xs = np.linspace(-3, 3, 50)
         x_hat = np.column_stack([np.full_like(xs, 0.7), xs])
         a = smoothed_cdf(base, lat, x_hat)
-        monkeypatch.setattr(transform, "_NODES", 64)
+        count = transform._hex_node_count
+        assert count(base, lat.step) == 10
+        monkeypatch.setattr(transform, "_hex_node_count",
+                            lambda model, scale: 2 * count(model, scale))
         b = smoothed_cdf(base, lat, x_hat)
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_hex_quadrature_integrates_volume(self):
+        # 12 nodes per half-cell: the Gaussian rule at 1.7 sigma; 32: the
+        # Laplace and uniform rule.  Each node stands for a mirror pair of
+        # chords of length 2h.
         lat = hexagonal(1.7)
-        _, h, w = transform._hex_nodes(lat.step, 32)
-        assert (np.sum(2.0 * np.tile(h, 2) * w)
-                == pytest.approx(lat.cell_volume, rel=1e-12))
+        for n in (9, 12, 32):
+            _, h, w = transform._hex_nodes(lat.step, n)
+            assert (np.sum(4.0 * h * w)
+                    == pytest.approx(lat.cell_volume, rel=1e-12)), n
 
-    @pytest.mark.parametrize("model", [gaussian(0.3, 1.5, dim=2),
-                                       laplace(-0.2, 0.8, dim=2)],
-                             ids=["gaussian", "laplace"])
-    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.7])
-    def test_hex_equals_64_chord_rule_bit_for_bit(self, model, scale):
-        # The rule written out on all 64 chords.  smoothed_cdf averages F
-        # once per mirror pair of chords; that must not move a bit.
+    @pytest.mark.parametrize("model,nodes", [
+        (gaussian(0.3, 1.5, dim=2), lambda s: _gaussian_hex_nodes(s, 1.5)),
+        (laplace(-0.2, 0.8, dim=2), lambda s: 32)], ids=["gaussian", "laplace"])
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.7, 8.0, 200.0])
+    def test_hex_equals_64_chord_rule_bit_for_bit(self, model, nodes, scale):
+        # The rule written out at its node count, folded over mirror pairs in
+        # smoothed_cdf's order: 9, 9, 11, 22 and, capped, 256 nodes per
+        # half-cell for the Gaussian, 32 (64 chords) for the Laplace.
         lat = hexagonal(scale)
         x = stream_rng(12, 0).normal(0.0, 2.0, size=(2000, 2))
-        t, wt = np.polynomial.legendre.leggauss(32)
-        a = np.concatenate([-(scale / 4.0) * (1.0 + t), (scale / 4.0) * (1.0 + t)])
-        h = (scale - np.abs(a)) / math.sqrt(3.0)
-        wh = np.tile((scale / 4.0) * wt, 2) * h
-        x1, x2 = x[:, 0, None], x[:, 1, None]
-        u1 = np.sum(2.0 * wh * model.cdf(x1 + a), axis=-1) / lat.cell_volume
-        f1 = wh * model.pdf(x1 + a)
-        chords = 2.0 * model.cdf_average(x2 - h, x2 + h)
-        u2 = np.sum(f1 * chords, axis=-1) / np.sum(2.0 * f1, axis=-1)
-        want = np.column_stack([u1, u2])
+        m = min(nodes(scale), 256)
+        want = _hex_rule(model, scale, x, m)
         got = smoothed_cdf(model, lat, x)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("var", [0.01, 1.0, 4.0])
+    def test_hex_sized_rule_matches_256_node_reference(self, var):
+        # From s = 1e-3 sigma to 32 sigma the sized rule is no farther from
+        # the 256-node rule than twice the 32-node rule is, or than rounding.
+        excess = {ratio: _hex_reference_excess(
+                      var, ratio, lambda m, s, x: smoothed_cdf(m, hexagonal(s), x))
+                  for ratio in _HEX_RATIOS}
+        assert all(np.all(e <= 1.0) for e in excess.values()), excess
+
+    @pytest.mark.parametrize("var,ratio,nodes", [
+        (1.0, 4.0, lambda s, var: 9),
+        (0.01, 5.0, lambda s, var: _gaussian_hex_nodes(s, 1.0))],
+        ids=["fixed-9-at-4-sigma", "ignores-sigma-at-var-0.01"])
+    def test_hex_reference_check_rejects_unsized_rules(self, var, ratio, nodes):
+        # negative controls: a fixed 9-node rule, and a rule that reads s
+        # but takes sigma as 1, each fail the reference check above
+        excess = _hex_reference_excess(
+            var, ratio, lambda m, s, x: _hex_rule(m, s, x, nodes(s, var)))
+        assert np.max(excess) > 1.0
 
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
     def test_hex_matches_cell_integrals(self, scale):
