@@ -61,6 +61,26 @@ the cells, which lacks the plug-in entropy's (K - 1)/2n downward bias:
 Every KS field (now the KS distance of cdf(output) from U(0, 1)), every MSE
 field and every transform and AWGN rate stayed bit-identical.  CHANGES.md
 lists each moment field's old and new value.
+
+`transform_hex` and `transform_hex_inexact` were regenerated when the
+hexagon's Gaussian rule came to take 8 + ceil(2 s/sigma) Gauss-Legendre
+nodes per half-cell (9 at both scales) in place of 32, each sum formed
+once per mirror pair of chords.  Their rate fields stayed bit-identical;
+these moved by at most 4e-15 (old -> new):
+
+    transform_hex
+      ks_per_axis[1]           0.009522289885849022   -> 0.009522289885848911
+      moment_errors.mean       -0.00019890051328818662 -> -0.00019890051328797344
+      moment_errors.skewness   -0.0015132001379901487 -> -0.0015132001379884177
+      moment_errors.variance   -0.008588566103227446  -> -0.008588566103226891
+      mse_se                   0.00010866138176241275 -> 0.00010866138176241202
+    transform_hex_inexact
+      ks_per_axis[0]           0.008170137144904388   -> 0.008170137144904333
+      moment_errors.mean       -0.006045875027015721  -> -0.006045875027015413
+      moment_errors.skewness   0.022068216876804197   -> 0.022068216876808173
+      moment_errors.variance   0.007795605152729923   -> 0.007795605152731033
+      mse_per_dim              0.006197456142722284   -> 0.006197456142722288
+      mse_se                   3.5282117318635416e-05 -> 3.5282117318637314e-05
 """
 
 import dataclasses
@@ -210,12 +230,12 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                                                    'params': [0.0, 1.0]}},
                              'seed': 104},
           'transform_hex': {'ks_per_axis': [[0.009138233293598919, True],
-                                            [0.009522289885849022, True]],
-                            'moment_errors': {'mean': -0.00019890051328818662,
-                                              'skewness': -0.0015132001379901487,
-                                              'variance': -0.008588566103227446},
+                                            [0.009522289885848911, True]],
+                            'moment_errors': {'mean': -0.00019890051328797344,
+                                              'skewness': -0.0015132001379884177,
+                                              'variance': -0.008588566103226891},
                             'mse_per_dim': 0.017117934122470355,
-                            'mse_se': 0.00010866138176241275,
+                            'mse_se': 0.00010866138176241202,
                             'n': 10000,
                             'rate_nats_per_dim': 2.1851344478699666,
                             'rate_se': 0.0010731105097606629,
@@ -228,13 +248,13 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                                                   'family': 'gaussian',
                                                   'params': [0.0, 1.0]}},
                             'seed': 105},
-          'transform_hex_inexact': {'ks_per_axis': [[0.008170137144904388, True],
+          'transform_hex_inexact': {'ks_per_axis': [[0.008170137144904333, True],
                                                     [0.013644622093196224, False]],
-                                    'moment_errors': {'mean': -0.006045875027015721,
-                                                      'skewness': 0.022068216876804197,
-                                                      'variance': 0.007795605152729923},
-                                    'mse_per_dim': 0.006197456142722284,
-                                    'mse_se': 3.5282117318635416e-05,
+                                    'moment_errors': {'mean': -0.006045875027015413,
+                                                      'skewness': 0.022068216876808173,
+                                                      'variance': 0.007795605152731033},
+                                    'mse_per_dim': 0.006197456142722288,
+                                    'mse_se': 3.5282117318637314e-05,
                                     'n': 10000,
                                     'rate_nats_per_dim': 2.683209327509169,
                                     'rate_se': 0.0012322749900318265,

@@ -44,7 +44,7 @@ OUTPUTS = {
         (None, {"ternary.csv": "89905634a0963b5a"}),
     "dpq eval --scheme transform --lattice hex:scale=0.5 -n 10000 --seed 3"
     " --out hex.json":
-        (None, {"hex.json": "947540ae565ff867"}),
+        (None, {"hex.json": "41b062be103b70dc"}),
     "dpq bounds --config run.cfg":
         ("source=gaussian:mean=1,var=2\ndgrid=0.1,0.5,1\n",
          {"bounds.csv": "73750b8513c053da"}),
