@@ -68,13 +68,13 @@ def _hex_node_count(model: SourceModel, scale: float) -> int:
     geometrically at a rate set by the half-cell's width in standard
     deviations (Trefethen, SIAM Review 50, 2008): 8 + ceil(2 s/sigma) nodes
     match the 32-node rule's error against 256 nodes from s = 1e-3 sigma to
-    s = 32 sigma, where 32 nodes err by 1.8e-6.  The Laplace and uniform
+    s = 32 sigma, where 32 nodes err by 1.3e-6.  The Laplace and uniform
     densities have kinks, which bound the error whatever the node count and
     which fewer nodes resolve worse, so they keep `_NODES`.
     """
     if model.family is not Family.GAUSSIAN:
         return _NODES
-    twice = 2.0 * scale / math.sqrt(model.variance())  # inf past float range
+    twice = 2.0 * scale / math.sqrt(model.variance())  # 2 s/sigma, or inf
     return 8 + math.ceil(twice) if twice < _HEX_MAX_NODES - 8 else _HEX_MAX_NODES
 
 

@@ -52,21 +52,16 @@ def _gaussian_hex_nodes(scale, var):
     return 8 + math.ceil(2.0 * scale / math.sqrt(var))
 
 
-# s/sigma of the sized rule's accuracy check, from far below to far above the
-# 0.5 sigma of the benchmark's hexagon
-_HEX_RATIOS = (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-
 def _hex_reference_excess(var, ratio, u_of):
     """Per axis, max |u - u_256| over its bound, where u = u_of(model, scale, x)
     and u_k is `_hex_rule` at k nodes per half-cell.  A value above 1 fails.
 
     The bound is twice the 32-node rule's max |u_32 - u_256|, or the rounding
-    floor if that is larger: 2**-48 for sums of up to 144 terms below 1, and
-    below s = sigma/16 2**-52 sigma/s, the rounding of
-    `SourceModel.cdf_average` on chords that short, which a rule of fewer
-    chords averages less (about 1e-13 at s = 1e-3 sigma for every node
-    count).  The rows are uniform out to 8 sigma + s, where the tail is the
+    floor if that is larger.  The floor is 2**-48 for sums of up to 144 terms
+    below 1 and, for s below sigma/16, 2**-52 sigma/s: the rounding of
+    `SourceModel.cdf_average` on chords that short (about 1e-13 at s = 1e-3
+    sigma for every node count), which a rule of fewer chords averages less.
+    The rows are uniform out to 8 sigma + s, where the tail is the
     integrand's only feature, and drawn from the source.
     """
     sigma = math.sqrt(var)
@@ -183,18 +178,18 @@ class TestSmoothedCdf:
         # the 256-node rule than twice the 32-node rule is, or than rounding.
         excess = {ratio: _hex_reference_excess(
                       var, ratio, lambda m, s, x: smoothed_cdf(m, hexagonal(s), x))
-                  for ratio in _HEX_RATIOS}
+                  for ratio in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)}
         assert all(np.all(e <= 1.0) for e in excess.values()), excess
 
     @pytest.mark.parametrize("var,ratio,nodes", [
-        (1.0, 4.0, lambda s, var: 9),
-        (0.01, 5.0, lambda s, var: _gaussian_hex_nodes(s, 1.0))],
+        (1.0, 4.0, lambda s: 9),
+        (0.01, 5.0, lambda s: _gaussian_hex_nodes(s, 1.0))],
         ids=["fixed-9-at-4-sigma", "ignores-sigma-at-var-0.01"])
     def test_hex_reference_check_rejects_unsized_rules(self, var, ratio, nodes):
         # negative controls: a fixed 9-node rule, and a rule that reads s
         # but takes sigma as 1, each fail the reference check above
         excess = _hex_reference_excess(
-            var, ratio, lambda m, s, x: _hex_rule(m, s, x, nodes(s, var)))
+            var, ratio, lambda m, s, x: _hex_rule(m, s, x, nodes(s)))
         assert np.max(excess) > 1.0
 
     @pytest.mark.parametrize("scale", [0.1, 0.5, 2.0])
