@@ -12,6 +12,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -54,21 +55,26 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
 
     Each batch is reduced where it is run: to its MSE, its moments
     (`_batch_moments`), its payload for ``scheme.rate`` (a batch statistic or
-    None) and its rows of the probability integral transform, ``cdf(output)``
-    per axis, which the KS test compares with U(0, 1).  The moments pool every
-    coordinate of the n outputs, merged in batch order; the variance is the
-    population variance.
+    None) and its columns of the probability integral transform,
+    ``cdf(output)``, a (k, n) array with one row per axis.  Each row is sorted
+    in place and the KS test compares it with U(0, 1), so the PIT is the one
+    n-sized array an evaluation keeps.  The moments pool every coordinate of
+    the n outputs, merged in batch order; the variance is the population
+    variance.
     """
-    _check_size(n, workers)
+    n, workers = _check_size(n, workers)
     [ecdq_rate] = _ecdq_rates([scheme], scheme.source, n, seed)
     return _evaluate(scheme, n, seed, workers, ecdq_rate)
 
 
-def _check_size(n: int, workers: int):
+def _check_size(n: int, workers: int) -> tuple[int, int]:
+    """(n, workers) as ints; a float or other non-integer is refused."""
+    n, workers = operator.index(n), operator.index(workers)
     if n < MIN_N:
         raise ValueError(f"need n >= {MIN_N}")
     if workers < 1:
         raise ValueError("need workers >= 1")
+    return n, workers
 
 
 def _ecdq_rates(schemes, model: SourceModel, n: int, seed: int) -> list:
@@ -100,14 +106,14 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     sizes = [n // N_BATCHES + (1 if b < n % N_BATCHES else 0)
              for b in range(N_BATCHES)]
     starts = np.cumsum([0] + sizes)
-    pit = np.empty((n, k))
+    pit = np.empty((k, n))  # one contiguous row per axis, sorted for KS
 
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
         xt, payload = scheme.run(x, b)
         mse = np.mean((x - xt) ** 2)
         xt = np.reshape(xt, (-1, k))
-        pit[starts[b]:starts[b + 1]] = model.cdf(xt)
+        pit[:, starts[b]:starts[b + 1]] = model.cdf(xt).T
         return mse, _batch_moments(xt.ravel()), payload
 
     if workers > 1:
@@ -126,7 +132,8 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     else:
         rate, rate_se, rate_seconds = ecdq_rate
 
-    ks = [ks_statistic(pit[:, i]) for i in range(k)]
+    pit.sort(axis=1)  # in place; ks_statistic reads a sorted row as it is
+    ks = [ks_statistic(pit[i]) for i in range(k)]
 
     count, m1, m2, m3 = functools.reduce(_merge_moments,
                                          [m for _, m, _ in results])
@@ -196,7 +203,7 @@ def rd_sweep(family: str, params, source: SourceModel, n: int, seed: int,
     if not params:
         raise ValueError("empty parameter grid")
     schemes = [build(family, source, seed, p) for p in params]
-    _check_size(n, workers)
+    n, workers = _check_size(n, workers)
     rates = _ecdq_rates(schemes, source, n, seed)
     out = [(float(p), _evaluate(scheme, n, seed, workers, rate))
            for p, scheme, rate in zip(params, schemes, rates)]

@@ -243,8 +243,15 @@ def ks_statistic(u) -> tuple[float, bool]:
     `_KS_CHUNK`.  Returns (D_n, pass) where pass means D_n < 1.36/sqrt(n), the
     asymptotic 5% critical value.  Refuses n < 20, where the asymptotic
     threshold is invalid, and u outside [0, 1].
+
+    u is sorted into a copy only when it is not already ascending, which one
+    chunked pass checks; an ascending float array is read where it lies, with
+    no n-sized copy, and any other u gives the same result as before.  NaN
+    fails the check, sorts to the end and is refused.
     """
-    u = np.sort(np.asarray(u, dtype=float).ravel())
+    u = np.asarray(u, dtype=float).ravel()
+    if not _ascending(u):
+        u = np.sort(u)
     n = u.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
@@ -256,6 +263,15 @@ def ks_statistic(u) -> tuple[float, bool]:
         grid = np.arange(lo, lo + f.size + 1) / n  # the steps i/n about f
         d = max(d, float(np.max(grid[1:] - f)), float(np.max(f - grid[:-1])))
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
+
+
+def _ascending(u) -> bool:
+    """Whether the flat array u is ascending; False if it holds NaN."""
+    for lo in range(0, u.size - 1, _KS_CHUNK):
+        f = u[lo:lo + _KS_CHUNK + 1]  # one row of overlap with the next chunk
+        if not np.all(f[1:] >= f[:-1]):
+            return False
+    return True
 
 
 def plugin_entropy(counts) -> float:

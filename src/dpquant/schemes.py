@@ -201,30 +201,39 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
     step = scheme.step
     check_range(x, step)
     j = np.floor(x / step).astype(np.int64)
-    if j.size and j.max() - j.min() + 2 <= j.size:
+    cdf = scheme.source.cdf
+    table = j.size > 0 and j.max() - j.min() + 2 <= j.size
+    if table:
         # price each distinct cell edge once; float(j) * step is the product
-        # the per-sample form takes, so both forms agree bit for bit
+        # the per-sample form takes, so both forms agree bit for bit.  j is
+        # offset to j - j0 in place, to index the tables, until the return.
         j0 = j.min()
         edges = np.arange(j0, j.max() + 2) * step
-        f = np.asarray(scheme.source.cdf(edges))
-        fa, mass = f[j - j0], np.diff(f)[j - j0]
-
-        def edge(k):  # each row's cell edge k steps above its lower edge
-            return edges[j - (j0 - k)]
+        j -= j0
+        f = np.asarray(cdf(edges))
+        fa, mass = f[j], np.diff(f)[j]
     else:
         # more edges than rows (a tiny step or a heavy tail): price per sample
-        def edge(k):
-            return (j + k) * step
-
-        fa = np.asarray(scheme.source.cdf(edge(0)))
-        mass = np.asarray(scheme.source.cdf(edge(1))) - fa
+        fa = np.asarray(cdf(j * step))
+        mass = np.asarray(cdf((j + 1) * step))
+        mass -= fa
     if np.any(mass <= 0):
         raise ValueError("zero-probability base cell encountered")
-    rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
-    u = fa + mass * rng.random(x.shape)
+    u = stream_rng(scheme.seed, _TAG_SCHEME, block).random(x.shape)
+    u *= mass
+    u += fa  # the bits of fa + mass * r
+    del fa
     x_tilde = np.asarray(scheme.source.icdf(u))
-    # clip against icdf clamping at the far tails
-    x_tilde = np.clip(x_tilde, edge(0), np.nextafter(edge(1), -np.inf))
+    del u
+    # clip against icdf clamping at the far tails: each row to its cell,
+    # [lower edge, the float below the upper edge]
+    if table:
+        lo, hi = edges[j], np.nextafter(edges[1:], -np.inf)[j]
+        j += j0
+    else:
+        lo, hi = j * step, (j + 1) * step
+        np.nextafter(hi, -np.inf, out=hi)
+    np.clip(x_tilde, lo, hi, out=x_tilde)
     return j, mass, x_tilde
 
 

@@ -2,13 +2,15 @@ import dataclasses
 import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from dpquant.harness import EvalReport, compare_to_bound, evaluate, rd_sweep
+from dpquant.harness import (MIN_N, EvalReport, compare_to_bound, evaluate,
+                             rd_sweep)
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, laplace
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
@@ -121,6 +123,41 @@ class TestEvaluate:
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 10_000, seed=0,
                      workers=workers)
 
+    @pytest.mark.parametrize("n, workers", [(1e5, 1), (MIN_N, 1.5)],
+                             ids=["float-n", "float-workers"])
+    def test_non_integer_size_refused(self, n, workers):
+        scheme = _Recorded(gaussian(0, 1), 0, lambda x: x)
+        with pytest.raises(TypeError, match="integer"):
+            evaluate(scheme, n, 0, workers=workers)
+        assert not scheme.outputs  # refused before any batch ran
+        with pytest.raises(TypeError, match="integer"):
+            rd_sweep("simple", [0.0], gaussian(0, 1), n, 0, workers=workers)
+
+    def test_numpy_integer_size_taken_as_int(self):
+        rep = evaluate(SimpleDpq(gaussian(0, 1), 0), np.int64(MIN_N), 0,
+                       workers=np.int64(2))
+        assert type(rep.n) is int and rep.n == MIN_N
+
+
+class TestMemory:
+    # evaluate keeps one n-sized array, the (k, n) PIT, sorted in place for
+    # KS; a sorted copy of a PIT row for KS alone would read 2.2x here.  The
+    # rest of the peak is the batches' working arrays, n / 20 rows each.
+    @pytest.mark.parametrize("scheme, workers", [
+        (SimpleDpq(gaussian(0, 1), 0), 1),
+        (ResampleDpq(gaussian(0, 1), 0, 0.1), 1),
+        (ResampleDpq(gaussian(0, 1), 0, 0.1), 2),
+        (AwgnOracle(gaussian(0, 1), 0, 1.0), 1),
+    ], ids=["simple", "resample", "resample-2-workers", "awgn"])
+    def test_traced_peak_below_1_75_pit_sizes(self, scheme, workers):
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            evaluate(scheme, n, 1, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 8 * n * scheme.source.dim
 
 class TestMoments:
     # the moments pool every coordinate of the outputs, in block order

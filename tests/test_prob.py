@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,42 @@ class TestKs:
         # a raw sample passed in place of its cdf values is refused
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ks_statistic(u)
+
+    @staticmethod
+    def _pit(n):
+        model = gaussian(0, 1)
+        return np.sort(model.cdf(model.sample(5, n).values.ravel()))
+
+    def test_sorted_and_shuffled_give_the_same_bits(self):
+        # an ascending u is read as it lies, any other u is sorted first;
+        # more rows than one chunk, and a partial last chunk
+        u = self._pit(150_001)
+        shuffled = np.random.default_rng(0).permutation(u)
+        (d, ok), (d_shuffled, ok_shuffled) = ks_statistic(u), ks_statistic(shuffled)
+        assert d.hex() == d_shuffled.hex() and ok == ok_shuffled
+
+    def test_descending_gives_the_sorted_result(self):
+        u = self._pit(150_001)
+        descending = u[::-1].copy()
+        assert ks_statistic(descending) == ks_statistic(u)
+        assert np.array_equal(descending, u[::-1])  # the caller's u is kept
+
+    def test_ascending_but_for_a_final_nan_refused(self):
+        u = np.linspace(0.0, 1.0, 100_000)
+        u[-1] = math.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ks_statistic(u)
+
+    def test_ascending_input_not_copied(self):
+        # sorting a copy of u would allocate 8n bytes
+        u = self._pit(1_000_000)
+        tracemalloc.start()
+        try:
+            ks_statistic(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * u.size
 
 
 class TestEntropy:

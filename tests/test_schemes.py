@@ -120,6 +120,33 @@ class TestResampleDpq:
         for got, want in zip(resample_dpq(sc, x, block=2), self._per_sample(sc, x, 2)):
             assert np.array_equal(got, want)
 
+    # rows beyond icdf's clamp at u = EPS: the reconstruction icdf(EPS) lies
+    # above their cells, and the clip pins it below each upper edge
+    @pytest.mark.parametrize("source, step, tail", [
+        (gaussian(0, 1), 0.1, ()),
+        (gaussian(0, 1), 1e-7, ()),
+        (laplace(0, 1), 0.5, ()),
+        (gaussian(0, 1), 0.1, (-8.0, -9.55, -12.0)),
+        (gaussian(0, 1), 1e-7, (-8.0, -9.55, -12.0)),
+        (laplace(0, 1), 0.5, (-28.0, -30.2, -33.0)),
+    ], ids=["gaussian-table", "gaussian-per-sample", "laplace-table",
+            "gaussian-table-tail", "gaussian-per-sample-tail",
+            "laplace-table-tail"])
+    def test_matches_reference_formula(self, source, step, tail):
+        # the reference forms fa + mass * r, then clips icdf(u) to
+        # [edge(0), nextafter(edge(1), -inf)], in new arrays each time
+        sc = ResampleDpq(source, 9, step)
+        x = source.sample(9, 20_000, stream=50).values.ravel()
+        x[:len(tail)] = tail
+        j = np.floor(x / step)
+        assert (j.max() - j.min() + 2 > x.size) == (step == 1e-7)
+        got = resample_dpq(sc, x, block=4)
+        want = self._per_sample(sc, x, 4)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        top = np.nextafter((want[0][:len(tail)] + 1) * step, -np.inf)
+        assert np.array_equal(got[2][:len(tail)], top)
+
     def test_each_cell_edge_priced_once(self, monkeypatch):
         sizes = []
         real = SourceModel.cdf
