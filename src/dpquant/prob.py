@@ -245,9 +245,9 @@ def ks_statistic(u) -> tuple[float, bool]:
     threshold is invalid, and u outside [0, 1].
 
     u is sorted into a copy only when it is not already ascending, which one
-    chunked pass checks; an ascending float array is read where it lies, with
-    no n-sized copy, and any other u gives the same result as before.  NaN
-    fails the check, sorts to the end and is refused.
+    chunked pass checks: an ascending float array is read where it lies, with
+    no n-sized copy, and the caller's u is never changed.  NaN fails the
+    check, sorts to the end and is refused.
     """
     u = np.asarray(u, dtype=float).ravel()
     if not _ascending(u):

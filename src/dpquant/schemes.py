@@ -219,6 +219,7 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
         mass -= fa
     if np.any(mass <= 0):
         raise ValueError("zero-probability base cell encountered")
+    # each batch-sized array is formed in place and dropped once spent
     u = stream_rng(scheme.seed, _TAG_SCHEME, block).random(x.shape)
     u *= mass
     u += fa  # the bits of fa + mass * r
