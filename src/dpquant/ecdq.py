@@ -33,15 +33,19 @@ _RATE_TOL = 1e-4  # quadrature error bound of the analytic rate, nats
 def _check_dither(lat: Lattice, dither: np.ndarray):
     # by index: a bound on |point| such as 1e-9 lets whole cells through
     # once the step is below it
-    if np.any(lat.nearest_point(dither)[0]):
+    if np.any(lat.nearest_index(dither)):
         raise ValueError("dither must lie inside the basic cell")
 
 
 def ecdq_encode(lat: Lattice, dither, x) -> np.ndarray:
-    """Lattice indices of x + dither; x and dither may be (k,) or (n, k)."""
+    """Lattice indices of x + dither; x and dither may be (k,) or (n, k).
+
+    The sum is formed a block of rows at a time (`Lattice.nearest_index`),
+    so the index is the one array of x's size formed.
+    """
     dither = np.asarray(dither, dtype=float)
     _check_dither(lat, dither)
-    return lat.nearest_point(np.asarray(x, dtype=float) + dither)[0]
+    return lat.nearest_index(x, dither)
 
 
 def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
@@ -50,7 +54,11 @@ def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
 
 
 def _index_counts(idx: np.ndarray) -> np.ndarray:
-    """Counts of the distinct rows of an (n, k) integer array, rows ascending."""
+    """Counts of the distinct rows of an (n, k) integer array, rows ascending.
+
+    idx's first column is overwritten: the keys start from it in place, so a
+    one-column index is counted with no array of its size formed.
+    """
     # one column at a time: a min over axis 0 of (n, k) is a strided
     # reduction, about 25 times slower
     cols = [idx[:, c] for c in range(idx.shape[1])]
@@ -59,7 +67,8 @@ def _index_counts(idx: np.ndarray) -> np.ndarray:
     size = math.prod(spans)
     if size > np.iinfo(np.int64).max:
         raise ValueError("index span too wide for int64 keys")
-    keys = cols[0] - lo[0]
+    keys = cols[0]
+    keys -= lo[0]
     for col, m, span in zip(cols[1:], lo[1:], spans[1:]):
         keys = keys * span + (col - m)
     if size <= len(keys):
@@ -84,7 +93,8 @@ def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
     that lattice alone.  Every lattice must have the model's dimension.
 
     The histogram is counted on flat keys: each index column is shifted by
-    its minimum and each row becomes one row-major int64 key.  The keys are
+    its minimum, the first in place in the spent index, and each row
+    becomes one row-major int64 key.  The keys are
     counted by `np.bincount` when the product of the column spans is at most
     n, so the count array is never longer than the keys, and by a 1-D
     `np.unique` otherwise.  Row-major keys sort like the rows themselves, so

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = ["Lattice", "scaled_integer", "hexagonal", "check_range"]
 
-_HEX_ROWS = 8192  # rows per block of the hexagon's nearest-point search
+_ROWS = 8192  # rows per block of the nearest-point search
 
 
 @dataclass(frozen=True)
@@ -62,31 +62,47 @@ class Lattice:
         Ties: round-half-to-even per coordinate for the cube, the
         lexicographically smallest index for the hexagon.
         """
+        idx = self.nearest_index(x)
+        if self.kind == "scaled_integer":
+            return idx, idx * self.step
+        # by `point`'s matmul, as the decoder forms them: an elementwise
+        # i*G00 + j*G01 would not repeat its fused multiply-add
+        return idx, self.point(idx)
+
+    def nearest_index(self, x, shift=None):
+        """The index that `nearest_point` returns for x, or for x + shift,
+        without the point.
+
+        x + shift broadcasts as numpy adds, and gets the checks and ties of
+        `nearest_point`.  Its rows are formed, checked and rounded in blocks
+        of `_ROWS` and cast once into the int64 index, the one array formed
+        at x's size: so ECDQ encode holds no x + dither, and each block's
+        temporaries stay in L2 (one pass over 3e4 hexagon rows took about
+        twice as long).
+        """
         x = np.asarray(x, dtype=float)
+        if shift is not None:
+            shift = np.asarray(shift, dtype=float)
+            shape = np.broadcast_shapes(x.shape, shift.shape)
+            x = np.broadcast_to(x, shape)
+            shift = np.atleast_2d(np.broadcast_to(shift, shape))
         if x.shape[-1:] != (self.dim,) or x.ndim > 2:
             raise ValueError(f"x must be a vector or rows of width dim = "
                              f"{self.dim}, got shape {x.shape}")
-        check_range(x, self.step)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if self.kind == "scaled_integer":
-            idx = np.rint(xb / self.step).astype(np.int64)  # rint = half-to-even
-            pt = idx * self.step
-        else:
-            idx, pt = self._nearest_hex(xb)
-        if single:
-            return idx[0], pt[0]
-        return idx, pt
+        rnd = self._round_cube if self.kind == "scaled_integer" else self._round_hex
+        xb = np.atleast_2d(x)
+        idx = np.empty(xb.shape, dtype=np.int64)
+        for lo in range(0, len(xb), _ROWS):
+            block = xb[lo:lo + _ROWS]
+            if shift is not None:
+                block = block + shift[lo:lo + _ROWS]
+            check_range(block, self.step)
+            idx[lo:lo + _ROWS] = rnd(block)
+        return idx[0] if x.ndim == 1 else idx
 
-    def _nearest_hex(self, xb):
-        # Blocks of _HEX_ROWS rows keep each temporary at 64 KB, in L2; one
-        # pass over 3e4 rows took about twice as long.  The points come from
-        # the matmul, whose fused multiply-add an elementwise i*G00 + j*G01
-        # would not repeat.
-        idx = np.empty(xb.shape)
-        for lo in range(0, len(xb), _HEX_ROWS):
-            idx[lo:lo + _HEX_ROWS] = self._round_hex(xb[lo:lo + _HEX_ROWS])
-        return idx.astype(np.int64), idx @ self.generator.T
+    def _round_cube(self, xb):
+        q = xb / self.step
+        return np.rint(q, out=q)  # rint = half-to-even
 
     def _round_hex(self, xb):
         # The hexagonal lattice is the rectangular lattice s·(Z x √3Z), the

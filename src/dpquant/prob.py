@@ -36,6 +36,7 @@ EPS = 1e-12
 
 KS_ALPHA_005_COEFF = 1.36  # asymptotic two-sided 5% critical coefficient
 _KS_CHUNK = 1 << 16  # rows of the KS grid formed at a time
+_ICDF_BLOCK = 8192  # elements of the Laplace icdf's branches formed at a time
 
 
 class Family(enum.Enum):
@@ -57,6 +58,28 @@ def _laplace_cdf(z):
     return np.where(z < 0, half_tail, 1.0 - half_tail)
 
 
+def _laplace_icdf(u):
+    # log(2u) below 1/2 keeps the lower tail's digits, which log1p(2u - 1)
+    # loses to cancellation.  Both branches are formed on every element of a
+    # block, and both stay finite on the clamped u; the lower one is picked
+    # by its bits, as np.where would pick it, but faster on a random mask.
+    flat = u.ravel(order="K")  # a view: u is a fresh copy or draw
+    for lo in range(0, flat.size, _ICDF_BLOCK):
+        v = flat[lo:lo + _ICDF_BLOCK]
+        below = (v < 0.5).astype(np.int64)
+        np.negative(below, out=below)  # every bit set where u < 1/2
+        t = 2.0 * v
+        lower = np.log(t)
+        np.subtract(1.0, t, out=t)
+        np.log1p(t, out=v)
+        np.negative(v, out=v)
+        lower_bits, bits = lower.view(np.int64), v.view(np.int64)
+        lower_bits ^= bits
+        lower_bits &= below
+        bits ^= lower_bits
+    return u
+
+
 def _uniform_g_diff(zl, zh):
     # G(z) = (q + 1/2)^2 / 2 + max(z - 1/2, 0), q = clip(z, -1/2, 1/2);
     # zl < 1/2, and qh - ql is zh - zl exactly when both lie inside
@@ -71,6 +94,8 @@ class _Law:
     ``loc_scale`` and ``variance`` read the family's params; ``cdf``, ``icdf``
     and ``pdf`` are the standard law's, in z = (x - centre) / scale, and
     ``g_diff(zl, zh)`` is G(zh) - G(zl), G' = cdf, for zl < 0, |zh| <= -zl.
+    ``icdf`` overwrites the float array it is given, of any shape, and
+    returns it.
     """
 
     loc_scale: Callable
@@ -87,25 +112,20 @@ _LAWS = {
     Family.GAUSSIAN: _Law(
         loc_scale=lambda p: (p[0], math.sqrt(max(p[1], 0.0))),
         variance=lambda p: p[1],
-        cdf=special.ndtr, icdf=special.ndtri, pdf=_phi,
+        cdf=special.ndtr, icdf=lambda u: special.ndtri(u, out=u), pdf=_phi,
         g_diff=lambda zl, zh: _gaussian_g(zh) - _gaussian_g(zl),
         entropy=0.5 * math.log(2 * math.pi * math.e)),
     Family.UNIFORM: _Law(
         loc_scale=lambda p: (0.5 * (p[0] + p[1]), p[1] - p[0]),
         variance=lambda p: (p[1] - p[0]) ** 2 / 12.0,
         cdf=lambda z: np.clip(z + 0.5, 0.0, 1.0),
-        icdf=lambda u: u - 0.5,
+        icdf=lambda u: np.subtract(u, 0.5, out=u),
         pdf=lambda z: np.where(np.abs(z) <= 0.5, 1.0, 0.0),
         g_diff=_uniform_g_diff, entropy=0.0),
     Family.LAPLACE: _Law(
         loc_scale=lambda p: (p[0], p[1]),
         variance=lambda p: 2.0 * p[1] ** 2,
-        cdf=_laplace_cdf,
-        # log(2u) below 1/2 keeps the lower tail's digits, which
-        # log1p(2u - 1) loses to cancellation; np.where evaluates both
-        # branches, and both stay finite on the clamped u
-        icdf=lambda u: np.where(u < 0.5, np.log(2.0 * u),
-                                -np.log1p(1.0 - 2.0 * u)),
+        cdf=_laplace_cdf, icdf=_laplace_icdf,
         pdf=lambda z: 0.5 * np.exp(-np.abs(z)),
         # G(z) = e^z/2 below 0 and z + e^-z/2 above; both terms are >= 0
         g_diff=lambda zl, zh: (np.maximum(zh, 0.0)
@@ -164,12 +184,21 @@ class SourceModel:
         return _out(law.cdf(z))
 
     def icdf(self, u):
-        """Inverse cdf; u is clamped to [EPS, 1-EPS] before inversion."""
+        """Inverse cdf; u is clamped to [EPS, 1-EPS] before inversion.
+
+        The one array formed is the clamped copy of u, which is inverted in
+        place; the caller's u is left as it was.
+        """
+        return _out(self._icdf_in_place(np.array(u, dtype=float)))
+
+    def _icdf_in_place(self, u: np.ndarray) -> np.ndarray:
+        """Overwrite the float array u with icdf(u) and return it."""
         law, c, s = self._place()
-        z = law.icdf(np.clip(np.asarray(u, dtype=float), EPS, 1.0 - EPS))
+        np.clip(u, EPS, 1.0 - EPS, out=u)
+        z = law.icdf(u)
         z *= s
         z += c
-        return _out(z)
+        return z
 
     def pdf(self, x):
         law, c, s = self._place()
@@ -200,12 +229,15 @@ class SourceModel:
     # ---- sampling ----------------------------------------------------------
 
     def sample(self, seed: int, n: int, stream: int = 0) -> "EmpiricalSample":
-        """Draw n i.i.d. dim-vectors by inverse transform sampling."""
+        """Draw n i.i.d. dim-vectors by inverse transform sampling.
+
+        The uniform draws are inverted where they lie, so the sample is the
+        one n-sized array formed.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
-        rng = stream_rng(seed, stream)
-        u = rng.random((n, self.dim))
-        return EmpiricalSample(np.asarray(self.icdf(u), dtype=float))
+        u = stream_rng(seed, stream).random((n, self.dim))
+        return EmpiricalSample(self._icdf_in_place(u))
 
 
 @dataclass(frozen=True)

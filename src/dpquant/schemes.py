@@ -110,7 +110,7 @@ class TransformDpq:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = _block_dithers(self, len(x), block)
-        indices = self.lat.nearest_point(x + z)[0]
+        indices = self.lat.nearest_index(x, z)
         return _reconstruct(self, indices, z), None
 
     def rate(self, payloads):

@@ -22,7 +22,7 @@ from dpquant.lattice import scaled_integer
 from dpquant.prob import KS_ALPHA_005_COEFF, gaussian, ks_statistic
 from dpquant.rng import stream_rng
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
-                             resample_dpq, transform_dpq_decode,
+                             resample_dpq, simple_dpq, transform_dpq_decode,
                              transform_dpq_encode)
 from dpquant.transform import (BivariateGaussian, dpq_transform,
                                gaussian_smoothed_transform, smoothed_cdf)
@@ -43,12 +43,23 @@ def check(capsys):
 
 
 def test_01_zero_rate_point(check):
+    # Negative control: synthesis from N(0, 1.21) in place of the source law,
+    # independent of x as the scheme is, has MSE 1 + 1.21 = 2.21 and must
+    # fall outside the band.
     m = gaussian(0, 1)
     rep = evaluate(SimpleDpq(source=m, seed=0), 100_000, seed=0)
-    ok = (abs(rep.mse_per_dim - 2.0) <= 0.03
-          and rep.rate_nats_per_dim == 0.0)
+
+    def in_band(mse):
+        return abs(mse - 2.0) <= 0.03
+
+    x = m.sample(0, 100_000, stream=77).values
+    wrong = simple_dpq(SimpleDpq(source=gaussian(0, 1.21), seed=0), x)
+    mse_wrong = float(np.mean((x - wrong) ** 2))
+    ok = (in_band(rep.mse_per_dim) and rep.rate_nats_per_dim == 0.0
+          and not in_band(mse_wrong))
     check(1, "zero-rate synthesis: MSE = 2.00 +/- 0.03 at rate 0", ok,
-           f"mse={rep.mse_per_dim:.4f}")
+           f"mse={rep.mse_per_dim:.4f}; variance-1.21 control "
+           f"mse={mse_wrong:.4f}, rejected={not in_band(mse_wrong)}")
 
 
 def test_02_awgn_curve_achievement(check):
@@ -82,16 +93,27 @@ def test_03_sandwich_identity(check):
 
 
 def test_04_resampling_3db_loss(check):
+    # Negative control: the cell midpoint as the reconstruction, the base
+    # quantizer itself, has ratio 1 and must fall outside the band.
     m = gaussian(0, 1)
     step = 0.05
     sc = ResampleDpq(source=m, seed=0, step=step)
-    x = m.sample(0, 100_000, stream=77).values
+    x = m.sample(0, 100_000, stream=77).values.ravel()
     j, _, xt = resample_dpq(sc, x)
-    mse_resample = float(np.mean((x.ravel() - xt) ** 2))
-    mse_base = float(np.mean((x.ravel() - (j + 0.5) * step) ** 2))
-    ratio = mse_resample / mse_base
+    midpoint = (j + 0.5) * step
+    mse_base = float(np.mean((x - midpoint) ** 2))
+
+    def ratio_to_base(y):
+        return float(np.mean((x - y) ** 2)) / mse_base
+
+    def in_band(ratio):
+        return 1.9 <= ratio <= 2.1
+
+    ratio, ratio_mid = ratio_to_base(xt), ratio_to_base(midpoint)
     check(4, "in-cell resampling doubles the base quantizer MSE",
-           1.9 <= ratio <= 2.1, f"ratio={ratio:.3f}")
+           in_band(ratio) and not in_band(ratio_mid),
+           f"ratio={ratio:.3f}; midpoint control ratio={ratio_mid:.3f}, "
+           f"rejected={not in_band(ratio_mid)}")
 
 
 def test_05_distribution_preservation_all_rates(check, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,12 +186,28 @@ class TestIndexHistogram:
         x = np.random.default_rng(5).normal(size=(5000, lat.dim)) * 3
         idx, _ = lat.nearest_point(x)
         assert (idx < 0).any(axis=0).all()
-        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
+        assert np.array_equal(_index_counts(idx.copy()), _rowwise_counts(idx))
 
     def test_unsorted_small_input(self):
         idx = np.array([[2, -1], [-3, 4], [2, -1], [0, 0], [-3, -5], [2, -2]])
-        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
-        assert list(_index_counts(idx)) == [1, 1, 1, 1, 2]
+        assert np.array_equal(_index_counts(idx.copy()), _rowwise_counts(idx))
+        assert list(_index_counts(idx.copy())) == [1, 1, 1, 1, 2]
+
+    def test_one_column_counted_in_place(self):
+        # the keys are idx's own column, shifted to start at 0
+        n = 200_000
+        idx = np.rint(stream_rng(17, 0).standard_normal((n, 1)) * 10).astype(np.int64)
+        want = _rowwise_counts(idx)
+        shifted = idx - idx.min()
+        tracemalloc.start()
+        try:
+            got = _index_counts(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert np.array_equal(idx, shifted)
+        assert peak < 0.25 * 8 * n
 
     def test_single_repeated_row(self):
         idx = np.tile([-7, 3], (10, 1))
@@ -214,7 +231,7 @@ class TestIndexHistogram:
         assert (idx < 0).any(axis=0).all()
         bins, bincount = [], np.bincount
         monkeypatch.setattr(np, "bincount", lambda keys: bins.append(bincount(keys)) or bins[-1])
-        assert np.array_equal(_index_counts(idx), _rowwise_counts(idx))
+        assert np.array_equal(_index_counts(idx.copy()), _rowwise_counts(idx))
         assert [len(b) for b in bins] == ([] if spans.prod() > 1000 else [spans.prod()])
 
     def test_span_too_wide_for_int64_keys(self):

@@ -159,6 +159,25 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 1.75 * 8 * n * scheme.source.dim
 
+    # The cube transform's full evaluate, with the rate pass's 16 fresh
+    # samples: the sample and its int64 index, whose histogram keys are
+    # formed in place, or the sample and the next one as it is drawn, about
+    # 2.1x.  Forming x + dither, x / step, the float index, the points and
+    # the inverse cdf's copies as well read 4.04x (Gaussian) and 6.13x
+    # (Laplace).
+    @pytest.mark.parametrize("source", [gaussian(0, 1), laplace(0, 1)],
+                             ids=["gaussian", "laplace"])
+    def test_transform_traced_peak_below_2_5_sample_sizes(self, source):
+        n = 200_000
+        tracemalloc.start()
+        try:
+            evaluate(TransformDpq(source, 0, scaled_integer(0.1)), n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n
+
+
 class TestMoments:
     # the moments pool every coordinate of the outputs, in block order
     @pytest.mark.parametrize("source, shape", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ class TestNearestPoint:
             x += [rng.uniform(-cells * scale, cells * scale, size=(5000, 2)),
                   ties, *_ulp_neighbours(ties)]
         x = np.concatenate(x)
-        got, _ = lat._nearest_hex(x)
+        got = lat.nearest_index(x)
         assert np.array_equal(got, lat._tournament(x))
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 2.0 ** 600, 2.0 ** -600],
@@ -214,6 +215,66 @@ class TestNearestPoint:
         # cube quantized elementwise, and the hexagon hit a broadcast error
         with pytest.raises(ValueError, match="dim"):
             lat.nearest_point(np.zeros(shape))
+
+
+class TestNearestIndex:
+    # The index-only search, alone and with a shift, against nearest_point;
+    # more rows than one block of the search, and a row in a later block
+    LATS = pytest.mark.parametrize(
+        "lat", [scaled_integer(0.3), scaled_integer(0.3, 3), hexagonal(0.7),
+                hexagonal(2.0 ** -520)],
+        ids=["cube1", "cube3", "hex", "hex-tiny"])
+
+    @LATS
+    def test_matches_nearest_point(self, lat):
+        x = stream_rng(14, 0).uniform(-30, 30, (20_000, lat.dim)) * lat.step
+        idx = lat.nearest_index(x)
+        assert idx.dtype == np.int64 and idx.shape == x.shape
+        assert np.array_equal(idx, lat.nearest_point(x)[0])
+        assert np.array_equal(lat.nearest_index(x[7]), lat.nearest_point(x[7])[0])
+
+    @LATS
+    def test_shift_matches_the_sum(self, lat):
+        rng = stream_rng(15, 0)
+        x = rng.uniform(-30, 30, (20_000, lat.dim)) * lat.step
+        z = lat.sample_dither(rng, len(x))
+        for xs, zs in [(x, z), (x, z[:1]), (x, z[0]), (x[3], z), (x[3], z[5])]:
+            want = lat.nearest_point(xs + zs)[0]
+            got = lat.nearest_index(xs, zs)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lat", [scaled_integer(1.0, 2), hexagonal(1.0)],
+                             ids=["cube", "hex"])
+    def test_shift_refusals_are_those_of_the_sum(self, lat):
+        x = np.zeros((20_000, 2))
+        for bad in (np.nan, np.inf, 2.0 ** 51 * lat.step):
+            z = np.zeros_like(x)
+            z[-1, 1] = bad  # the last block's last row
+            with pytest.raises(ValueError, match="2\\*\\*51"):
+                lat.nearest_index(x, z)
+        with pytest.raises(ValueError, match="dim"):
+            lat.nearest_index(np.zeros((4, 1)), np.zeros(1))
+        with pytest.raises(ValueError, match="dim"):
+            lat.nearest_index(np.zeros(2), np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError):
+            lat.nearest_index(np.zeros((4, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("lat", [scaled_integer(0.1), hexagonal(0.5)],
+                             ids=["cube", "hex"])
+    def test_forms_only_the_index(self, lat):
+        # x + shift, x / step and the float index are formed a block at a
+        # time: the int64 index and at most 2 MiB of block temporaries
+        n = 200_000
+        rng = stream_rng(16, 0)
+        x = rng.standard_normal((n, lat.dim))
+        z = lat.sample_dither(rng, n)
+        tracemalloc.start()
+        try:
+            lat.nearest_index(x, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * lat.dim + 2 ** 21
 
 
 class TestDither:

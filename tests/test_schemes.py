@@ -257,21 +257,23 @@ class TestTransformDpq:
         (scaled_integer(0.5, 2), 1), (hexagonal(0.5), 2)], ids=["cube", "hex"])
     def test_run_draws_and_searches_each_dither_once(self, monkeypatch, lat,
                                                      rows_per_sample):
-        # one draw per batch, and one nearest-point row per sample for the
-        # encode, plus on the hexagon one for folding the dither into the cell
+        # one draw per batch, and one nearest-index row per sample for the
+        # encode, plus on the hexagon one for folding the dither into the
+        # cell; nearest_point searches through nearest_index, so every
+        # search is counted here once
         draws, rows = [], []
-        real_draw, real_search = Lattice.sample_dither, Lattice.nearest_point
+        real_draw, real_search = Lattice.sample_dither, Lattice.nearest_index
 
         def counted_draw(self, rng, n):
             draws.append(n)
             return real_draw(self, rng, n)
 
-        def counted_search(self, x):
+        def counted_search(self, x, shift=None):
             rows.append(len(np.atleast_2d(x)))
-            return real_search(self, x)
+            return real_search(self, x, shift)
 
         monkeypatch.setattr(Lattice, "sample_dither", counted_draw)
-        monkeypatch.setattr(Lattice, "nearest_point", counted_search)
+        monkeypatch.setattr(Lattice, "nearest_index", counted_search)
         source = gaussian(0, 1, dim=2)
         x = source.sample(4, 1000, stream=50).values
         TransformDpq(source, 4, lat).run(x, 2)
