@@ -1,8 +1,8 @@
 """Distribution preserving quantization: bounds, schemes, measurement harness."""
 
 from .bounds import (Coupling, RdPoint, awgn_oracle_point, check_pmf,
-                     discrete_dp_rdf_curve, dp_rdf_gaussian,
-                     dp_rdf_sandwich_gaussian, rdf_gaussian, slb_mse)
+                     discrete_dp_rdf_curve, dp_rdf_gaussian, rdf_gaussian,
+                     slb_mse)
 from .ecdq import ecdq_decode, ecdq_encode, ecdq_rate_analytic, ecdq_rate_empirical
 from .harness import EvalReport, compare_to_bound, evaluate, rd_sweep
 from .lattice import Lattice, hexagonal, scaled_integer

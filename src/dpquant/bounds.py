@@ -1,10 +1,10 @@
 """Rate-distortion bounds for distribution preserving quantization.
 
 Closed forms for the Gaussian/MSE case (DP-RDF, RDF, Shannon lower bound,
-the SLB sandwich, the AWGN curve-achieving construction) plus a discrete
-DP-RDF solver, traced over a Lagrange-multiplier grid.  The solver finds the
-entropic coupling whose two marginals both equal the source pmf by a damped
-Newton solve of its symmetric scaling equations; the pmf must pass
+the AWGN curve-achieving construction) plus a discrete DP-RDF solver,
+traced over a Lagrange-multiplier grid.  The solver finds the entropic
+coupling whose two marginals both equal the source pmf by a damped Newton
+solve of its symmetric scaling equations; the pmf must pass
 `check_pmf` and the cost table must be a distortion measure (symmetric,
 zero on the diagonal).  Each Newton step is one Cholesky solve: the zero
 diagonal gives every row of the symmetric Newton matrix a diagonal that
@@ -33,7 +33,6 @@ __all__ = [
     "dp_rdf_gaussian",
     "rdf_gaussian",
     "slb_mse",
-    "dp_rdf_sandwich_gaussian",
     "awgn_oracle_point",
     "MAX_ALPHABET",
     "check_pmf",
@@ -113,20 +112,6 @@ def slb_mse(model: SourceModel, d: float) -> float:
     if d <= 0:
         return math.inf
     return max(0.0, model.diff_entropy() - 0.5 * math.log(2 * math.pi * math.e * d))
-
-
-def dp_rdf_sandwich_gaussian(var: float, d: float) -> tuple[float, float]:
-    """SLB sandwich of the Gaussian DP-RDF for 0 < D < 2 sigma^2.
-
-    lower = SLB; upper = (1/2) ln(sigma^2/D) + (1/2) ln(sigma^2/(sigma^2 - D/4)),
-    the backward/forward-channel construction with noise variance D/4.  The
-    upper bound coincides analytically with the DP-RDF.
-    """
-    if not 0 < d < 2 * var < math.inf:
-        raise ValueError("sandwich requires 0 < D < 2 var, var finite")
-    lower = max(0.0, 0.5 * math.log(var / d))
-    upper = 0.5 * math.log(var / d) + 0.5 * math.log(var / (var - d / 4.0))
-    return lower, upper
 
 
 def awgn_oracle_point(var: float, noise_var: float) -> RdPoint:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import schemes as sch
 from .bounds import (check_pmf, discrete_dp_rdf_curve, dp_rdf_gaussian,
-                     dp_rdf_sandwich_gaussian, rdf_gaussian, slb_mse)
+                     rdf_gaussian, slb_mse)
 from .harness import MIN_N, compare_to_bound, evaluate, rd_sweep
 from .lattice import hexagonal, scaled_integer
 from .prob import Family, SourceModel, gaussian, laplace, uniform
@@ -207,8 +207,7 @@ def _curve_row(d: float, rate: float, name: str) -> str:
 def cmd_bounds(args) -> int:
     """Bound curves, one `D,rate_nats,rate_bits,source` row per (D, curve):
     the solver's dp_rdf_discrete points for a pmf, by distortion; for a
-    Gaussian, the closed forms dp_rdf, rdf and slb at each --dgrid value, and
-    sandwich_upper where 0 < D < 2 var."""
+    Gaussian, the closed forms dp_rdf, rdf and slb at each --dgrid value."""
     cfg = _options(args)
     src = _build("source", cfg["source"], _SOURCES)
     if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
@@ -231,8 +230,6 @@ def cmd_bounds(args) -> int:
         curves = {"dp_rdf": dp_rdf_gaussian(var, d),
                   "rdf": rdf_gaussian(var, d),
                   "slb": slb_mse(src, d)}
-        if 0 < d < 2 * var:
-            curves["sandwich_upper"] = dp_rdf_sandwich_gaussian(var, d)[1]
         rows += [_curve_row(d, r, name) for name, r in curves.items()]
     _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
     return EXIT_OK

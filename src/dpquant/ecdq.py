@@ -56,8 +56,8 @@ def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
 def _index_counts(idx: np.ndarray) -> np.ndarray:
     """Counts of the distinct rows of an (n, k) integer array, rows ascending.
 
-    idx's first column is overwritten: the keys start from it in place, so a
-    one-column index is counted with no array of its size formed.
+    idx's first column is overwritten: the keys are formed in it in place, so
+    no n-sized key array is allocated.
     """
     # one column at a time: a min over axis 0 of (n, k) is a strided
     # reduction, about 25 times slower
@@ -69,8 +69,11 @@ def _index_counts(idx: np.ndarray) -> np.ndarray:
         raise ValueError("index span too wide for int64 keys")
     keys = cols[0]
     keys -= lo[0]
+    # in place: exact in wrapping int64 arithmetic, since each final key fits
     for col, m, span in zip(cols[1:], lo[1:], spans[1:]):
-        keys = keys * span + (col - m)
+        keys *= span
+        keys += col
+        keys -= m
     if size <= len(keys):
         counts = np.bincount(keys)
         return counts[counts > 0]
@@ -93,8 +96,8 @@ def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
     that lattice alone.  Every lattice must have the model's dimension.
 
     The histogram is counted on flat keys: each index column is shifted by
-    its minimum, the first in place in the spent index, and each row
-    becomes one row-major int64 key.  The keys are
+    its minimum and each row becomes one row-major int64 key, formed in place
+    in the spent index's first column.  The keys are
     counted by `np.bincount` when the product of the column spans is at most
     n, so the count array is never longer than the keys, and by a 1-D
     `np.unique` otherwise.  Row-major keys sort like the rows themselves, so

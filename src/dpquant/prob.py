@@ -211,6 +211,12 @@ class SourceModel:
         An interval whose midpoint lies above c is mirrored below it and its
         mean taken from 1, so G stays small at both ends and the upper tail
         loses no digits to cancellation.
+
+        The Gaussian G differences `ndtr` values that carry a few ulp of
+        error, so its absolute error grows like 2e-16 sigma / (hi - lo): about
+        2e-13 at a width of 1e-3 sigma and 2e-11 at 1e-5 sigma, against
+        40-digit mpmath.  So the cube's smoothed cdf, whose cells may be far
+        narrower than sigma, keeps its Gauss-Legendre quadrature.
         """
         law, c, s = self._place()
         dl = np.asarray(lo, dtype=float) - c

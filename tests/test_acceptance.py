@@ -4,19 +4,21 @@ Each test prints a single PASS/FAIL line (bypassing capture) and then
 asserts, so a plain `pytest tests/test_acceptance.py` shows the scoreboard.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr
 from scipy.stats import spearmanr
 
 import dpquant.schemes
 import dpquant.transform
 from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
-                            dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
-                            sinkhorn_coupling)
+                            discrete_dp_rdf_curve, dp_rdf_gaussian,
+                            rdf_gaussian, sinkhorn_coupling)
 from dpquant.harness import compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import scaled_integer
 from dpquant.prob import KS_ALPHA_005_COEFF, gaussian, ks_statistic
@@ -63,33 +65,56 @@ def test_01_zero_rate_point(check):
 
 
 def test_02_awgn_curve_achievement(check):
+    # Negative control: the scheme run with a noise variance 10% high must
+    # land outside 3 SE of the eta2 point's distortion.
     ok = True
     details = []
     for eta2 in (0.25, 1.0, 4.0):
         oracle = awgn_oracle_point(1.0, eta2)
-        rep = evaluate(AwgnOracle(source=gaussian(0, 1), seed=0,
-                                  noise_var=eta2), 1_000_000, seed=0)
-        d_ok = abs(rep.mse_per_dim - oracle.distortion) <= 3 * rep.mse_se
+
+        def se_off(noise_var):
+            rep = evaluate(AwgnOracle(source=gaussian(0, 1), seed=0,
+                                      noise_var=noise_var), 1_000_000, seed=0)
+            return rep, abs(rep.mse_per_dim - oracle.distortion) / rep.mse_se
+
+        rep, off = se_off(eta2)
+        _, off_wrong = se_off(1.1 * eta2)
         r_ok = rep.rate_nats_per_dim == oracle.rate
         analytic_ok = abs(oracle.rate
                           - dp_rdf_gaussian(1.0, oracle.distortion)) < 1e-9
-        ok = ok and d_ok and r_ok and analytic_ok
-        details.append(f"eta2={eta2}: D={rep.mse_per_dim:.4f}")
+        ok = ok and off <= 3 and r_ok and analytic_ok and off_wrong > 3
+        details.append(f"eta2={eta2}: D={rep.mse_per_dim:.4f}, "
+                       f"1.1*eta2 control {off_wrong:.0f} SE off, "
+                       f"rejected={off_wrong > 3}")
     check(2, "scaled-AWGN scheme sits on the distortion bound curve", ok,
            "; ".join(details))
 
 
-def test_03_sandwich_identity(check):
-    d_grid = np.linspace(0.005, 1.995, 200)
-    ok = True
-    worst = 0.0
-    for d in d_grid:
-        lo, hi = dp_rdf_sandwich_gaussian(1.0, d)
-        mid = dp_rdf_gaussian(1.0, d)
-        worst = max(worst, abs(hi - mid))
-        ok = ok and abs(hi - mid) < 1e-9 and lo <= mid + 1e-12 <= hi + 2e-9
-    check(3, "sandwich upper arm equals the bound to 1e-9 on 200 points", ok,
-           f"max |upper-bound|={worst:.2e}")
+def test_03_dp_rdf_matches_discretized_solver(check):
+    # An independent derivation of the Gaussian DP-RDF: N(0, 1) in equal
+    # cells on +-5 sigma (the pmf is the Phi differences, renormalized) under
+    # squared cost between the cell midpoints, traced by the coupling solver.
+    # Negative controls, each of which must fail the same tolerance: the
+    # classic RDF in place of the closed form, and the curve on 32 cells,
+    # whose discretization error alone exceeds it.
+    def worst_gap(cells, bound):
+        edges = np.linspace(-5.0, 5.0, cells + 1)
+        pmf = np.diff(ndtr(edges))
+        pmf /= pmf.sum()
+        mid = (edges[:-1] + edges[1:]) / 2
+        pts = [p for p in discrete_dp_rdf_curve(pmf, np.subtract.outer(mid, mid) ** 2)
+               if 0.02 <= p.distortion <= 1.5]
+        return len(pts), max(abs(p.rate - bound(1.0, p.distortion)) for p in pts)
+
+    tol = 2e-3
+    count, err = worst_gap(64, dp_rdf_gaussian)
+    _, err_rdf = worst_gap(64, rdf_gaussian)
+    _, err_32 = worst_gap(32, dp_rdf_gaussian)
+    ok = count >= 20 and err <= tol and err_rdf > tol and err_32 > tol
+    check(3, "closed-form DP-RDF matches the solver on a 64-cell Gaussian", ok,
+           f"{count} points in 0.02 <= D <= 1.5, max |R - bound|={err:.2e}; "
+           f"classic-RDF control off by {err_rdf:.3f}, rejected={err_rdf > tol}; "
+           f"32-cell control off by {err_32:.2e}, rejected={err_32 > tol}")
 
 
 def test_04_resampling_3db_loss(check):
@@ -216,17 +241,30 @@ def test_06_high_rate_mse_gap(check):
 
 
 def test_07_box_bound(check):
+    # Negative control: the smoothed cdf under a variance-1.21 model,
+    # inverted under the true one, must move some coordinate out of the box.
     m = gaussian(0, 1, dim=3)
     lat = scaled_integer(0.5, 3)
     rng = stream_rng(0, 79)
     x_hat = rng.uniform(-4, 4, size=(10_000, 3))
-    g = dpq_transform(m, lat, x_hat)
-    worst = float(np.max(np.abs(g - x_hat)))
+
+    def worst_move(g):
+        return float(np.max(np.abs(g - x_hat)))
+
+    def in_box(move):
+        return move <= 0.25 + 1e-9
+
+    worst = worst_move(dpq_transform(m, lat, x_hat))
+    wrong = worst_move(m.icdf(smoothed_cdf(gaussian(0, 1.21, dim=3), lat, x_hat)))
     check(7, "transform moves each coordinate at most half a cell",
-           worst <= 0.25 + 1e-9, f"max move={worst:.6f}")
+           in_box(worst) and not in_box(wrong),
+           f"max move={worst:.6f}; variance-1.21 control max move={wrong:.3f}, "
+           f"rejected={not in_box(wrong)}")
 
 
 def test_08_dp_rdf_lower_bound(check):
+    # Negative control: the transform's reports with 90% of their measured
+    # rate; the bound check must reject at least one of them.
     src = gaussian(0, 1)
     sweeps = [("transform", [0.1, 0.5, 1.0, 2.0, 4.0]),
               ("resample", [0.05, 0.2, 0.5, 1.0]),
@@ -234,13 +272,20 @@ def test_08_dp_rdf_lower_bound(check):
               ("simple", [1.0])]
     ok = True
     worst = math.inf
+    rejected = 0
     for family, grid in sweeps:
         for _, rep in rd_sweep(family, grid, src, 50_000, seed=0):
             verdict = compare_to_bound(rep)
             ok = ok and verdict["above_bound"]
             worst = min(worst, verdict["margin_nats"] + verdict["tolerance_nats"])
+            if family == "transform":
+                low = dataclasses.replace(
+                    rep, rate_nats_per_dim=0.9 * rep.rate_nats_per_dim)
+                rejected += not compare_to_bound(low)["above_bound"]
     check(8, "every sweep point of every scheme respects the lower bound",
-           ok, f"worst margin+tol={worst:.4f} nats")
+           ok and rejected > 0,
+           f"worst margin+tol={worst:.4f} nats; 0.9-rate transform control "
+           f"rejected at {rejected}/{len(sweeps[0][1])} points")
 
 
 def test_09_discrete_solver_vs_oracle(check):
@@ -272,9 +317,13 @@ def test_10_rosenblatt_correctness(check):
     rho_s = abs(spearmanr(u[:, 0], u[:, 1]).statistic)
     back = bg.icdf(u)
     inv_err = float(np.max(np.abs(back - x)))
-    ok = ks_ok and rho_s < 0.02 and inv_err < 1e-7
+    # Negative control: the rho = 0 map leaves the pair correlated
+    u_0 = BivariateGaussian(rho=0.0).cdf(x)
+    rho_0 = abs(spearmanr(u_0[:, 0], u_0[:, 1]).statistic)
+    ok = ks_ok and rho_s < 0.02 and inv_err < 1e-7 and rho_0 >= 0.02
     check(10, "sequential uniformization is exact and decorrelating", ok,
-           f"|rank corr|={rho_s:.4f}, inverse err={inv_err:.1e}")
+           f"|rank corr|={rho_s:.4f}, inverse err={inv_err:.1e}; rho=0 control "
+           f"|rank corr|={rho_0:.3f}, rejected={rho_0 >= 0.02}")
 
 
 def test_11_asymptotic_transform_closed_form(check):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dpquant.bounds import (_EXP_ZERO, _LAMBDAS, RdPoint, _exp,
                             awgn_oracle_point, check_pmf,
                             discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
-                            dp_rdf_gaussian, dp_rdf_sandwich_gaussian,
-                            rdf_gaussian, sinkhorn_coupling, slb_mse)
+                            dp_rdf_gaussian, rdf_gaussian, sinkhorn_coupling,
+                            slb_mse)
 from dpquant.prob import gaussian
 
 # frozen from the jointly-Gaussian mutual-information oracle -0.5 ln(1 - rho^2),
@@ -38,6 +38,9 @@ class TestGaussianClosedForms:
 
     def test_dp_rdf_at_one(self):
         assert dp_rdf_gaussian(1.0, 1.0) == pytest.approx(DP_RDF_1_1, abs=1e-6)
+
+    def test_dp_rdf_at_quarter(self):
+        assert dp_rdf_gaussian(1.0, 0.25) == pytest.approx(DP_RDF_1_025, abs=1e-6)
 
     def test_dp_rdf_matches_awgn_point(self):
         pt = awgn_oracle_point(1.0, 1.0)
@@ -83,30 +86,6 @@ class TestSlb:
         assert slb_mse(m, 4 * d) == pytest.approx(slb_mse(m, d) - math.log(2), abs=1e-9)
 
 
-class TestSandwich:
-    def test_point_values(self):
-        lo, hi = dp_rdf_sandwich_gaussian(1.0, 1.0)
-        assert lo == 0.0
-        assert hi == pytest.approx(DP_RDF_1_1, abs=1e-6)
-
-    def test_quarter(self):
-        lo, hi = dp_rdf_sandwich_gaussian(1.0, 0.25)
-        assert lo == pytest.approx(math.log(2), abs=1e-6)
-        assert hi == pytest.approx(DP_RDF_1_025, abs=1e-6)
-
-    def test_identity_and_bracket_on_grid(self):
-        var = 1.0
-        for d in np.linspace(0.01, 2 * var, 200, endpoint=False)[1:]:
-            lo, hi = dp_rdf_sandwich_gaussian(var, d)
-            r = dp_rdf_gaussian(var, d)
-            assert abs(hi - r) < 1e-9
-            assert lo - 1e-12 <= r <= hi + 1e-12
-
-    def test_out_of_regime_refused(self):
-        with pytest.raises(ValueError):
-            dp_rdf_sandwich_gaussian(1.0, 2.0)
-
-
 class TestAwgnOracle:
     def test_unit_point(self):
         pt = awgn_oracle_point(1.0, 1.0)
@@ -148,11 +127,6 @@ class TestNonFiniteRefused:
     def test_slb_mse(self, d):
         with pytest.raises(ValueError):
             slb_mse(gaussian(0, 1), d)
-
-    @pytest.mark.parametrize("var,d", [(NAN, 1.0), (1.0, NAN), (INF, 1.0)])
-    def test_sandwich(self, var, d):
-        with pytest.raises(ValueError):
-            dp_rdf_sandwich_gaussian(var, d)
 
     @pytest.mark.parametrize("var,noise_var", [(NAN, 1.0), (1.0, NAN), (INF, 1.0),
                                                (1.0, INF)])

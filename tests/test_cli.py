@@ -209,8 +209,8 @@ class TestCsv:
                              "# source=gaussian:var=1",
                              "D,rate_nats,rate_bits,source"]
         body = [l.split(",") for l in lines[4:]]
-        # D=0.5 has 4 curves, D=2 drops the sandwich upper arm
-        assert len(body) == 7
+        # each D has 3 curves: dp_rdf, rdf, slb
+        assert len(body) == 6
         assert [r[3] for r in body if r[0] == "2"] == ["dp_rdf", "rdf", "slb"]
         dp_row = next(r for r in body if r[0] == "0.5" and r[3] == "dp_rdf")
         assert float(dp_row[1]) == pytest.approx(

@@ -209,6 +209,18 @@ class TestIndexHistogram:
         assert np.array_equal(idx, shifted)
         assert peak < 0.25 * 8 * n
 
+    def test_two_column_rate_pass_traced_peak(self):
+        # the hexagon's keys are formed in the index's first column; building
+        # them from temporaries (keys * span, col - m, their sum) read 3.00x
+        n, k = 200_000, 2
+        tracemalloc.start()
+        try:
+            ecdq_rate_empirical([hexagonal(0.5)], gaussian(0, 1, k), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 8 * n * k
+
     def test_single_repeated_row(self):
         idx = np.tile([-7, 3], (10, 1))
         assert list(_index_counts(idx)) == [10]

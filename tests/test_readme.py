@@ -31,7 +31,7 @@ COMMANDS = _cli_commands()
 # options read from a config file.
 OUTPUTS = {
     "dpq bounds --source gaussian:var=1 --dgrid 0.01:2:200 --out bounds.csv":
-        (None, {"bounds.csv": "5caea0b87d19e946"}),
+        (None, {"bounds.csv": "a4ead66c295ba572"}),
     "dpq bounds --source pmf:0.5,0.5 --cost hamming --out binary.csv":
         (None, {"binary.csv": "30cb6c90a3fc1c0b"}),
     "dpq eval --scheme transform --lattice cube:step=0.1 --source gaussian:var=1"
@@ -47,7 +47,7 @@ OUTPUTS = {
         (None, {"hex.json": "41b062be103b70dc"}),
     "dpq bounds --config run.cfg":
         ("source=gaussian:mean=1,var=2\ndgrid=0.1,0.5,1\n",
-         {"bounds.csv": "73750b8513c053da"}),
+         {"bounds.csv": "b50c9c462d16610a"}),
     "dpq eval --config run.cfg --seed 5":
         ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\nunits=bits\ncheck_bound=1\n"
          "workers=2\nout=awgn.json\n",
