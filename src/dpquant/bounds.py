@@ -331,22 +331,22 @@ def discrete_dp_rdf_bruteforce(pmf, cost, d: float) -> float:
         return float(np.sum(t[mask] * np.log(t[mask] / outer[mask])))
 
     if m == 2:
-        lo = max(0.0, 2 * p[0] - 1.0)
-        hi = p[0]
-        ts = np.linspace(lo, hi, _BRUTE_GRID)
-        best = None
-        for t00 in ts:
-            t = np.array([[t00, p[0] - t00],
-                          [p[0] - t00, 1.0 - 2 * p[0] + t00]])
-            if np.any(t < -1e-15):
-                continue
-            if np.sum(t * e) <= d + 1e-12:
-                r = mi(np.clip(t, 0.0, None))
-                if best is None or r < best:
-                    best = r
-        if best is None:
+        # every grid coupling at once, one row of its four entries (row-major)
+        # each; costs and rates add the entries left to right, as np.sum and
+        # `mi` add one coupling's, so each row's numbers are the same bits
+        t00 = np.linspace(max(0.0, 2 * p[0] - 1.0), p[0], _BRUTE_GRID)
+        t = np.column_stack([t00, p[0] - t00, p[0] - t00, 1.0 - 2 * p[0] + t00])
+        te = t * e.ravel()
+        ok = (~np.any(t < -1e-15, axis=1)
+              & (te[:, 0] + te[:, 1] + te[:, 2] + te[:, 3] <= d + 1e-12))
+        if not ok.any():
             raise ValueError(f"distortion budget {d} infeasible for this pmf/cost")
-        return max(0.0, best)
+        t = np.clip(t[ok], 0.0, None)
+        mask = t > 1e-15
+        ratio = np.divide(t, np.outer(p, p).ravel(), out=np.ones_like(t),
+                          where=mask)
+        r = t * np.log(ratio)  # 0 off the mask, as `mi` leaves those out
+        return max(0.0, float(np.min(r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3])))
 
     # m in {3, 4}: minimize I over the free block under the budget
     nfree = (m - 1) ** 2

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 
@@ -60,10 +59,13 @@ _SOURCES = {"gaussian": (gaussian, {"mean": _finite, "var": _finite}),
             "pmf": (check_pmf, None)}
 _LATTICES = {"cube": (scaled_integer, {"step": _finite, "dim": int}),
              "hex": (hexagonal, {"scale": _finite})}
-# schemes.build makes a scheme once its source and lattice are known; the
-# parameter's default is the family's own, in schemes.FAMILIES
-_SCHEMES = {name: (sch.build, {key: _finite} if key else {})
-            for name, (_, key, _) in sch.FAMILIES.items()}
+# name -> (its parameter's default, {key: converter}): a scheme spec takes at
+# most one key, the parameter, and schemes.build makes the scheme once its
+# source and lattice are known.  The transform's parameter is `--lattice`.
+_SCHEMES = {"simple": (0.0, {}),
+            "resample": (0.05, {"step": _finite}),
+            "transform": (None, {}),
+            "awgn": (1.0, {"eta2": _finite})}
 
 
 def _parse_spec(kind: str, spec: str, table: dict):
@@ -206,21 +208,19 @@ def _curve_row(d: float, rate: float, name: str) -> str:
 
 def cmd_bounds(args) -> int:
     """Bound curves, one `D,rate_nats,rate_bits,source` row per (D, curve):
-    the solver's dp_rdf_discrete points for a pmf, by distortion; for a
-    Gaussian, the closed forms dp_rdf, rdf and slb at each --dgrid value."""
+    the solver's dp_rdf_discrete points for a pmf under Hamming cost, by
+    distortion; for a Gaussian, the closed forms dp_rdf, rdf and slb at each
+    --dgrid value."""
     cfg = _options(args)
     src = _build("source", cfg["source"], _SOURCES)
     if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
         if cfg.pop("dgrid") is not None:
             raise UsageError("a pmf takes no --dgrid: the solver picks its grid")
-        cfg["cost"] = "hamming"  # the one cost table, and the default
         pts = discrete_dp_rdf_curve(src, 1.0 - np.eye(src.size))
         rows = [_curve_row(p.distortion, p.rate, "dp_rdf_discrete")
                 for p in sorted(pts, key=lambda q: q.distortion)]
         _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
         return EXIT_OK
-    if cfg.pop("cost") is not None:
-        raise UsageError("--cost applies only to a pmf source")
     if src.family is not Family.GAUSSIAN:
         raise UsageError("closed-form bound curves need a Gaussian or pmf source")
     cfg["dgrid"] = cfg["dgrid"] or "0.01:2:200"
@@ -242,8 +242,7 @@ def _build_scheme(cfg, seed):
     if name == "transform":  # its parameter is a lattice, reported by its step
         lat = _build("lattice", cfg["lattice"], _LATTICES)
         return sch.build(name, replace(src, dim=lat.dim), seed, lat), lat.step
-    _, key, default = sch.FAMILIES[name]
-    param = values.get(key, default)
+    param = next(iter(values.values()), _SCHEMES[name][0])  # given, or default
     return sch.build(name, src, seed, param), param
 
 
@@ -317,14 +316,11 @@ def build_parser():
         c.add_argument("--source", default="gaussian:var=1")
         c.add_argument("--out", default=out)
         if name != "bounds":
-            c.add_argument("--seed", type=_integer("seed"),
-                           default=os.environ.get("DPQ_SEED", "0"))
+            c.add_argument("--seed", type=_integer("seed"), default="0")
             c.add_argument("--workers", type=_integer("workers", 1), default="1")
             c.add_argument("-n", type=_integer("n", MIN_N), default="100000")
     b, e, s = commands.values()
     b.add_argument("--dgrid", help="lo:hi:count or comma list")
-    b.add_argument("--cost", type=_one_of("cost", "hamming"),
-                   help="cost table, for a pmf source only: hamming")
     e.add_argument("--scheme", default="simple",
                    help="simple | resample:step=D | transform | awgn:eta2=V")
     e.add_argument("--lattice", default="cube:step=0.1",

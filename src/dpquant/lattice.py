@@ -63,8 +63,6 @@ class Lattice:
         lexicographically smallest index for the hexagon.
         """
         idx = self.nearest_index(x)
-        if self.kind == "scaled_integer":
-            return idx, idx * self.step
         # by `point`'s matmul, as the decoder forms them: an elementwise
         # i*G00 + j*G01 would not repeat its fused multiply-add
         return idx, self.point(idx)

@@ -150,13 +150,13 @@ def _transform(source: SourceModel, seed: int, lat) -> TransformDpq:
     return TransformDpq(source, seed, lat)
 
 
-# name -> (make(source, seed, param), the param's key in a CLI `name:key=V`
-# spec, its default there); the transform's param is a Lattice or a cube step
+# name -> make(source, seed, param); the transform's param is a Lattice or a
+# cube step, and the simple scheme ignores it
 FAMILIES = {
-    "simple": (lambda source, seed, _: SimpleDpq(source, seed), None, 0.0),
-    "resample": (ResampleDpq, "step", 0.05),
-    "transform": (_transform, None, None),
-    "awgn": (AwgnOracle, "eta2", 1.0),
+    "simple": lambda source, seed, _: SimpleDpq(source, seed),
+    "resample": ResampleDpq,
+    "transform": _transform,
+    "awgn": AwgnOracle,
 }
 
 
@@ -169,7 +169,7 @@ def build(family: str, source: SourceModel, seed: int, param):
     if family not in FAMILIES:
         raise SchemeError(f"unknown scheme family: {family}")
     try:
-        return FAMILIES[family][0](source, seed, param)
+        return FAMILIES[family](source, seed, param)
     except ValueError as exc:
         raise SchemeError(f"{family}: {exc}") from exc
 

@@ -221,23 +221,35 @@ def test_06_high_rate_mse_gap(check):
     ratio = float(np.mean((x - xt) ** 2) / np.mean((x - x_hat) ** 2))
     band_ok = 0.95 <= ratio <= 1.05
 
-    # exact quadrature of E|X - g(X_hat)|^2: relative gap shrinks with step
+    # exact quadrature of E|X - g(X_hat)|^2: relative gap shrinks with step.
+    # Negative control: the untransformed x_hat through the same quadrature,
+    # whose gaps are rounding noise of order 1e-15, must not pass.
     tx, wx = hermgauss(200)
     te, we = leggauss(64)
-    gaps = []
-    for s in (0.4, 0.2, 0.1):
-        xq = math.sqrt(2) * tx
-        eq = (s / 2) * te
-        X, E = np.meshgrid(xq, eq, indexing="ij")
-        g = dpq_transform(m, scaled_integer(s, 1),
-                          (X + E).ravel()[:, None]).reshape(X.shape)
-        mse = float(np.einsum("i,j,ij->", wx / math.sqrt(math.pi),
-                              we / 2, (X - g) ** 2))
-        gaps.append(1.0 - mse / (s * s / 12.0))
-    mono_ok = gaps[0] > gaps[1] > gaps[2] > 0
+
+    def rel_gaps(transform):
+        gaps = []
+        for s in (0.4, 0.2, 0.1):
+            xq = math.sqrt(2) * tx
+            eq = (s / 2) * te
+            X, E = np.meshgrid(xq, eq, indexing="ij")
+            g = transform(scaled_integer(s, 1), X + E)
+            mse = float(np.einsum("i,j,ij->", wx / math.sqrt(math.pi),
+                                  we / 2, (X - g) ** 2))
+            gaps.append(1.0 - mse / (s * s / 12.0))
+        return gaps
+
+    def vanishing(gaps):
+        return gaps[0] > gaps[1] > gaps[2] and min(gaps) >= 1e-6
+
+    gaps = rel_gaps(lambda lat, xh: dpq_transform(
+        m, lat, xh.ravel()[:, None]).reshape(xh.shape))
+    gaps_id = rel_gaps(lambda lat, xh: xh)
     check(6, "high-rate MSE matches dithered quantization, gap vanishing",
-           band_ok and mono_ok,
-           f"ratio={ratio:.4f}; rel gaps={[f'{g:.2e}' for g in gaps]}")
+           band_ok and vanishing(gaps) and not vanishing(gaps_id),
+           f"ratio={ratio:.4f}; rel gaps={[f'{g:.2e}' for g in gaps]}; "
+           f"untransformed control gaps={[f'{g:.1e}' for g in gaps_id]}, "
+           f"rejected={not vanishing(gaps_id)}")
 
 
 def test_07_box_bound(check):
@@ -289,21 +301,32 @@ def test_08_dp_rdf_lower_bound(check):
 
 
 def test_09_discrete_solver_vs_oracle(check):
+    # Negative control: the coupling solved only to a residual of 1e-2, whose
+    # rate, cost and residual each miss their gate, must not pass.
     pmf = [0.5, 0.5]
     cost = 1.0 - np.eye(2)
     d = 0.11
     # Lagrange multiplier that puts the symmetric optimum exactly at cost d
     lam = math.log((1 - d) / d)
-    coupling = sinkhorn_coupling(pmf, cost, lam)
-    rate = coupling.mutual_information()
     closed = math.log(2) + d * math.log(d) + (1 - d) * math.log(1 - d)
     brute = discrete_dp_rdf_bruteforce(pmf, cost, d)
-    ok = (abs(rate - closed) <= 1e-3
-          and abs(rate - brute) <= 1e-3
-          and abs(coupling.expected_cost() - d) <= 1e-6
-          and coupling.marginal_residual() <= 1e-8)
-    check(9, "discrete solver matches brute force and the closed form", ok,
-           f"rate={rate:.6f}, closed={closed:.6f}, brute={brute:.6f}")
+
+    def passes(coupling):
+        rate = coupling.mutual_information()
+        return (abs(rate - closed) <= 1e-3
+                and abs(rate - brute) <= 1e-3
+                and abs(coupling.expected_cost() - d) <= 1e-6
+                and coupling.marginal_residual() <= 1e-8)
+
+    coupling = sinkhorn_coupling(pmf, cost, lam)
+    loose = sinkhorn_coupling(pmf, cost, lam, tol=1e-2)
+    rate, loose_rate = coupling.mutual_information(), loose.mutual_information()
+    check(9, "discrete solver matches brute force and the closed form",
+           passes(coupling) and not passes(loose),
+           f"rate={rate:.6f}, closed={closed:.6f}, brute={brute:.6f}; "
+           f"tol=1e-2 control rate off by {abs(loose_rate - closed):.4f}, "
+           f"residual={loose.marginal_residual():.1e}, "
+           f"rejected={not passes(loose)}")
 
 
 def test_10_rosenblatt_correctness(check):
@@ -326,12 +349,22 @@ def test_10_rosenblatt_correctness(check):
            f"|rank corr|={rho_0:.3f}, rejected={rho_0 >= 0.02}")
 
 
-def test_11_asymptotic_transform_closed_form(check):
+def test_11_asymptotic_transform_closed_form(check, monkeypatch):
+    # Negative control: the quadrature on 4 Gauss-Hermite nodes must miss the
+    # linear map by more than the tolerance.
     mu, var, eta = 0.5, 2.0, 0.8
     m = gaussian(mu, var)
     xs = np.linspace(mu - 5 * math.sqrt(var), mu + 5 * math.sqrt(var), 100)
-    got = gaussian_smoothed_transform(m, eta, xs)
     want = math.sqrt(var / (var + eta * eta)) * (xs - mu) + mu
-    err = float(np.max(np.abs(got - want)))
+
+    def max_err():
+        return float(np.max(np.abs(gaussian_smoothed_transform(m, eta, xs)
+                                   - want)))
+
+    err = max_err()
+    monkeypatch.setattr(dpquant.transform, "_HERMITE_NODES", 4)
+    err_4 = max_err()
     check(11, "Gaussian-noise smoothing collapses to the linear map",
-           err < 1e-6, f"max err={err:.1e}")
+           err < 1e-6 and err_4 >= 1e-6,
+           f"max err={err:.1e}; 4-node control max err={err_4:.1e}, "
+           f"rejected={err_4 >= 1e-6}")

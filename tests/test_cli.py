@@ -13,7 +13,7 @@ from dpquant.cli import (EXIT_BOUND, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
 from dpquant.harness import evaluate
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import Family, gaussian, laplace, uniform
-from dpquant.schemes import TransformDpq
+from dpquant.schemes import FAMILIES, TransformDpq
 
 
 def _rows(path):
@@ -88,7 +88,7 @@ class TestBounds:
     def test_discrete_pmf_curve(self, tmp_path):
         out = tmp_path / "pmf.csv"
         assert main(["bounds", "--source", "pmf:0.5,0.5",
-                     "--cost", "hamming", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         _, rows = _rows(out)
         near = min(rows, key=lambda r: abs(float(r["D"]) - 0.11))
         # equiprobable binary with Hamming cost: rate = ln2 - Hb(D)
@@ -190,14 +190,6 @@ class TestSweep:
         _, rows = _rows(out)
         assert rows[0]["scheme"] == "SimpleDpq"
         assert float(rows[0]["rate_nats"]) == 0.0
-
-    def test_dpq_seed_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPQ_SEED", "42")
-        out = tmp_path / "s.csv"
-        assert main(["sweep", "--family", "simple", "--grid", "1",
-                     "-n", "20000", "--out", str(out)]) == EXIT_OK
-        _, rows = _rows(out)
-        assert rows[0]["seed"] == "42"
 
 
 class TestCsv:
@@ -313,37 +305,34 @@ class TestUsageErrors:
         ["bounds", "--units", "bits"],
         ["bounds", "--seed", "3"],
         ["bounds", "--workers", "2"],
+        # a pmf's curve is under Hamming cost, the one table: no --cost
         ["bounds", "--cost", "frobnicate"],
-        ["bounds", "--cost", "hamming"],  # a Gaussian source has no cost table
+        ["bounds", "--cost", "hamming"],
+        ["bounds", "--source", "pmf:0.5,0.5", "--cost", "hamming"],
         ["sweep", "--units", "bits", "--family", "simple", "--grid", "1",
          "-n", "10000"],
     ], ids=["bounds-units", "bounds-seed", "bounds-workers", "bounds-cost",
-            "bounds-cost-gaussian", "sweep-units"])
+            "bounds-cost-gaussian", "bounds-cost-pmf", "sweep-units"])
     def test_unused_option_exit(self, tmp_path, argv):
         out = tmp_path / "x.out"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,config,env", [
-        (["eval", "-n", "abc"], None, None),
-        (["eval", "--workers", "x"], None, None),
-        (["eval", "--seed", "x"], None, None),
-        (["sweep", "-n", "1e4"], None, None),
-        (["eval"], "n=abc", None),
-        (["eval"], "workers=x", None),
-        (["sweep"], "seed=x", None),
-        (["eval"], None, "abc"),
-        (["sweep"], None, "abc"),
+    @pytest.mark.parametrize("argv,config", [
+        (["eval", "-n", "abc"], None),
+        (["eval", "--workers", "x"], None),
+        (["eval", "--seed", "x"], None),
+        (["sweep", "-n", "1e4"], None),
+        (["eval"], "n=abc"),
+        (["eval"], "workers=x"),
+        (["sweep"], "seed=x"),
     ], ids=["eval-n", "eval-workers", "eval-seed", "sweep-n", "config-n",
-            "config-workers", "config-seed", "env-seed-eval", "env-seed-sweep"])
-    def test_non_integer_option_exit(self, tmp_path, monkeypatch, argv, config,
-                                     env):
+            "config-workers", "config-seed"])
+    def test_non_integer_option_exit(self, tmp_path, argv, config):
         if config is not None:
             cfgf = tmp_path / "run.cfg"
             cfgf.write_text(config + "\n")
             argv = argv + ["--config", str(cfgf)]
-        if env is not None:
-            monkeypatch.setenv("DPQ_SEED", env)
         out = tmp_path / "x.out"
         assert main(argv + ["--grid", "1"] * (argv[0] == "sweep")
                     + ["--out", str(out)]) == EXIT_USAGE
@@ -389,11 +378,6 @@ class TestUsageErrors:
         assert not out.exists()
         assert key in capsys.readouterr().err
 
-    def test_flag_seed_overrides_bad_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPQ_SEED", "abc")
-        assert main(["eval", "--seed", "4", "-n", "10000",
-                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
-
     @pytest.mark.parametrize("key,value", [
         ("check_bound", "off"), ("check_bound", "no"), ("check_bound", "False"),
         ("units", "furlongs"),
@@ -427,8 +411,7 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "b.csv")]) == EXIT_USAGE
         assert "absent.cfg" in capsys.readouterr().err
 
-    def test_config_defaults_stay_on_their_subcommand(self, monkeypatch):
-        monkeypatch.delenv("DPQ_SEED", raising=False)
+    def test_config_defaults_stay_on_their_subcommand(self):
         parser, commands = cli.build_parser()
         commands["eval"].set_defaults(seed="5", source="uniform:a=0,b=1")
         args = parser.parse_args(["sweep"])
@@ -451,6 +434,10 @@ class TestSchemeSpecs:
         rep = json.loads(out.read_text())
         assert rep["scheme"]["source"]["dim"] == 2
         assert rep["param"] == 0.5 and len(rep["ks_per_axis"]) == 2
+
+    def test_every_family_has_a_spec(self):
+        # the CLI's scheme grammar names the families that schemes.build makes
+        assert list(cli._SCHEMES) == list(FAMILIES)
 
     def test_defaults_and_reported_param(self, tmp_path):
         out = tmp_path / "r.json"

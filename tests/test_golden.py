@@ -1,86 +1,14 @@
 """Golden reports: every non-timing field of `evaluate` and `rd_sweep`.
 
-The literals below were captured before the scheme interface refactor and
-must not be edited to follow a code change: a refactor of the schemes or of
-the harness has to reproduce them bit for bit.  A deliberate change to the
-numbers a scheme produces regenerates them and says why in CHANGES.md.
-`transform_hex` was regenerated when the hexagonal cell integral moved to a
-chord rule: the same quadrature summed in another order, which moves its
-fields by at most 2e-15 and leaves the rate fields bit-identical.  It was
-regenerated again when each chord's 32-node sum became the closed-form
-`SourceModel.cdf_average`; the KS and rate fields stayed bit-identical and
-these moved in their last bits (old -> new):
+The literals below must not be edited to follow a code change: a refactor of
+the schemes or of the harness has to reproduce them bit for bit.  A
+deliberate change to the numbers a scheme produces regenerates them and says
+in CHANGES.md why, and each moved field's old and new value.
 
-    mse_per_dim              0.017117934122470358   -> 0.017117934122470355
-    mse_se                   0.0001086613817624127  -> 0.00010866138176241275
-    moment_errors.mean       -0.0001989005132883392 -> -0.00019890051328818643
-    moment_errors.skewness   -0.0015132001379919728 -> -0.001513200137990404
-    moment_errors.variance   -0.00858856610322778   -> -0.008588566103227446
-
-`evaluate` now computes the skewness as mean(z * z * z) in place of
-mean(z ** 3); the two round differently, so `moment_errors.skewness` moved
-by at most 2.8e-17 in six cases and every other field, and every field of
-`awgn_mean`, `sweep_simple` and `sweep_transform`, stayed bit-identical
-(old -> new):
-
-    resample_laplace   -0.17292131414776277  -> -0.17292131414776274
-    simple             0.008428634215444413  -> 0.008428634215444427
-    sweep_awgn         -0.001438647762227312 -> -0.0014386477622273133
-    sweep_resample     0.014518298905952139  -> 0.014518298905952144
-    transform_cube     0.024195928297395683  -> 0.024195928297395673
-    transform_hex      -0.001513200137990404 -> -0.0015132001379903983
-
-`resample_laplace` was regenerated once more when the Laplace icdf took
-log(2u) below u = 1/2, which moves the lower tail of its source samples in
-the last bits; its KS and rate fields stayed bit-identical (old -> new):
-
-    mse_per_dim              0.014759618104299594  -> 0.014759618104299576
-    mse_se                   0.0001610744371798666 -> 0.000161074437179867
-    moment_errors.mean       -0.013392789463406394 -> -0.013392789463406484
-    moment_errors.skewness   -0.17292131414776274  -> -0.1729213141477715
-    moment_errors.variance   -0.013007195287984441 -> -0.013007195287982887
-
-`transform_hex_inexact` runs the hexagonal path at scale 0.3, where the
-golden reports above, all at scale 0.5, cannot see a last-bit change in how
-the lattice points are formed.  It was captured from the nearest-point search
-that picks the smallest of four candidates with `np.lexsort`, and the
-two-coset tournament that replaced it reproduces it bit for bit.  Its second axis fails KS at this seed, as `sweep_awgn` does: a golden pins
-the numbers, not the verdict.
-
-Every report was regenerated when `evaluate` came to reduce each batch in
-its worker.  The moments are merged from per-batch (count, mean, M2, M3) in
-batch order, which moves `moment_errors` in their last bits, by at most
-4.5e-16.  The resample rate became the mean model codelength -log p(j) of
-the cells, which lacks the plug-in entropy's (K - 1)/2n downward bias:
-
-    resample_laplace  rate_nats_per_dim  2.8974556000142733   -> 2.9010127933747922
-                      rate_se            0.00871187098448499  -> 0.008776530905593759
-    sweep_resample    rate_nats_per_dim  2.117126183437216    -> 2.1182419535383064
-                      rate_se            0.005498269052409766 -> 0.005290627484466607
-
-Every KS field (now the KS distance of cdf(output) from U(0, 1)), every MSE
-field and every transform and AWGN rate stayed bit-identical.  CHANGES.md
-lists each moment field's old and new value.
-
-`transform_hex` and `transform_hex_inexact` were regenerated when the
-hexagon's Gaussian rule came to take 8 + ceil(2 s/sigma) Gauss-Legendre
-nodes per half-cell (9 at both scales) in place of 32, each sum formed
-once per mirror pair of chords.  Their rate fields stayed bit-identical;
-these moved by at most 4e-15 (old -> new):
-
-    transform_hex
-      ks_per_axis[1]           0.009522289885849022   -> 0.009522289885848911
-      moment_errors.mean       -0.00019890051328818662 -> -0.00019890051328797344
-      moment_errors.skewness   -0.0015132001379901487 -> -0.0015132001379884177
-      moment_errors.variance   -0.008588566103227446  -> -0.008588566103226891
-      mse_se                   0.00010866138176241275 -> 0.00010866138176241202
-    transform_hex_inexact
-      ks_per_axis[0]           0.008170137144904388   -> 0.008170137144904333
-      moment_errors.mean       -0.006045875027015721  -> -0.006045875027015413
-      moment_errors.skewness   0.022068216876804197   -> 0.022068216876808173
-      moment_errors.variance   0.007795605152729923   -> 0.007795605152731033
-      mse_per_dim              0.006197456142722284   -> 0.006197456142722288
-      mse_se                   3.5282117318635416e-05 -> 3.5282117318637314e-05
+`transform_hex_inexact` runs the hexagonal path at scale 0.3, where the other
+hexagon report, at scale 0.5, cannot see a last-bit change in how the lattice
+points are formed.  Its second axis fails KS at this seed, as `sweep_awgn`
+does: a golden pins the numbers, not the verdict.
 """
 
 import dataclasses
