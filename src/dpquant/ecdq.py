@@ -49,15 +49,20 @@ def ecdq_encode(lat: Lattice, dither, x) -> np.ndarray:
 
 
 def ecdq_decode(lat: Lattice, dither, indices) -> np.ndarray:
-    """The reconstruction x_hat = point(indices) - dither."""
-    return lat.point(indices) - np.asarray(dither, dtype=float)
+    """The reconstruction x_hat = point(indices) - dither, the dither
+    subtracted where the points lie."""
+    x_hat = lat.point(indices)
+    x_hat -= np.asarray(dither, dtype=float)
+    return x_hat
 
 
 def _index_counts(idx: np.ndarray) -> np.ndarray:
     """Counts of the distinct rows of an (n, k) integer array, rows ascending.
 
-    idx's first column is overwritten: the keys are formed in it in place, so
-    no n-sized key array is allocated.
+    idx is overwritten: the keys are formed in its first column in place, so
+    no n-sized key array is allocated.  For k >= 2 that column is strided,
+    which `np.bincount` would copy, so the keys are then moved into idx's
+    first n slots.
     """
     # one column at a time: a min over axis 0 of (n, k) is a strided
     # reduction, about 25 times slower
@@ -74,10 +79,27 @@ def _index_counts(idx: np.ndarray) -> np.ndarray:
         keys *= span
         keys += col
         keys -= m
+    if idx.shape[1] > 1:
+        keys = _compact(idx.reshape(-1), idx.shape[1], len(keys))
     if size <= len(keys):
         counts = np.bincount(keys)
         return counts[counts > 0]
     return np.unique(keys, return_counts=True)[1]
+
+
+def _compact(flat: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Move flat[::k][:n] into flat[:n] and return that contiguous view.
+
+    Slots [a, a*k) are written from the rows at a*k and above, which are not
+    yet overwritten, so no block overlaps its source and numpy copies each
+    without a buffer; k >= 2 takes about log_k(n) blocks.
+    """
+    a = 1  # flat[0] is the first key already
+    while a < n:
+        b = min(a * k, n)
+        flat[a:b] = flat[a * k:(b - 1) * k + 1:k]
+        a = b
+    return flat[:n]
 
 
 def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
@@ -97,11 +119,11 @@ def ecdq_rate_empirical(lattices: Iterable[Lattice], model: SourceModel,
 
     The histogram is counted on flat keys: each index column is shifted by
     its minimum and each row becomes one row-major int64 key, formed in place
-    in the spent index's first column.  The keys are
-    counted by `np.bincount` when the product of the column spans is at most
-    n, so the count array is never longer than the keys, and by a 1-D
-    `np.unique` otherwise.  Row-major keys sort like the rows themselves, so
-    either way the counts come out in the order of a row-wise
+    in the spent index's first column and moved into its first n slots.  The
+    keys are counted by `np.bincount` when the product of the column spans
+    is at most n, so the count array is never longer than the keys, and by
+    a 1-D `np.unique` otherwise.  Row-major keys sort like the rows
+    themselves, so either way the counts come out in the order of a row-wise
     `np.unique(axis=0)`.  An index span too wide for int64 keys raises
     ValueError.
     """

@@ -61,6 +61,11 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     n-sized array an evaluation keeps.  The moments pool every coordinate of
     the n outputs, merged in batch order; the variance is the population
     variance.
+
+    A worker holds at most three arrays of its batch's size: the sample,
+    the scheme's output and the squared error.  The sample is dropped
+    before the PIT's cdf and the moments, which form two each.  The resample
+    scheme adds its cells and their masses until it returns.
     """
     n, workers = _check_size(n, workers)
     [ecdq_rate] = _ecdq_rates([scheme], scheme.source, n, seed)
@@ -111,7 +116,12 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
         xt, payload = scheme.run(x, b)
-        mse = np.mean((x - xt) ** 2)
+        # squared where it lies, the difference has the bits of (x - xt) ** 2
+        err = x - xt
+        del x
+        err *= err
+        mse = np.mean(err)
+        del err
         xt = np.reshape(xt, (-1, k))
         pit[:, starts[b]:starts[b + 1]] = model.cdf(xt).T
         return mse, _batch_moments(xt.ravel()), payload

@@ -278,9 +278,11 @@ def ks_statistic(u) -> tuple[float, bool]:
     sample x against a continuous model: the cdf is monotone, so this is the
     KS distance of x from the model.  With u sorted, D_n is the larger of
     max(i/n - u_(i)) and max(u_(i) - (i-1)/n), formed in chunks of
-    `_KS_CHUNK`.  Returns (D_n, pass) where pass means D_n < 1.36/sqrt(n), the
-    asymptotic 5% critical value.  Refuses n < 20, where the asymptotic
-    threshold is invalid, and u outside [0, 1].
+    `_KS_CHUNK`.  A chunk holds one scratch array at a time: the steps
+    above it less u, then u less the steps below it.  Returns (D_n, pass)
+    where pass means D_n < 1.36/sqrt(n), the asymptotic 5% critical value.
+    Refuses n < 20, where the asymptotic threshold is invalid, and u outside
+    [0, 1].
 
     u is sorted into a copy only when it is not already ascending, which one
     chunked pass checks: an ascending float array is read where it lies, with
@@ -298,9 +300,25 @@ def ks_statistic(u) -> tuple[float, bool]:
     d = 0.0
     for lo in range(0, n, _KS_CHUNK):
         f = u[lo:lo + _KS_CHUNK]
-        grid = np.arange(lo, lo + f.size + 1) / n  # the steps i/n about f
-        d = max(d, float(np.max(grid[1:] - f)), float(np.max(f - grid[:-1])))
+        d = max(d, _ks_side(f, lo, n, above=True), _ks_side(f, lo, n, above=False))
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
+
+
+def _ks_side(f, lo: int, n: int, above: bool) -> float:
+    """max(i/n - f) over the steps i/n above the chunk f = u[lo:], or
+    max(f - i/n) over those below it, formed in one float array.
+
+    The float ``arange`` holds exact integers, so the steps have the bits of
+    ``np.arange(lo, lo + f.size + 1) / n``.
+    """
+    start = lo + 1 if above else lo
+    gaps = np.arange(start, start + f.size, dtype=float)
+    gaps /= n
+    if above:
+        gaps -= f
+    else:
+        np.subtract(f, gaps, out=gaps)
+    return float(gaps.max())
 
 
 def _ascending(u) -> bool:

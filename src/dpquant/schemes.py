@@ -42,6 +42,9 @@ __all__ = [
 # stream tags, to keep the seed-derived streams of different roles disjoint
 _TAG_SCHEME = 2
 _TAG_DITHER = 3
+# rows of a resample batch placed in their cells, inverted and clipped at a
+# time, so that each block array is 128 KB
+_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,10 @@ class ResampleDpq:
 
     def run(self, x, block):
         _, mass, x_tilde = resample_dpq(self, x, block)
-        codelength = float(np.mean(-np.log(mass)))
-        return x_tilde.reshape(np.shape(x)), (codelength, mass.size)
+        # -log p(j) where the masses lie, as they are this batch's own
+        np.log(mass, out=mass)
+        np.negative(mass, out=mass)
+        return x_tilde.reshape(np.shape(x)), (float(np.mean(mass)), mass.size)
 
     def rate(self, payloads):
         """Mean model codelength -log p(j) of the cells; SE from the batches.
@@ -196,13 +201,23 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
     restricted to the cell, so its marginal is exactly the source law.
     Returns (cell indices, cell masses p(j), x_tilde), each flat.  NaN, inf
     and any |x| >= 2**51 step are refused, as `Lattice.nearest_point` does.
+
+    Besides those three, the one array of x's size formed is the cells'
+    float form.  x_tilde holds the uniform draw, and is placed in its cell,
+    inverted and clipped where it lies, `_ROWS` rows at a time; the
+    masses are gathered from the edge table once it is done, or written
+    block by block when priced per sample.
     """
     x = np.asarray(x, dtype=float).ravel()
     step = scheme.step
     check_range(x, step)
-    j = np.floor(x / step).astype(np.int64)
+    j = x / step
+    j = np.floor(j, out=j).astype(np.int64)
     cdf = scheme.source.cdf
     table = j.size > 0 and j.max() - j.min() + 2 <= j.size
+    mass = None if table else np.empty(x.size)
+    # `cell(jb)` is (cdf at the lower edges, masses) of a block of cells jb,
+    # `bounds(jb)` their lower edges and the floats below their upper edges
     if table:
         # price each distinct cell edge once; float(j) * step is the product
         # the per-sample form takes, so both forms agree bit for bit.  j is
@@ -211,30 +226,42 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
         edges = np.arange(j0, j.max() + 2) * step
         j -= j0
         f = np.asarray(cdf(edges))
-        fa, mass = f[j], np.diff(f)[j]
+        cell_mass, top = np.diff(f), np.nextafter(edges[1:], -np.inf)
+
+        def cell(jb):
+            return f[jb], cell_mass[jb]
+
+        def bounds(jb):
+            return edges[jb], top[jb]
     else:
         # more edges than rows (a tiny step or a heavy tail): price per sample
-        fa = np.asarray(cdf(j * step))
-        mass = np.asarray(cdf((j + 1) * step))
-        mass -= fa
+        def cell(jb):
+            fa = np.asarray(cdf(jb * step))
+            m = np.asarray(cdf((jb + 1) * step))
+            m -= fa
+            return fa, m
+
+        def bounds(jb):
+            hi = (jb + 1) * step
+            return jb * step, np.nextafter(hi, -np.inf, out=hi)
+
+    x_tilde = stream_rng(scheme.seed, _TAG_SCHEME, block).random(x.shape)
+    for lo in range(0, x.size, _ROWS):
+        jb, u = j[lo:lo + _ROWS], x_tilde[lo:lo + _ROWS]
+        fa, m = cell(jb)
+        if mass is not None:
+            mass[lo:lo + _ROWS] = m
+        u *= m
+        u += fa  # the bits of fa + mass * r
+        del fa, m
+        u[...] = scheme.source.icdf(u)
+        # clip against icdf clamping at the far tails: each row to its cell
+        np.clip(u, *bounds(jb), out=u)
+    if table:
+        mass = cell_mass[j]
+        j += j0
     if np.any(mass <= 0):
         raise ValueError("zero-probability base cell encountered")
-    # each batch-sized array is formed in place and dropped once spent
-    u = stream_rng(scheme.seed, _TAG_SCHEME, block).random(x.shape)
-    u *= mass
-    u += fa  # the bits of fa + mass * r
-    del fa
-    x_tilde = np.asarray(scheme.source.icdf(u))
-    del u
-    # clip against icdf clamping at the far tails: each row to its cell,
-    # [lower edge, the float below the upper edge]
-    if table:
-        lo, hi = edges[j], np.nextafter(edges[1:], -np.inf)[j]
-        j += j0
-    else:
-        lo, hi = j * step, (j + 1) * step
-        np.nextafter(hi, -np.inf, out=hi)
-    np.clip(x_tilde, lo, hi, out=x_tilde)
     return j, mass, x_tilde
 
 
@@ -268,5 +295,12 @@ def awgn_oracle_apply(scheme: AwgnOracle, x, block: int = 0) -> np.ndarray:
     _check_finite(x)
     mu, var = scheme.source.mean(), scheme.source.variance()
     rng = stream_rng(scheme.seed, _TAG_SCHEME, block)
-    noise = rng.standard_normal(x.shape) * math.sqrt(scheme.noise_var)
-    return math.sqrt(var / (var + scheme.noise_var)) * (x - mu + noise) + mu
+    noise = rng.standard_normal(x.shape)
+    noise *= math.sqrt(scheme.noise_var)
+    # each step of the expression above in place, with its bits
+    x_tilde = x - mu
+    x_tilde += noise
+    del noise
+    x_tilde *= math.sqrt(var / (var + scheme.noise_var))
+    x_tilde += mu
+    return x_tilde

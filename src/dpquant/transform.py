@@ -170,9 +170,15 @@ def dpq_transform(model: SourceModel, lat: Lattice, x_hat):
 
     g_i(x_hat) = F_i^{-1}(smoothed conditional cdf of coordinate i).  For a
     product source over a cubic lattice the coordinates decouple; the
-    hexagonal lattice conditions coordinate 1 on coordinate 0.
+    hexagonal lattice conditions coordinate 1 on coordinate 0.  The smoothed
+    cdf is inverted where it lies, `_BLOCK_FLOATS` at a time, each block
+    through `SourceModel.icdf`, whose copy is then one block.
     """
-    return np.asarray(model.icdf(smoothed_cdf(model, lat, x_hat)))
+    u = smoothed_cdf(model, lat, x_hat)
+    flat = u.ravel(order="K")  # a view: smoothed_cdf's result is fresh
+    for lo in range(0, flat.size, _BLOCK_FLOATS):
+        flat[lo:lo + _BLOCK_FLOATS] = model.icdf(flat[lo:lo + _BLOCK_FLOATS])
+    return u
 
 
 def gaussian_smoothed_transform(model: SourceModel, eta: float, x_hat):

@@ -209,6 +209,23 @@ class TestIndexHistogram:
         assert np.array_equal(idx, shifted)
         assert peak < 0.25 * 8 * n
 
+    def test_two_columns_counted_in_place(self):
+        # the keys are formed in the strided first column and moved into the
+        # index's first n slots, so np.bincount reads them without a copy:
+        # counting the strided column allocated 0.50x here
+        n, k = 200_000, 2
+        x = stream_rng(18, 0).standard_normal((n, k)) * 3
+        idx = hexagonal(0.5).nearest_index(x)
+        want = _rowwise_counts(idx)
+        tracemalloc.start()
+        try:
+            got = _index_counts(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 0.05 * 8 * n * k
+
     def test_two_column_rate_pass_traced_peak(self):
         # the hexagon's keys are formed in the index's first column; building
         # them from temporaries (keys * span, col - m, their sum) read 3.00x

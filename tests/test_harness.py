@@ -142,14 +142,24 @@ class TestEvaluate:
 class TestMemory:
     # evaluate keeps one n-sized array, the (k, n) PIT, sorted in place for
     # KS; a sorted copy of a PIT row for KS alone would read 2.2x here.  The
-    # rest of the peak is the batches' working arrays, n / 20 rows each.
+    # rest of the peak is each worker's batch arrays, n / 20 rows each: the
+    # sample, the output and one scratch array, and the resample scheme's
+    # cells and masses besides, with its blocks of 16 384 rows.  At n = 1e6
+    # that reads 1.15x for simple and awgn and 1.21x for resample at one
+    # worker; at two, where the workers' peaks may coincide, 1.29-1.32x,
+    # 1.26-1.31x and 1.39-1.41x.  Forming (x - xt) ** 2 and the resample
+    # scheme's gathers, inverse cdf and clip bounds whole read 1.42x,
+    # 1.31-1.41x and 1.56-1.61x at two workers.
     @pytest.mark.parametrize("scheme, workers", [
         (SimpleDpq(gaussian(0, 1), 0), 1),
+        (SimpleDpq(gaussian(0, 1), 0), 2),
         (ResampleDpq(gaussian(0, 1), 0, 0.1), 1),
         (ResampleDpq(gaussian(0, 1), 0, 0.1), 2),
         (AwgnOracle(gaussian(0, 1), 0, 1.0), 1),
-    ], ids=["simple", "resample", "resample-2-workers", "awgn"])
-    def test_traced_peak_below_1_75_pit_sizes(self, scheme, workers):
+        (AwgnOracle(gaussian(0, 1), 0, 1.0), 2),
+    ], ids=["simple", "simple-2-workers", "resample", "resample-2-workers",
+            "awgn", "awgn-2-workers"])
+    def test_traced_peak_below_1_5_pit_sizes(self, scheme, workers):
         n = 1_000_000
         tracemalloc.start()
         try:
@@ -157,7 +167,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * 8 * n * scheme.source.dim
+        assert peak < 1.5 * 8 * n * scheme.source.dim
 
     # The cube transform's full evaluate, with the rate pass's 16 fresh
     # samples: the sample and its int64 index, whose histogram keys are
