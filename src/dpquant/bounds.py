@@ -106,9 +106,10 @@ def rdf_gaussian(var: float, d: float) -> float:
 
 
 def slb_mse(model: SourceModel, d: float) -> float:
-    """Shannon lower bound under MSE: h(X) - (1/2) ln(2 pi e D), floored at 0."""
-    if not math.isfinite(d):
-        raise ValueError("need a finite d")
+    """Shannon lower bound under MSE: h(X) - (1/2) ln(2 pi e D), floored at 0.
+    D = 0 returns +inf."""
+    if not 0 <= d < math.inf:
+        raise ValueError("need a finite d >= 0")
     if d <= 0:
         return math.inf
     return max(0.0, model.diff_entropy() - 0.5 * math.log(2 * math.pi * math.e * d))

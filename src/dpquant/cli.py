@@ -24,7 +24,7 @@ import numpy as np
 
 from . import schemes as sch
 from .bounds import (check_pmf, discrete_dp_rdf_curve, dp_rdf_gaussian,
-                     rdf_gaussian, slb_mse)
+                     rdf_gaussian)
 from .harness import MIN_N, compare_to_bound, evaluate, rd_sweep
 from .lattice import hexagonal, scaled_integer
 from .prob import Family, SourceModel, gaussian, laplace, uniform
@@ -209,8 +209,8 @@ def _curve_row(d: float, rate: float, name: str) -> str:
 def cmd_bounds(args) -> int:
     """Bound curves, one `D,rate_nats,rate_bits,source` row per (D, curve):
     the solver's dp_rdf_discrete points for a pmf under Hamming cost, by
-    distortion; for a Gaussian, the closed forms dp_rdf, rdf and slb at each
-    --dgrid value."""
+    distortion; for a Gaussian, the closed forms dp_rdf and rdf at each
+    --dgrid value (its Shannon lower bound is its rdf)."""
     cfg = _options(args)
     src = _build("source", cfg["source"], _SOURCES)
     if not isinstance(src, SourceModel):  # a pmf: solver-traced curve
@@ -227,10 +227,8 @@ def cmd_bounds(args) -> int:
     var = src.variance()
     rows = []
     for d in _parse_grid(cfg["dgrid"]):
-        curves = {"dp_rdf": dp_rdf_gaussian(var, d),
-                  "rdf": rdf_gaussian(var, d),
-                  "slb": slb_mse(src, d)}
-        rows += [_curve_row(d, r, name) for name, r in curves.items()]
+        rows += [_curve_row(d, dp_rdf_gaussian(var, d), "dp_rdf"),
+                 _curve_row(d, rdf_gaussian(var, d), "rdf")]
     _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
     return EXIT_OK
 
@@ -252,12 +250,11 @@ def cmd_eval(args) -> int:
     check_bound = cfg["check_bound"] in ("1", "true")
     if check_bound and scheme.source.family is not Family.GAUSSIAN:
         raise UsageError("--check-bound needs a Gaussian source")
-    scale = 1.0 / _LN2 if cfg["units"] == "bits" else 1.0
     report = evaluate(scheme, cfg["n"], cfg["seed"], workers=cfg["workers"])
     payload = asdict(report)
     payload["config"] = {k: str(v) for k, v in cfg.items()}
     payload["param"] = param
-    payload["rate_reported"] = report.rate_nats_per_dim * scale
+    payload["rate_bits_per_dim"] = report.rate_nats_per_dim / _LN2
     with open(cfg["out"], "w") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -325,8 +322,6 @@ def build_parser():
                    help="simple | resample:step=D | transform | awgn:eta2=V")
     e.add_argument("--lattice", default="cube:step=0.1",
                    help="cube:step=D[,dim=K] | hex:scale=S")
-    e.add_argument("--units", type=_one_of("units", "nats", "bits"),
-                   default="nats", help="nats | bits")
     e.add_argument("--check-bound", dest="check_bound", action=_Switch,
                    type=_one_of("check_bound", "", "0", "1", "false", "true"),
                    default="0")

@@ -237,10 +237,12 @@ def _report_source(report: EvalReport) -> SourceModel:
 def compare_to_bound(report: EvalReport) -> dict:
     """Check a report against the Gaussian DP-RDF lower bound.
 
-    margin = rate - bound(measured mse).  The tolerance is 3x the combined
-    standard error: the rate SE plus (by the delta method) the mse SE
-    propagated through the bound's slope, so that schemes whose rate is
-    analytic (zero SE) do not false-alarm from mse noise alone.
+    margin = rate - bound(measured mse), and 0 where the two are equal: a
+    lossless scheme's rate and the bound at D = 0 are both +inf.  The
+    tolerance is 3x the combined standard error: the rate SE plus (by the
+    delta method) the mse SE propagated through the bound's slope, so that
+    schemes whose rate is analytic (zero SE) do not false-alarm from mse
+    noise alone.
     """
     model = _report_source(report)
     if model.family is not Family.GAUSSIAN:
@@ -248,7 +250,8 @@ def compare_to_bound(report: EvalReport) -> dict:
     var = model.variance()
     d = report.mse_per_dim
     bound = dp_rdf_gaussian(var, d)
-    margin = report.rate_nats_per_dim - bound
+    rate = report.rate_nats_per_dim
+    margin = 0.0 if rate == bound else rate - bound
     tol = 3.0 * math.sqrt(report.rate_se ** 2
                           + (_dp_rdf_slope(var, d) * report.mse_se) ** 2)
     return {"above_bound": bool(margin >= -tol),

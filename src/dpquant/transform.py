@@ -89,7 +89,9 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     conditioned on coordinate 0, both integrated along the cell's chords,
     each chord's cdf average in closed form (`SourceModel.cdf_average`).  The
     two chords of a mirror pair share their weight and half-chord, so each
-    sum is formed once per pair.
+    sum is formed once per pair.  An output of a bounded source within
+    s/2 - max(a) of its outer limit has no chord node inside the support;
+    coordinate 1 then takes the cdf average over the cell's edge chord.
     """
     if model.dim != lat.dim:
         raise ValueError("base model and cell dimension mismatch")
@@ -109,6 +111,8 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
         a, h, w = _hex_nodes(lat.step, _hex_node_count(model, lat.step))
         wh = w * h
         two_by_vol = 2.0 / lat.cell_volume
+        edge = lat.step / 2.0  # the cell's vertical edges, at |a| = s/2,
+        edge_h = edge / math.sqrt(3.0)  # have this half-chord
 
         def average(xb):
             x1, x2 = xb[:, 0, None], xb[:, 1, None]
@@ -116,9 +120,16 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
                                      axis=-1)
             f1 = wh * (model.pdf(x1 - a) + model.pdf(x1 + a))
             den = np.sum(f1, axis=-1)
-            if np.any(den < 1e-300):
-                raise ValueError("conditioning value outside the source support")
             num = np.sum(f1 * model.cdf_average(x2 - h, x2 + h), axis=-1)
+            lost = den < 1e-300  # no node inside the source support
+            if np.any(lost):
+                # A row whose cell edge reaches the support takes the ratio's
+                # limit as the last node leaves it: the edge chord's average.
+                y1, y2 = xb[lost, 0], xb[lost, 1]
+                if not np.all((model.pdf(y1 - edge) > 0) | (model.pdf(y1 + edge) > 0)):
+                    raise ValueError("conditioning value outside the source support")
+                num[lost] = model.cdf_average(y2 - edge_h, y2 + edge_h)
+                den[lost] = 1.0
             return np.column_stack([u1, num / den])
 
         xb = x_hat.reshape(-1, 2)

@@ -79,6 +79,9 @@ class TestSlb:
     def test_zero_at_variance(self):
         assert slb_mse(gaussian(0, 1), 1.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_infinite_at_zero_distortion(self):
+        assert slb_mse(gaussian(0, 1), 0.0) == math.inf
+
     def test_quartering_identity_before_floor(self):
         # R(4D) = R(D) - ln 2 wherever the floor is inactive
         m = gaussian(0, 1)
@@ -123,7 +126,7 @@ class TestNonFiniteRefused:
         with pytest.raises(ValueError):
             rdf_gaussian(var, d)
 
-    @pytest.mark.parametrize("d", [NAN, INF])
+    @pytest.mark.parametrize("d", [NAN, INF, -1.0])
     def test_slb_mse(self, d):
         with pytest.raises(ValueError):
             slb_mse(gaussian(0, 1), d)

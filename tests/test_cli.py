@@ -136,6 +136,21 @@ class TestEval:
         assert rep["rate_nats_per_dim"] == pytest.approx(0.3466, abs=1e-4)
         assert rep["mse_per_dim"] == pytest.approx(0.5858, abs=0.005)
 
+    def test_rate_in_bits(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "awgn:eta2=1", "-n", "10000",
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["rate_bits_per_dim"] == rep["rate_nats_per_dim"] / math.log(2)
+
+    def test_lossless_check_bound_exit(self, tmp_path, capsys):
+        # the identity map's rate and the DP-RDF at D = 0 are both +inf: the
+        # margin was inf - inf = nan, and the check failed with exit 3
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "awgn:eta2=0", "-n", "10000",
+                     "--check-bound", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_check_bound_failure_exit(self, tmp_path, monkeypatch):
         import dpquant.cli as cli
         monkeypatch.setattr(cli, "compare_to_bound",
@@ -201,9 +216,9 @@ class TestCsv:
                              "# source=gaussian:var=1",
                              "D,rate_nats,rate_bits,source"]
         body = [l.split(",") for l in lines[4:]]
-        # each D has 3 curves: dp_rdf, rdf, slb
-        assert len(body) == 6
-        assert [r[3] for r in body if r[0] == "2"] == ["dp_rdf", "rdf", "slb"]
+        # each D has 2 curves: dp_rdf and rdf, which is a Gaussian's SLB
+        assert len(body) == 4
+        assert [r[3] for r in body] == ["dp_rdf", "rdf"] * 2
         dp_row = next(r for r in body if r[0] == "0.5" and r[3] == "dp_rdf")
         assert float(dp_row[1]) == pytest.approx(
             -0.5 * math.log(0.5 - 0.0625), rel=1e-9)
@@ -311,8 +326,11 @@ class TestUsageErrors:
         ["bounds", "--source", "pmf:0.5,0.5", "--cost", "hamming"],
         ["sweep", "--units", "bits", "--family", "simple", "--grid", "1",
          "-n", "10000"],
+        # the report carries the rate in nats and in bits
+        ["eval", "--units", "bits", "--scheme", "simple", "-n", "10000"],
     ], ids=["bounds-units", "bounds-seed", "bounds-workers", "bounds-cost",
-            "bounds-cost-gaussian", "bounds-cost-pmf", "sweep-units"])
+            "bounds-cost-gaussian", "bounds-cost-pmf", "sweep-units",
+            "eval-units"])
     def test_unused_option_exit(self, tmp_path, argv):
         out = tmp_path / "x.out"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
@@ -366,11 +384,13 @@ class TestUsageErrors:
         (["bounds"], "workers"),
         (["bounds"], "units"),
         (["bounds"], "n"),
+        (["eval", "--scheme", "simple", "-n", "10000"], "units"),
     ], ids=["sweep-units", "sweep-lattice", "eval-family", "eval-dgrid",
-            "bounds-seed", "bounds-workers", "bounds-units", "bounds-n"])
+            "bounds-seed", "bounds-workers", "bounds-units", "bounds-n",
+            "eval-units"])
     def test_unread_config_key_exit(self, tmp_path, capsys, argv, key):
         cfgf = tmp_path / "run.cfg"
-        value = {"units": "furlongs", "lattice": "hex:scale=1",
+        value = {"units": "bits", "lattice": "hex:scale=1",
                  "family": "simple", "dgrid": "0.1"}.get(key, "2")
         cfgf.write_text(f"{key}={value}\n")
         out = tmp_path / "x.out"
@@ -380,8 +400,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("check_bound", "off"), ("check_bound", "no"), ("check_bound", "False"),
-        ("units", "furlongs"),
-    ], ids=["check-bound-off", "check-bound-no", "check-bound-False", "units"])
+    ], ids=["check-bound-off", "check-bound-no", "check-bound-False"])
     def test_bad_config_value_exit(self, tmp_path, capsys, key, value):
         # check_bound=off, no or False turned the bound check on
         cfgf = tmp_path / "run.cfg"

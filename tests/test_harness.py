@@ -279,6 +279,13 @@ class TestCompareToBound:
         rep = evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100_000, seed=5)
         assert compare_to_bound(rep)["above_bound"]
 
+    def test_lossless_scheme_on_bound(self):
+        # rate +inf at mse 0 is the DP-RDF's D = 0 end: margin 0, not nan
+        rep = evaluate(AwgnOracle(gaussian(0, 1), 0, 0.0), MIN_N, seed=1)
+        assert rep.rate_nats_per_dim == math.inf and rep.mse_per_dim == 0.0
+        out = compare_to_bound(rep)
+        assert out["above_bound"] is True and out["margin_nats"] == 0.0
+
     def test_non_gaussian_refused(self, transform_report):
         d = dataclasses.asdict(transform_report)
         d["scheme"]["source"]["family"] = "uniform"

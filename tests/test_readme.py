@@ -35,7 +35,7 @@ OUTPUTS = {
     "dpq bounds --source pmf:0.5,0.5 --out binary.csv":
         (None, {"binary.csv": "d1e6174fec10836e"}),
     "dpq eval --scheme transform --lattice cube:step=0.1 --source gaussian:var=1"
-    " -n 100000 --seed 7 --check-bound --units bits --out report.json":
+    " -n 100000 --seed 7 --check-bound --out report.json":
         (None, {"report.json": "b19581447e9563d3"}),
     "dpq sweep --family transform --grid 0.05,0.1,0.2,0.5,1,2,4 -n 100000"
     " --seed 0 --workers 4 --out sweep.csv":
@@ -49,7 +49,7 @@ OUTPUTS = {
         ("source=gaussian:mean=1,var=2\ndgrid=0.1,0.5,1\n",
          {"bounds.csv": "b50c9c462d16610a"}),
     "dpq eval --config run.cfg --seed 5":
-        ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\nunits=bits\ncheck_bound=1\n"
+        ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\ncheck_bound=1\n"
          "workers=2\nout=awgn.json\n",
          {"awgn.json": "546bda72017fc900"}),
     "dpq sweep --config run.cfg --grid 0.5,2":

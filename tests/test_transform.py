@@ -12,6 +12,7 @@ from dpquant.ecdq import ecdq_encode
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, ks_statistic, laplace, uniform
 from dpquant.rng import stream_rng
+from dpquant.schemes import TransformDpq
 from dpquant import transform
 from dpquant.transform import (BivariateGaussian, dpq_transform,
                                gaussian_smoothed_transform, smoothed_cdf)
@@ -233,6 +234,15 @@ class TestSmoothedCdf:
         with pytest.raises(ValueError):
             smoothed_cdf(uniform(0, 1, dim=2), hexagonal(0.2),
                          np.array([50.0, 0.5]))
+
+    def test_hex_outputs_beyond_last_node_reachable(self):
+        # At s = 0.5 the outermost chord node sits 3.4e-4 inside the cell's
+        # edge.  An output x_hat1 within that gap of 1 + s/2 has no node in
+        # the uniform's support, and was refused as out of support.
+        scheme = TransformDpq(uniform(0, 1, dim=2), 8, hexagonal(0.5))
+        x = np.tile([1 - 1e-9, 0.5], (100_000, 1))
+        out, _ = scheme.run(x, 0)
+        assert np.all((out >= 0) & (out <= 1))
 
 
 class TestRosenblatt:
