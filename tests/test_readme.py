@@ -31,12 +31,12 @@ COMMANDS = _cli_commands()
 # options read from a config file.
 OUTPUTS = {
     "dpq bounds --source gaussian:var=1 --dgrid 0.01:2:200 --out bounds.csv":
-        (None, {"bounds.csv": "a4ead66c295ba572"}),
+        (None, {"bounds.csv": "3bab62bcc9a44b96"}),
     "dpq bounds --source pmf:0.5,0.5 --out binary.csv":
         (None, {"binary.csv": "d1e6174fec10836e"}),
     "dpq eval --scheme transform --lattice cube:step=0.1 --source gaussian:var=1"
     " -n 100000 --seed 7 --check-bound --out report.json":
-        (None, {"report.json": "b19581447e9563d3"}),
+        (None, {"report.json": "d21bf713ccfcdaaa"}),
     "dpq sweep --family transform --grid 0.05,0.1,0.2,0.5,1,2,4 -n 100000"
     " --seed 0 --workers 4 --out sweep.csv":
         (None, {"sweep.csv": "c42bb595f2d20691"}),
@@ -44,14 +44,14 @@ OUTPUTS = {
         (None, {"ternary.csv": "afe70fc4d1d763e5"}),
     "dpq eval --scheme transform --lattice hex:scale=0.5 -n 10000 --seed 3"
     " --out hex.json":
-        (None, {"hex.json": "41b062be103b70dc"}),
+        (None, {"hex.json": "82ccf397d59dd40f"}),
     "dpq bounds --config run.cfg":
         ("source=gaussian:mean=1,var=2\ndgrid=0.1,0.5,1\n",
-         {"bounds.csv": "b50c9c462d16610a"}),
+         {"bounds.csv": "46e7e6860ce53b30"}),
     "dpq eval --config run.cfg --seed 5":
         ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\ncheck_bound=1\n"
          "workers=2\nout=awgn.json\n",
-         {"awgn.json": "546bda72017fc900"}),
+         {"awgn.json": "3e43abcd7814379e"}),
     "dpq sweep --config run.cfg --grid 0.5,2":
         ("family=resample\nsource=laplace:scale=2\nn=10000\nseed=4\n",
          {"sweep.csv": "845d8c42f4c1e9b3"}),
