@@ -110,7 +110,7 @@ def slb_mse(model: SourceModel, d: float) -> float:
     D = 0 returns +inf."""
     if not 0 <= d < math.inf:
         raise ValueError("need a finite d >= 0")
-    if d <= 0:
+    if d == 0:
         return math.inf
     return max(0.0, model.diff_entropy() - 0.5 * math.log(2 * math.pi * math.e * d))
 

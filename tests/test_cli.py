@@ -134,14 +134,8 @@ class TestEval:
                      "--seed", "0", "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["rate_nats_per_dim"] == pytest.approx(0.3466, abs=1e-4)
-        assert rep["mse_per_dim"] == pytest.approx(0.5858, abs=0.005)
-
-    def test_rate_in_bits(self, tmp_path):
-        out = tmp_path / "r.json"
-        assert main(["eval", "--scheme", "awgn:eta2=1", "-n", "10000",
-                     "--out", str(out)]) == EXIT_OK
-        rep = json.loads(out.read_text())
         assert rep["rate_bits_per_dim"] == rep["rate_nats_per_dim"] / math.log(2)
+        assert rep["mse_per_dim"] == pytest.approx(0.5858, abs=0.005)
 
     def test_lossless_check_bound_exit(self, tmp_path, capsys):
         # the identity map's rate and the DP-RDF at D = 0 are both +inf: the
