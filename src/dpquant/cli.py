@@ -234,26 +234,25 @@ def cmd_bounds(args) -> int:
 
 
 def _build_scheme(cfg, seed):
-    """(scheme, parameter) from the `--scheme`, `--source`, `--lattice` specs."""
+    """The scheme the `--scheme`, `--source` and `--lattice` specs name."""
     name, values = _parse_spec("scheme", cfg["scheme"], _SCHEMES)
     src = _continuous_source(cfg["source"], "eval")
-    if name == "transform":  # its parameter is a lattice, reported by its step
+    if name == "transform":  # its parameter is a lattice
         lat = _build("lattice", cfg["lattice"], _LATTICES)
-        return sch.build(name, replace(src, dim=lat.dim), seed, lat), lat.step
+        return sch.build(name, replace(src, dim=lat.dim), seed, lat)
     param = next(iter(values.values()), _SCHEMES[name][0])  # given, or default
-    return sch.build(name, src, seed, param), param
+    return sch.build(name, src, seed, param)
 
 
 def cmd_eval(args) -> int:
     cfg = _options(args)
-    scheme, param = _build_scheme(cfg, cfg["seed"])
+    scheme = _build_scheme(cfg, cfg["seed"])
     check_bound = cfg["check_bound"] in ("1", "true")
     if check_bound and scheme.source.family is not Family.GAUSSIAN:
         raise UsageError("--check-bound needs a Gaussian source")
     report = evaluate(scheme, cfg["n"], cfg["seed"], workers=cfg["workers"])
     payload = asdict(report)
     payload["config"] = {k: str(v) for k, v in cfg.items()}
-    payload["param"] = param
     payload["rate_bits_per_dim"] = report.rate_nats_per_dim / _LN2
     with open(cfg["out"], "w") as f:
         json.dump(payload, f, sort_keys=True, indent=2)

@@ -33,7 +33,7 @@ _TAG_SOURCE = 1
 
 @dataclass(frozen=True)
 class EvalReport:
-    scheme: dict
+    scheme: dict               # kind, seed, source, the other scheme fields
     n: int
     seed: int
     rate_nats_per_dim: float
@@ -91,7 +91,7 @@ def _ecdq_rates(schemes, model: SourceModel, n: int, seed: int) -> list:
     the same draws of `model`, and each scheme is charged an equal share of
     its seconds.
     """
-    lats = [s.lat for s in schemes if isinstance(s, TransformDpq)]
+    lats = [s.lattice for s in schemes if isinstance(s, TransformDpq)]
     if not lats:
         return [None] * len(schemes)
     t0 = time.perf_counter()
@@ -155,9 +155,11 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
 
     source = {"family": model.family.value, "params": list(model.params),
               "dim": model.dim}
+    params = {k: v for k, v in dataclasses.asdict(scheme).items()
+              if k not in ("source", "seed")}
     return EvalReport(
         scheme={"kind": type(scheme).__name__, "seed": seed, "source": source,
-                **scheme.describe()},
+                **params},
         n=n, seed=seed,
         rate_nats_per_dim=float(rate), rate_se=float(rate_se),
         mse_per_dim=mse, mse_se=mse_se,

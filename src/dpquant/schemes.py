@@ -1,10 +1,11 @@
 """Quantizer-ensemble implementations.
 
-Four kinds behind one interface, ``run(x, block) -> (x_tilde, payload)``,
-``rate(payloads) -> (nats per dimension, se)`` and ``describe()``: the
-zero-rate synthesis scheme, resampling within the cells of a scalar quantizer,
-the transformation-based scheme built on ECDQ, and the scaled-AWGN
-construction that sits exactly on the Gaussian DP-RDF.  A payload is a batch
+Four kinds behind one interface, ``run(x, block) -> (x_tilde, payload)``
+and ``rate(payloads) -> (nats per dimension, se)``: the zero-rate synthesis
+scheme, resampling within the cells of a scalar quantizer, the
+transformation-based scheme built on ECDQ, and the scaled-AWGN construction
+that sits exactly on the Gaussian DP-RDF.  A scheme's parameters are its
+dataclass fields, which the harness reports.  A payload is a batch
 statistic or None, never a per-sample array.  Encoder and decoder
 rebuild the shared randomness from the same 64-bit seed; decoding never sees
 the source.
@@ -12,7 +13,7 @@ the source.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -58,9 +59,6 @@ class SimpleDpq:
     def rate(self, payloads):
         return 0.0, 0.0
 
-    def describe(self) -> dict:
-        return {}
-
 
 @dataclass(frozen=True)
 class ResampleDpq:
@@ -92,18 +90,15 @@ class ResampleDpq:
         se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
         return float(np.average(means, weights=rows)), se
 
-    def describe(self) -> dict:
-        return {"step": self.step}
-
 
 @dataclass(frozen=True)
 class TransformDpq:
     source: SourceModel
     seed: int
-    lat: Lattice
+    lattice: Lattice
 
     def __post_init__(self):
-        if self.source.dim != self.lat.dim:
+        if self.source.dim != self.lattice.dim:
             raise ValueError("source and lattice dimension mismatch")
 
     def run(self, x, block):
@@ -115,14 +110,11 @@ class TransformDpq:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         z = _block_dithers(self, len(x), block)
-        indices = self.lat.nearest_index(x, z)
+        indices = self.lattice.nearest_index(x, z)
         return _reconstruct(self, indices, z), None
 
     def rate(self, payloads):
         raise NotImplementedError("harness.evaluate measures the ECDQ rate")
-
-    def describe(self) -> dict:
-        return {"lattice": asdict(self.lat)}
 
 
 @dataclass(frozen=True)
@@ -145,9 +137,6 @@ class AwgnOracle:
         if self.noise_var == 0:
             return math.inf, 0.0
         return awgn_oracle_point(self.source.variance(), self.noise_var).rate, 0.0
-
-    def describe(self) -> dict:
-        return {"noise_var": self.noise_var}
 
 
 def _transform(source: SourceModel, seed: int, lat) -> TransformDpq:
@@ -267,14 +256,14 @@ def resample_dpq(scheme: ResampleDpq, x, block: int = 0):
 
 def _block_dithers(scheme: TransformDpq, n: int, block: int) -> np.ndarray:
     rng = stream_rng(scheme.seed, _TAG_DITHER, block)
-    return scheme.lat.sample_dither(rng, n)
+    return scheme.lattice.sample_dither(rng, n)
 
 
 def transform_dpq_encode(scheme: TransformDpq, x, block: int = 0) -> np.ndarray:
     """ECDQ encode with the seed-derived dither stream for this block."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = _block_dithers(scheme, len(x), block)
-    return ecdq_encode(scheme.lat, z, x)
+    return ecdq_encode(scheme.lattice, z, x)
 
 
 def transform_dpq_decode(scheme: TransformDpq, indices, block: int = 0) -> np.ndarray:
@@ -284,7 +273,8 @@ def transform_dpq_decode(scheme: TransformDpq, indices, block: int = 0) -> np.nd
 
 
 def _reconstruct(scheme: TransformDpq, indices, z) -> np.ndarray:
-    return dpq_transform(scheme.source, scheme.lat, ecdq_decode(scheme.lat, z, indices))
+    lat = scheme.lattice
+    return dpq_transform(scheme.source, lat, ecdq_decode(lat, z, indices))
 
 
 def awgn_oracle_apply(scheme: AwgnOracle, x, block: int = 0) -> np.ndarray:

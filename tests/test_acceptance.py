@@ -174,7 +174,7 @@ def test_05_distribution_preservation_all_rates(check, monkeypatch):
         passes = shift = 0
         rejected = dict.fromkeys(d_controls, 0)
         for seed in (0, 1, 2):
-            sc = TransformDpq(source=m, seed=seed, lat=lat)
+            sc = TransformDpq(source=m, seed=seed, lattice=lat)
             x = m.sample(seed, n, stream=77).values
             indices = transform_dpq_encode(sc, x)
             decoded = transform_dpq_decode(sc, indices)
@@ -188,7 +188,7 @@ def test_05_distribution_preservation_all_rates(check, monkeypatch):
                 mp.setattr(dpquant.transform, "_NODES", 2)
                 controls["2-node"] = transform_dpq_decode(sc, indices)
             controls["variance-1.21"] = transform_dpq_decode(
-                TransformDpq(source=wrong, seed=seed, lat=lat), indices)
+                TransformDpq(source=wrong, seed=seed, lattice=lat), indices)
             for name, y in controls.items():
                 rejected[name] += not ks_statistic(m.cdf(y))[1]
             shift = max(shift, np.max(np.abs(decoded - controls["untransformed"])))

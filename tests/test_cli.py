@@ -13,7 +13,8 @@ from dpquant.cli import (EXIT_BOUND, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
 from dpquant.harness import evaluate
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import Family, gaussian, laplace, uniform
-from dpquant.schemes import FAMILIES, TransformDpq
+from dpquant.schemes import (FAMILIES, AwgnOracle, ResampleDpq, SimpleDpq,
+                             TransformDpq)
 
 
 def _rows(path):
@@ -446,7 +447,8 @@ class TestSchemeSpecs:
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["scheme"]["source"]["dim"] == 2
-        assert rep["param"] == 0.5 and len(rep["ks_per_axis"]) == 2
+        assert rep["scheme"]["lattice"]["step"] == 0.5
+        assert len(rep["ks_per_axis"]) == 2 and "param" not in rep
 
     def test_every_family_has_a_spec(self):
         # the CLI's scheme grammar names the families that schemes.build makes
@@ -457,7 +459,7 @@ class TestSchemeSpecs:
         assert main(["eval", "--scheme", "resample", "-n", "10000",
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
-        assert rep["param"] == 0.05 and rep["scheme"]["step"] == 0.05
+        assert rep["scheme"]["step"] == 0.05 and "param" not in rep
 
 
 # Every source, lattice and scheme spec that README and these tests use, with
@@ -482,16 +484,16 @@ LATTICE_SPECS = [
     ("hex:scale=1", "hexagonal", 1.0, 2),
     ("hex", "hexagonal", 1.0, 2),
 ]
-SCHEME_SPECS = [  # (scheme, lattice, class, describe(), reported param)
-    ("simple", None, "SimpleDpq", {}, 0.0),
-    ("resample", None, "ResampleDpq", {"step": 0.05}, 0.05),
-    ("resample:step=0.2", None, "ResampleDpq", {"step": 0.2}, 0.2),
-    ("awgn", None, "AwgnOracle", {"noise_var": 1.0}, 1.0),
-    ("awgn:eta2=1", None, "AwgnOracle", {"noise_var": 1.0}, 1.0),
-    ("transform", "cube:step=0.1", "TransformDpq",
-     {"lattice": {"kind": "scaled_integer", "step": 0.1, "dim": 1}}, 0.1),
-    ("transform", "hex:scale=0.5", "TransformDpq",
-     {"lattice": {"kind": "hexagonal", "step": 0.5, "dim": 2}}, 0.5),
+SCHEME_SPECS = [  # (scheme, lattice, the scheme built on gaussian:var=1, seed 5)
+    ("simple", None, SimpleDpq(gaussian(), 5)),
+    ("resample", None, ResampleDpq(gaussian(), 5, 0.05)),
+    ("resample:step=0.2", None, ResampleDpq(gaussian(), 5, 0.2)),
+    ("awgn", None, AwgnOracle(gaussian(), 5, 1.0)),
+    ("awgn:eta2=1", None, AwgnOracle(gaussian(), 5, 1.0)),
+    ("transform", "cube:step=0.1",
+     TransformDpq(gaussian(), 5, scaled_integer(0.1))),
+    ("transform", "hex:scale=0.5",
+     TransformDpq(gaussian(dim=2), 5, hexagonal(0.5))),
 ]
 
 
@@ -517,17 +519,13 @@ class TestSpecGrammar:
             else hexagonal(step)
         assert np.array_equal(lat.generator, want.generator)
 
-    @pytest.mark.parametrize("spec,lattice,kind,describe,param", SCHEME_SPECS,
-                             ids=[f"{s}-{l}" for s, l, *_ in SCHEME_SPECS])
-    def test_scheme_builds_same_scheme(self, spec, lattice, kind, describe,
-                                       param):
+    @pytest.mark.parametrize("spec,lattice,want", SCHEME_SPECS,
+                             ids=[f"{s}-{l}" for s, l, _ in SCHEME_SPECS])
+    def test_scheme_builds_same_scheme(self, spec, lattice, want):
         cfg = {"scheme": spec, "source": "gaussian:var=1",
                "lattice": lattice or "cube:step=0.1"}
-        scheme, got = _build_scheme(cfg, 5)
-        assert type(scheme).__name__ == kind and scheme.seed == 5
-        assert scheme.describe() == describe and got == param
-        dim = 2 if lattice and lattice.startswith("hex") else 1
-        assert scheme.source == gaussian(0.0, 1.0, dim)
+        scheme = _build_scheme(cfg, 5)
+        assert type(scheme) is type(want) and scheme == want
 
     @pytest.mark.parametrize("argv,key", [
         (["bounds", "--source", "gaussian:variance=4"], "variance"),

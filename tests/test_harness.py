@@ -33,21 +33,18 @@ class _Recorded:
     def rate(self, payloads):
         return 0.0, 0.0
 
-    def describe(self) -> dict:
-        return {}
-
 
 @pytest.fixture(scope="module")
 def transform_report():
     sc = TransformDpq(source=gaussian(0, 1), seed=0,
-                      lat=scaled_integer(0.5, 1))
+                      lattice=scaled_integer(0.5, 1))
     return evaluate(sc, 20_000, seed=7)
 
 
 class TestEvaluate:
     def test_determinism_except_wall_time(self, transform_report):
         sc = TransformDpq(source=gaussian(0, 1), seed=123,
-                          lat=scaled_integer(0.5, 1))
+                          lattice=scaled_integer(0.5, 1))
         again = evaluate(sc, 20_000, seed=7)
         a = dataclasses.asdict(transform_report)
         b = dataclasses.asdict(again)

@@ -182,7 +182,7 @@ class TestResampleDpq:
 class TestTransformDpq:
     def test_roundtrip_determinism(self):
         m = gaussian(0, 1, dim=2)
-        sc = TransformDpq(source=m, seed=8, lat=scaled_integer(0.5, 2))
+        sc = TransformDpq(source=m, seed=8, lattice=scaled_integer(0.5, 2))
         x = m.sample(8, 10_000, stream=50).values
         idx = transform_dpq_encode(sc, x)
         a = transform_dpq_decode(sc, idx)
@@ -194,18 +194,18 @@ class TestTransformDpq:
         # decode is a function of (indices, seed) alone: rebuild the scheme
         # from scratch and get the same output
         m = gaussian(0, 1)
-        sc = TransformDpq(source=m, seed=9, lat=scaled_integer(0.25, 1))
+        sc = TransformDpq(source=m, seed=9, lattice=scaled_integer(0.25, 1))
         x = m.sample(9, 10_000, stream=50).values
         idx = transform_dpq_encode(sc, x)
         sc2 = TransformDpq(source=gaussian(0, 1), seed=9,
-                           lat=scaled_integer(0.25, 1))
+                           lattice=scaled_integer(0.25, 1))
         assert np.array_equal(transform_dpq_decode(sc, idx),
                               transform_dpq_decode(sc2, idx))
 
     def test_mse_close_to_ecdq_at_high_rate(self):
         m = gaussian(0, 1)
         step = 0.1
-        sc = TransformDpq(source=m, seed=10, lat=scaled_integer(step, 1))
+        sc = TransformDpq(source=m, seed=10, lattice=scaled_integer(step, 1))
         x = m.sample(10, 100_000, stream=50).values
         xt = transform_dpq_decode(sc, transform_dpq_encode(sc, x))
         mse = np.mean((x - xt) ** 2)
@@ -215,7 +215,7 @@ class TestTransformDpq:
 
     def test_coarse_step_still_preserves_distribution(self):
         m = gaussian(0, 1)
-        sc = TransformDpq(source=m, seed=11, lat=scaled_integer(4.0, 1))
+        sc = TransformDpq(source=m, seed=11, lattice=scaled_integer(4.0, 1))
         x = m.sample(11, 100_000, stream=50).values
         xt = transform_dpq_decode(sc, transform_dpq_encode(sc, x))
         _, ok = ks_statistic(m.cdf(xt))
@@ -224,13 +224,13 @@ class TestTransformDpq:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             TransformDpq(source=gaussian(0, 1, dim=2), seed=0,
-                         lat=scaled_integer(1.0, 1))
+                         lattice=scaled_integer(1.0, 1))
 
     def test_flat_scalar_input_refused(self):
         # a flat x became one n-wide row under a single dither, and decode
         # then failed inside a matmul
         m = gaussian(0, 1)
-        sc = TransformDpq(source=m, seed=0, lat=scaled_integer(0.5, 1))
+        sc = TransformDpq(source=m, seed=0, lattice=scaled_integer(0.5, 1))
         x = m.sample(0, 1000, stream=50).values
         with pytest.raises(ValueError, match="dim"):
             transform_dpq_encode(sc, x.ravel())
@@ -377,9 +377,9 @@ class TestFamilies:
         assert type(build("simple", m, 0, None)) is SimpleDpq
         assert build("resample", m, 0, 0.5).step == 0.5
         assert build("awgn", m, 0, 0.5).noise_var == 0.5
-        assert build("transform", m, 0, 0.5).lat.step == 0.5
+        assert build("transform", m, 0, 0.5).lattice.step == 0.5
         hex_scheme = build("transform", gaussian(0, 1, dim=2), 0, hexagonal(0.5))
-        assert hex_scheme.lat.kind == "hexagonal"
+        assert hex_scheme.lattice.kind == "hexagonal"
 
     @pytest.mark.parametrize("family,source,param", [
         ("nope", gaussian(0, 1), 1.0),
@@ -422,14 +422,25 @@ class TestFamilies:
             build("transform", m2, 3, hexagonal(0.5))
         assert build("transform", m, 3, 0.5) != build("transform", m, 3, 0.25)
 
-    def test_describe(self):
+    def test_report_lists_scheme_fields(self):
+        # a report names the scheme by its kind, the evaluation seed, its
+        # source and each of its other fields
         m = gaussian(0, 1)
-        assert SimpleDpq(m, 0).describe() == {}
-        assert ResampleDpq(m, 0, 0.5).describe() == {"step": 0.5}
-        assert AwgnOracle(m, 0, 0.5).describe() == {"noise_var": 0.5}
-        assert TransformDpq(m, 0, scaled_integer(0.5)).describe() == {
+
+        def fields(scheme):
+            rep = evaluate(scheme, MIN_N, seed=1).scheme
+            assert (rep["kind"], rep["seed"]) == (type(scheme).__name__, 1)
+            assert rep["source"] == {"family": "gaussian", "params": [0.0, 1.0],
+                                     "dim": 1}
+            return {k: v for k, v in rep.items()
+                    if k not in ("kind", "seed", "source")}
+
+        assert fields(SimpleDpq(m, 0)) == {}
+        assert fields(ResampleDpq(m, 0, 0.5)) == {"step": 0.5}
+        assert fields(AwgnOracle(m, 0, 0.5)) == {"noise_var": 0.5}
+        assert fields(TransformDpq(m, 0, scaled_integer(0.5))) == {
             "lattice": {"kind": "scaled_integer", "step": 0.5, "dim": 1}}
         # an integer step is stored as the float it means
-        one = build("transform", m, 0, 1).describe()
-        assert one == build("transform", m, 0, 1.0).describe()
+        one = fields(build("transform", m, 0, 1))
+        assert one == fields(build("transform", m, 0, 1.0))
         assert type(one["lattice"]["step"]) is float

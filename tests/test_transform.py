@@ -244,7 +244,7 @@ class TestSmoothedCdf:
         out, _ = scheme.run(x, 0)
         assert np.all((out >= 0) & (out <= 1))
         # the edge chord continues the ratio from the last node's side
-        inside, beyond = smoothed_cdf(scheme.source, scheme.lat,
+        inside, beyond = smoothed_cdf(scheme.source, scheme.lattice,
                                       np.array([[1.2496, 1.0], [1.2499, 1.0]]))
         assert abs(inside[1] - beyond[1]) < 1e-4
 
