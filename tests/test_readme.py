@@ -36,7 +36,7 @@ OUTPUTS = {
         (None, {"binary.csv": "d1e6174fec10836e"}),
     "dpq eval --scheme transform --lattice cube:step=0.1 --source gaussian:var=1"
     " -n 100000 --seed 7 --check-bound --out report.json":
-        (None, {"report.json": "d21bf713ccfcdaaa"}),
+        (None, {"report.json": "383d942bb390c99c"}),
     "dpq sweep --family transform --grid 0.05,0.1,0.2,0.5,1,2,4 -n 100000"
     " --seed 0 --workers 4 --out sweep.csv":
         (None, {"sweep.csv": "c42bb595f2d20691"}),
@@ -44,14 +44,14 @@ OUTPUTS = {
         (None, {"ternary.csv": "afe70fc4d1d763e5"}),
     "dpq eval --scheme transform --lattice hex:scale=0.5 -n 10000 --seed 3"
     " --out hex.json":
-        (None, {"hex.json": "82ccf397d59dd40f"}),
+        (None, {"hex.json": "b6c0ecc462f125db"}),
     "dpq bounds --config run.cfg":
         ("source=gaussian:mean=1,var=2\ndgrid=0.1,0.5,1\n",
          {"bounds.csv": "46e7e6860ce53b30"}),
     "dpq eval --config run.cfg --seed 5":
         ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\ncheck_bound=1\n"
          "workers=2\nout=awgn.json\n",
-         {"awgn.json": "3e43abcd7814379e"}),
+         {"awgn.json": "4b051ee994bdcf0c"}),
     "dpq sweep --config run.cfg --grid 0.5,2":
         ("family=resample\nsource=laplace:scale=2\nn=10000\nseed=4\n",
          {"sweep.csv": "845d8c42f4c1e9b3"}),
