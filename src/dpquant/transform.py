@@ -29,13 +29,20 @@ __all__ = [
 # Gauss-Legendre nodes on the cube's step, and on each half of the hexagon's
 # x-projection for a source whose density has a kink (`_hex_node_count`)
 _NODES = 32
+# Widest Gaussian cube step, in standard deviations, that takes the 32-node
+# rule: it errs by 2.2e-16 at 1e-4 sigma, where the closed form errs by 1e-12,
+# and by 1.9e-3 at 64 sigma, where the closed form is exact to rounding.
+_CUBE_RULE_SIGMAS = 8.0
+# Row-wide temporaries that the cube's closed-form cell average forms, which
+# size its blocks as the rule's nodes size theirs: 1 024 rows per block
+_CLOSED_FORM_TEMPS = 16
 # Most nodes per half-cell of the Gaussian's hexagon rule, reached at s = 124
 # sigma: the rule's cost and leggauss's O(n^2) memory stay bounded at any scale
 _HEX_MAX_NODES = 256
-# Floats per (rows, nodes) temporary, 128 KB: 512 rows on the cube, 16 384 // m
-# on the hexagon at m nodes per half-cell.  Blocks that size stay in L2 and
-# malloc reuses them; the 1-2 MB temporaries of 4096-row blocks were mapped
-# from fresh pages every time.
+# Floats per (rows, nodes) temporary, 128 KB: 512 rows on the cube's rule,
+# 16 384 // m on the hexagon at m nodes per half-cell.  Blocks that size stay
+# in L2 and malloc reuses them; the 1-2 MB temporaries of 4096-row blocks were
+# mapped from fresh pages every time.
 _BLOCK_FLOATS = 16_384
 _HERMITE_NODES = 96  # Gauss-Hermite nodes of the Gaussian-smoothed transform
 _STD = gaussian(0.0, 1.0)
@@ -84,27 +91,38 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     The smoothed law is that of the ECDQ output X_hat = X + N, N uniform
     over the negated basic cell.  Cubic lattice with an independent-coordinate
     source: the conditioning drops out and each value is the cell average of
-    the marginal cdf.  Hexagonal lattice: coordinate 0 averages the cdf over
-    the cell's x-projection; coordinate 1 is the ratio of cell integrals
-    conditioned on coordinate 0, both integrated along the cell's chords,
-    each chord's cdf average in closed form (`SourceModel.cdf_average`).  The
-    two chords of a mirror pair share their weight and half-chord, so each
-    sum is formed once per pair.  An output of a bounded source within
-    s/2 - max(a) of its outer limit has no chord node inside the support;
-    coordinate 1 then takes the cdf average over the cell's edge chord.
+    the marginal cdf, `SourceModel.cdf_average` over the step; a Gaussian at
+    a step of at most `_CUBE_RULE_SIGMAS` standard deviations takes a
+    `_NODES`-point Gauss-Legendre rule instead.  Hexagonal lattice:
+    coordinate 0 averages the cdf over the cell's x-projection; coordinate 1
+    is the ratio of cell integrals conditioned on coordinate 0, both
+    integrated along the cell's chords, each chord's cdf average in closed
+    form (`SourceModel.cdf_average`).  The two chords of a mirror pair share
+    their weight and half-chord, so each sum is formed once per pair.  An
+    output of a bounded source within s/2 - max(a) of its outer limit has no
+    chord node inside the support; coordinate 1 then takes the cdf average
+    over the cell's edge chord.
     """
     if model.dim != lat.dim:
         raise ValueError("base model and cell dimension mismatch")
     x_hat = np.asarray(x_hat, dtype=float)
     if lat.kind == "scaled_integer":
-        t, w = _gl_nodes(_NODES)
-        tau = (lat.step / 2.0) * t
+        half = lat.step / 2.0
+        if (model.family is Family.GAUSSIAN
+                and lat.step <= _CUBE_RULE_SIGMAS * math.sqrt(model.variance())):
+            t, w = _gl_nodes(_NODES)
+            tau = half * t
 
-        def average(xb):  # (1/step) * int_{-step/2}^{step/2} F(x + tau) dtau
-            return 0.5 * np.sum(w * model.cdf(xb[:, None] + tau), axis=-1)
+            def average(xb):  # (1/step) * int_{-step/2}^{step/2} F(x + tau) dtau
+                return 0.5 * np.sum(w * model.cdf(xb[:, None] + tau), axis=-1)
 
+            width = tau.size
+        else:
+            def average(xb):
+                return model.cdf_average(xb - half, xb + half)
+
+            width = _CLOSED_FORM_TEMPS
         xb = x_hat.reshape(-1)
-        nodes = tau.size
     else:
         if x_hat.shape[-1:] != (2,):
             raise ValueError("hexagonal path is 2-D")
@@ -133,8 +151,8 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
             return np.column_stack([u1, num / den])
 
         xb = x_hat.reshape(-1, 2)
-        nodes = a.size
-    rows = max(1, _BLOCK_FLOATS // nodes)
+        width = a.size
+    rows = max(1, _BLOCK_FLOATS // width)
     u = np.empty_like(xb)
     for lo in range(0, len(xb), rows):
         u[lo:lo + rows] = average(xb[lo:lo + rows])

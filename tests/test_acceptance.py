@@ -19,6 +19,7 @@ import dpquant.transform
 from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
                             discrete_dp_rdf_curve, dp_rdf_gaussian,
                             rdf_gaussian, sinkhorn_coupling)
+from dpquant.ecdq import ecdq_rate_analytic
 from dpquant.harness import compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import scaled_integer
 from dpquant.prob import KS_ALPHA_005_COEFF, gaussian, ks_statistic
@@ -368,3 +369,57 @@ def test_11_asymptotic_transform_closed_form(check, monkeypatch):
            err < 1e-6 and err_4 >= 1e-6,
            f"max err={err:.1e}; 4-node control max err={err_4:.1e}, "
            f"rejected={err_4 >= 1e-6}")
+
+
+def test_12_synthesis_end(check, monkeypatch):
+    # PAPER.md's "seamless transition between signal synthesis and
+    # quantization": at a step of 64 sigma the transform scheme's rate is
+    # near 0, and its output must still follow the source law, at a point
+    # between the simple scheme's (0, 2 sigma^2) and the DP-RDF.  The rate is
+    # `ecdq_rate_analytic`, at the measured D.  Negative controls: the
+    # 32-node rule in place of the cube's closed-form cell average, which KS
+    # must reject, D being its grid distance from the closed form as in
+    # criterion 05; and the simple scheme's rate 0 at the measured D, which
+    # the bound check must reject.
+    m = gaussian(0, 1)
+    lat = scaled_integer(64.0, 1)
+    n = 1_000_000
+    grid = np.linspace(-40.0, 40.0, 16_001)
+
+    def rule(mp):  # the cube's Gaussian rule at every step
+        mp.setattr(dpquant.transform, "_CUBE_RULE_SIGMAS", math.inf)
+
+    with monkeypatch.context() as mp:
+        rule(mp)
+        u_32 = smoothed_cdf(m, lat, grid)
+    d_rule = float(np.max(np.abs(u_32 - smoothed_cdf(m, lat, grid))))
+    power = math.sqrt(n) * d_rule > KS_ALPHA_005_COEFF
+    passes = rejected = 0
+    for seed in (0, 1, 2):
+        sc = TransformDpq(source=m, seed=seed, lattice=lat)
+        x = m.sample(seed, n, stream=77).values
+        passes += ks_statistic(m.cdf(sc.run(x, 0)[0]))[1]
+        with monkeypatch.context() as mp:
+            rule(mp)
+            rejected += not ks_statistic(m.cdf(sc.run(x, 0)[0]))[1]
+
+    rep = evaluate(TransformDpq(source=m, seed=0, lattice=lat), 200_000, seed=1)
+    rate = ecdq_rate_analytic(m, lat)
+
+    def bound_check(r):
+        return compare_to_bound(dataclasses.replace(
+            rep, rate_nats_per_dim=r, rate_se=0.0))
+
+    above, zero = bound_check(rate), bound_check(0.0)
+    d, d_se = rep.mse_per_dim, rep.mse_se
+    between = 0.0 < rate and d < 2.0 - 3.0 * d_se and above["above_bound"]
+    ok = (passes >= 2 and power and rejected >= 2 and between
+          and not zero["above_bound"])
+    check(12, "synthesis end: output on the source law at step 64 sigma", ok,
+          f"{passes}/3 seeds pass KS at n = 1e6; 32-node rule control "
+          f"rejected on {rejected}/3, its grid sqrt(n)*D = "
+          f"{math.sqrt(n) * d_rule:.2f}; rate={rate:.4f} nats, "
+          f"mse={d:.4f} +/- {d_se:.4f}, bound margin "
+          f"{above['margin_nats']:.4f}; rate-0 control margin "
+          f"{zero['margin_nats']:.4f} (tolerance {zero['tolerance_nats']:.4f}), "
+          f"rejected={not zero['above_bound']}")

@@ -48,6 +48,55 @@ def _hex_rule(model, scale, x, m):
     return np.column_stack([u1, u2])
 
 
+def _cube_rule(model, step, x):
+    """The 32-node Gauss-Legendre rule over the whole cube cell, which the
+    cube took for every family and step until its closed form."""
+    t, w = np.polynomial.legendre.leggauss(32)
+    return 0.5 * np.sum(w * model.cdf(x[:, None] + (step / 2.0) * t), axis=-1)
+
+
+def _cube_reference(model, kinks, step, x):
+    """The mean of F(x + tau) over |tau| <= step/2 by a composite 32-node
+    Gauss-Legendre rule, split where x + tau crosses a kink of the density
+    and into pieces at most sigma/2 wide, on each of which F is analytic
+    and the rule exact to rounding."""
+    t, w = np.polynomial.legendre.leggauss(32)
+    width, h = math.sqrt(model.variance()) / 2.0, step / 2.0
+    out = np.empty(len(x))
+    for i, xi in enumerate(x):
+        cuts = [-h, *sorted(k - xi for k in kinks if -h < k - xi < h), h]
+        total = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            e = np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+            mid, half = (e[:-1, None] + e[1:, None]) / 2, (e[1:, None] - e[:-1, None]) / 2
+            total += np.sum(half * w * model.cdf(xi + (mid + half * t)))
+        out[i] = total / step
+    return out
+
+
+def _cube_rows(model, step):
+    sd = math.sqrt(model.variance())
+    return np.linspace(model.mean() - 8 * sd - step / 2,
+                       model.mean() + 8 * sd + step / 2, 401)
+
+
+# (model, the kinks of its density, cube step): the Gaussian steps that take
+# the 32-node rule, then every case that takes the closed form
+CUBE_CASES = [(gaussian(0, 1), [], 1e-4), (gaussian(0, 1), [], 4.0),
+              (gaussian(0, 1), [], 8.0), (gaussian(0, 1), [], 16.0),
+              (gaussian(0, 4), [], 128.0), (laplace(0, 1), [0.0], 1e-4),
+              (laplace(0.5, 2), [0.5], 0.5), (laplace(0, 1), [0.0], 4.0),
+              (laplace(0, 1), [0.0], 32.0), (uniform(-1.7, 1.7), [-1.7, 1.7], 1e-4),
+              (uniform(-1.7, 1.7), [-1.7, 1.7], 0.5),
+              (uniform(0, 1), [0.0, 1.0], 16.0)]
+CUBE_IDS = [f"{m.family.value}-{step:g}" for m, _, step in CUBE_CASES]
+# the closed-form cases where the 32-node rule errs on these rows: at a step
+# of 1e-4 no row's cell straddles a kink
+CUBE_CONTROLS = [case for case in CUBE_CASES[3:] if case[2] > 1e-4]
+# max |u - reference| allowed: a few ulp of 1
+CUBE_TOL = 1e-15
+
+
 def _gaussian_hex_nodes(scale, var):
     """Nodes per half-cell of the Gaussian's hexagon rule: 8 + ceil(2 s/sigma)."""
     return 8 + math.ceil(2.0 * scale / math.sqrt(var))
@@ -87,8 +136,9 @@ class TestBlockSize:
     # Per family, the floats per row of a (rows, nodes) temporary and the
     # rows per block.  The hexagon's Gaussian rule takes 8 + ceil(2 s/sigma)
     # = 9 nodes per half-cell at s = 0.5 sigma; the Laplace rule keeps 32.
+    # The cube's Laplace cell average is in closed form, 16 temporaries wide.
     @pytest.mark.parametrize("lat,blocks", [
-        (scaled_integer(0.5, 1), {gaussian: (32, 512), laplace: (32, 512)}),
+        (scaled_integer(0.5, 1), {gaussian: (32, 512), laplace: (16, 1024)}),
         (hexagonal(0.5), {gaussian: (9, 1820), laplace: (32, 512)})],
         ids=["cube", "hex"])
     @pytest.mark.parametrize("family", [gaussian, laplace])
@@ -147,6 +197,23 @@ class TestSmoothedCdf:
                             lambda model, scale: 2 * count(model, scale))
         b = smoothed_cdf(base, lat, x_hat)
         assert np.max(np.abs(a - b)) < 1e-8
+
+    @pytest.mark.parametrize("model,kinks,step", CUBE_CASES, ids=CUBE_IDS)
+    def test_cube_matches_split_reference(self, model, kinks, step):
+        x = _cube_rows(model, step)
+        u = smoothed_cdf(model, scaled_integer(step), x)
+        assert np.max(np.abs(u - _cube_reference(model, kinks, step, x))) <= CUBE_TOL
+
+    @pytest.mark.parametrize("model,kinks,step", CUBE_CONTROLS,
+                             ids=[f"{m.family.value}-{step:g}"
+                                  for m, _, step in CUBE_CONTROLS])
+    def test_cube_reference_check_rejects_unsplit_rule(self, model, kinks, step):
+        # negative control: the 32-node rule over the whole cell fails the
+        # check above, by at least ten times its tolerance
+        x = _cube_rows(model, step)
+        err = np.max(np.abs(_cube_rule(model, step, x)
+                            - _cube_reference(model, kinks, step, x)))
+        assert err > 10 * CUBE_TOL, err
 
     def test_hex_quadrature_integrates_volume(self):
         # 12 nodes per half-cell: the Gaussian rule at 1.7 sigma; 32: the
