@@ -254,9 +254,13 @@ def cmd_eval(args) -> int:
     payload = asdict(report)
     payload["config"] = {k: str(v) for k, v in cfg.items()}
     payload["rate_bits_per_dim"] = report.rate_nats_per_dim / _LN2
+    for key in ("rate_nats_per_dim", "rate_bits_per_dim"):
+        if payload[key] == math.inf:  # unbounded: JSON has no infinity
+            payload[key] = None
+    # any other non-finite value is a numerical failure, before the file opens
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(cfg["out"], "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
     if check_bound:
         verdict = compare_to_bound(report)
         if not verdict["above_bound"]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -145,6 +146,30 @@ class TestEval:
         assert main(["eval", "--scheme", "awgn:eta2=0", "-n", "10000",
                      "--check-bound", "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_lossless_report_is_strict_json(self, tmp_path):
+        # both rates were written as the bare token Infinity, which is not
+        # JSON (RFC 8259); an unbounded rate is null
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        out = tmp_path / "lossless.json"
+        assert main(["eval", "--scheme", "awgn:eta2=0", "-n", "10000",
+                     "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text(), parse_constant=refuse)
+        assert rep["rate_nats_per_dim"] is None
+        assert rep["rate_bits_per_dim"] is None
+
+    def test_non_finite_report_value_exit(self, tmp_path, monkeypatch):
+        # any non-finite value but an unbounded rate is a numerical failure,
+        # and no report is written
+        real = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), mse_se=math.nan))
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "simple", "-n", "10000",
+                     "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
 
     def test_check_bound_failure_exit(self, tmp_path, monkeypatch):
         import dpquant.cli as cli
