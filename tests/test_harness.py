@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from dpquant.harness import (MIN_N, EvalReport, compare_to_bound, evaluate,
-                             rd_sweep)
+from dpquant.bounds import awgn_oracle_point
+from dpquant.harness import (MIN_N, N_BATCHES, EvalReport, compare_to_bound,
+                             evaluate, rd_sweep)
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import gaussian, laplace
+from dpquant.prob import gaussian, laplace, plugin_entropy
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              build)
 
@@ -257,6 +258,47 @@ class TestResampleRate:
         rep = evaluate(ResampleDpq(gaussian(0, 0.25), 0, 0.1), 200_000, seed=8)
         h = _cell_entropy(gaussian(0, 1), 0.1)
         assert abs(rep.rate_nats_per_dim - h) > 3 * rep.rate_se
+
+
+def _calibrated(z) -> bool:
+    """Whether z = (value - exact) / SE over many seeds reads as standard
+    normal: |mean| <= 0.3, sd within [0.8, 1.25], at most 2% beyond 3."""
+    z = np.asarray(z)
+    return bool(abs(z.mean()) <= 0.3 and 0.8 <= z.std(ddof=1) <= 1.25
+                and np.mean(np.abs(z) > 3) <= 0.02)
+
+
+class TestStandardErrorCalibration:
+    """Each reported SE against a closed form, over 200 seeds at n = 1e4."""
+
+    SEEDS = range(200)
+
+    def test_awgn_mse_se(self):
+        exact = awgn_oracle_point(1.0, 0.25).distortion
+        reps = [evaluate(AwgnOracle(gaussian(0, 1), 0, 0.25), MIN_N, seed=s)
+                for s in self.SEEDS]
+        err = np.array([r.mse_per_dim for r in reps]) - exact
+        se = np.array([r.mse_se for r in reps])
+        assert _calibrated(err / se)
+        # negative controls: an SE sqrt(N_BATCHES) too wide, the spread of
+        # one batch's MSE, and one that much too narrow
+        assert not _calibrated(err / (se * math.sqrt(N_BATCHES)))
+        assert not _calibrated(err / (se / math.sqrt(N_BATCHES)))
+
+    def test_resample_rate_se(self):
+        m, step = gaussian(0, 1), 0.1
+        exact = _cell_entropy(m, step)
+        reps = [evaluate(ResampleDpq(m, 0, step), MIN_N, seed=s)
+                for s in self.SEEDS]
+        se = np.array([r.rate_se for r in reps])
+        assert _calibrated((np.array([r.rate_nats_per_dim for r in reps])
+                            - exact) / se)
+        # negative control: the plug-in entropy of n cells in place of the
+        # rate, biased low by about (K - 1)/2n nats over K occupied cells
+        plug = np.array([plugin_entropy(np.unique(
+            np.floor(m.sample(s, MIN_N, stream=77).values / step),
+            return_counts=True)[1]) for s in self.SEEDS])
+        assert not _calibrated((plug - exact) / se)
 
 
 class TestCompareToBound:
