@@ -67,43 +67,35 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     before the PIT's cdf and the moments, which form two each.  The resample
     scheme adds its cells and their masses until it returns.
     """
-    n, workers = _check_size(n, workers)
-    [ecdq_rate] = _ecdq_rates([scheme], scheme.source, n, seed)
-    return _evaluate(scheme, n, seed, workers, ecdq_rate)
+    [report] = _evaluate_all([scheme], n, seed, workers)
+    return report
 
 
-def _check_size(n: int, workers: int) -> tuple[int, int]:
-    """(n, workers) as ints; a float or other non-integer is refused."""
+def _evaluate_all(schemes, n: int, seed: int, workers: int) -> list:
+    """The `evaluate` report of each of schemes, which share one source; n
+    and workers are checked once, as ints.  One `ecdq_rate_empirical` pass
+    measures every TransformDpq's lattice on the same fresh draws of the
+    source, and each of their reports counts an equal share of its seconds.
+    """
     n, workers = operator.index(n), operator.index(workers)
     if n < MIN_N:
         raise ValueError(f"need n >= {MIN_N}")
     if workers < 1:
         raise ValueError("need workers >= 1")
-    return n, workers
-
-
-def _ecdq_rates(schemes, model: SourceModel, n: int, seed: int) -> list:
-    """(rate, se, seconds) of each TransformDpq among schemes, None for others.
-
-    The ECDQ rate is re-measured on fresh samples, not taken from the run's
-    indices, until a conditional codelength of those replaces it.  One
-    `ecdq_rate_empirical` pass measures every transform scheme's lattice on
-    the same draws of `model`, and each scheme is charged an equal share of
-    its seconds.
-    """
     lats = [s.lattice for s in schemes if isinstance(s, TransformDpq)]
-    if not lats:
-        return [None] * len(schemes)
-    t0 = time.perf_counter()
-    rates = iter(ecdq_rate_empirical(lats, model, n, seed=seed))
-    share = (time.perf_counter() - t0) / len(lats)
-    return [(*next(rates), share) if isinstance(s, TransformDpq) else None
+    if lats:
+        t0 = time.perf_counter()
+        rates = iter(ecdq_rate_empirical(lats, schemes[0].source, n, seed=seed))
+        share = (time.perf_counter() - t0) / len(lats)
+    return [_evaluate(s, n, seed, workers,
+                      (*next(rates), share) if isinstance(s, TransformDpq)
+                      else None)
             for s in schemes]
 
 
 def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
-    """`evaluate`, with the rate of a TransformDpq handed in by `_ecdq_rates`
-    and its seconds counted into wall_time."""
+    """`evaluate`, with the (rate, se, seconds) of a TransformDpq handed in by
+    `_evaluate_all` and its seconds counted into wall_time."""
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
     model = scheme.source
@@ -126,6 +118,8 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
         pit[:, starts[b]:starts[b + 1]] = model.cdf(xt).T
         return mse, _batch_moments(xt.ravel()), payload
 
+    # One worker runs here, not in a pool of one: a pool thread allocates
+    # from a second malloc arena, which raised hex-eval's peak RSS by 1.8 MB.
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run, range(N_BATCHES)))
@@ -136,11 +130,8 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     mse = float(np.average(batch_mse, weights=sizes))
     mse_se = float(np.std(batch_mse, ddof=1) / math.sqrt(N_BATCHES))
 
-    if ecdq_rate is None:
-        rate, rate_se = scheme.rate([p for _, _, p in results])
-        rate_seconds = 0.0
-    else:
-        rate, rate_se, rate_seconds = ecdq_rate
+    rate, rate_se, rate_seconds = (
+        ecdq_rate or (*scheme.rate([p for _, _, p in results]), 0.0))
 
     pit.sort(axis=1)  # in place; ks_statistic reads a sorted row as it is
     ks = [ks_statistic(pit[i]) for i in range(k)]
@@ -215,10 +206,8 @@ def rd_sweep(family: str, params, source: SourceModel, n: int, seed: int,
     if not params:
         raise ValueError("empty parameter grid")
     schemes = [build(family, source, seed, p) for p in params]
-    n, workers = _check_size(n, workers)
-    rates = _ecdq_rates(schemes, source, n, seed)
-    out = [(float(p), _evaluate(scheme, n, seed, workers, rate))
-           for p, scheme, rate in zip(params, schemes, rates)]
+    out = list(zip(map(float, params),
+                   _evaluate_all(schemes, n, seed, workers)))
     out.sort(key=lambda t: t[1].mse_per_dim)
     return out
 

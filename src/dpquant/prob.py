@@ -36,7 +36,7 @@ EPS = 1e-12
 
 KS_ALPHA_005_COEFF = 1.36  # asymptotic two-sided 5% critical coefficient
 _KS_CHUNK = 1 << 16  # rows of the KS grid formed at a time
-_ICDF_BLOCK = 8192  # elements of the Laplace icdf's branches formed at a time
+_ICDF_BLOCK = 8192  # elements of the Laplace icdf formed at a time
 
 
 class Family(enum.Enum):
@@ -59,24 +59,18 @@ def _laplace_cdf(z):
 
 
 def _laplace_icdf(u):
-    # log(2u) below 1/2 keeps the lower tail's digits, which log1p(2u - 1)
-    # loses to cancellation.  Both branches are formed on every element of a
-    # block, and both stay finite on the clamped u; the lower one is picked
-    # by its bits, as np.where would pick it, but faster on a random mask.
+    # sign(u - 1/2) log(2 min(u, 1 - u)), which keeps both tails' digits: 1 - u
+    # is exact above 1/2.  The sign is negated from 1/2 - u, so 1/2 gives -0.0.
     flat = u.ravel(order="K")  # a view: u is a fresh copy or draw
     for lo in range(0, flat.size, _ICDF_BLOCK):
         v = flat[lo:lo + _ICDF_BLOCK]
-        below = (v < 0.5).astype(np.int64)
-        np.negative(below, out=below)  # every bit set where u < 1/2
-        t = 2.0 * v
-        lower = np.log(t)
-        np.subtract(1.0, t, out=t)
-        np.log1p(t, out=v)
+        t = np.subtract(1.0, v)
+        np.minimum(t, v, out=t)
+        t *= 2.0
+        np.log(t, out=t)
+        np.subtract(0.5, v, out=v)
+        np.copysign(t, v, out=v)
         np.negative(v, out=v)
-        lower_bits, bits = lower.view(np.int64), v.view(np.int64)
-        lower_bits ^= bits
-        lower_bits &= below
-        bits ^= lower_bits
     return u
 
 

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import dpquant.ecdq
+import dpquant.prob
+import dpquant.schemes
+from dpquant import harness
 from dpquant.bounds import awgn_oracle_point
 from dpquant.harness import (MIN_N, N_BATCHES, EvalReport, compare_to_bound,
                              evaluate, rd_sweep)
 from dpquant.lattice import hexagonal, scaled_integer
 from dpquant.prob import gaussian, laplace, plugin_entropy
+from dpquant.rng import stream_rng
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              build)
 
@@ -135,6 +140,47 @@ class TestEvaluate:
         rep = evaluate(SimpleDpq(gaussian(0, 1), 0), np.int64(MIN_N), 0,
                        workers=np.int64(2))
         assert type(rep.n) is int and rep.n == MIN_N
+
+
+class TestStreams:
+    """No seed-derived stream is drawn twice in one evaluation: a stream that
+    is would feed the same uniforms to two stages that are meant to be
+    independent, such as the source batches and the rate pass's samples."""
+
+    @staticmethod
+    def _keys(monkeypatch, scheme):
+        keys = []
+
+        def record(seed, *indices):
+            keys.append((seed, *indices))
+            return stream_rng(seed, *indices)
+
+        for module in (dpquant.prob, dpquant.schemes, dpquant.ecdq):
+            monkeypatch.setattr(module, "stream_rng", record)
+        evaluate(scheme, 10_000, 4)
+        return keys
+
+    # a transform draws 20 source batches, 20 dither batches and the rate
+    # pass's 16 samples and 16 dithers; the others 20 source batches and 20
+    # of their own
+    @pytest.mark.parametrize("scheme, count", [
+        (TransformDpq(gaussian(0, 1), 0, scaled_integer(0.5)), 72),
+        (TransformDpq(gaussian(0, 1, dim=2), 0, hexagonal(0.5)), 72),
+        (ResampleDpq(gaussian(0, 1), 0, 0.3), 40),
+        (AwgnOracle(gaussian(0, 1), 0, 0.5), 40),
+    ], ids=["transform-cube", "transform-hex", "resample", "awgn"])
+    def test_no_stream_drawn_twice(self, monkeypatch, scheme, count):
+        keys = self._keys(monkeypatch, scheme)
+        assert len(keys) == count
+        assert len(set(keys)) == count
+
+    def test_source_batches_on_the_rate_pass_streams_repeat(self, monkeypatch):
+        # negative control: with the source tag 0, batch b's stream is the
+        # rate pass's sample stream b, for each of its 16 samples
+        monkeypatch.setattr(harness, "_TAG_SOURCE", 0)
+        keys = self._keys(monkeypatch,
+                          TransformDpq(gaussian(0, 1), 0, scaled_integer(0.5)))
+        assert len(keys) - len(set(keys)) == 16
 
 
 class TestMemory:
