@@ -226,7 +226,11 @@ def cmd_bounds(args) -> int:
     cfg["dgrid"] = cfg["dgrid"] or "0.01:2:200"
     var = src.variance()
     rows = []
-    for d in _parse_grid(cfg["dgrid"]):
+    grid = _parse_grid(cfg["dgrid"])
+    if np.any(grid < 0):
+        raise UsageError(f"bad grid spec {cfg['dgrid']!r}: a distortion "
+                         "must be >= 0")
+    for d in grid:
         rows += [_curve_row(d, dp_rdf_gaussian(var, d), "dp_rdf"),
                  _curve_row(d, rdf_gaussian(var, d), "rdf")]
     _write_csv(cfg["out"], cfg, _CURVE_HEADER, rows)
@@ -234,12 +238,19 @@ def cmd_bounds(args) -> int:
 
 
 def _build_scheme(cfg, seed):
-    """The scheme the `--scheme`, `--source` and `--lattice` specs name."""
+    """The scheme the `--scheme`, `--source` and `--lattice` specs name.  The
+    transform's lattice defaults to cube:step=0.1, which cfg then echoes; any
+    other scheme refuses a lattice, and cfg drops the key."""
     name, values = _parse_spec("scheme", cfg["scheme"], _SCHEMES)
     src = _continuous_source(cfg["source"], "eval")
     if name == "transform":  # its parameter is a lattice
+        cfg["lattice"] = cfg["lattice"] or "cube:step=0.1"
         lat = _build("lattice", cfg["lattice"], _LATTICES)
         return sch.build(name, replace(src, dim=lat.dim), seed, lat)
+    lattice = cfg.pop("lattice")
+    if lattice is not None:
+        raise UsageError(f"scheme {name} takes no lattice, not {lattice!r}: "
+                         "only the transform quantizes on one")
     param = next(iter(values.values()), _SCHEMES[name][0])  # given, or default
     return sch.build(name, src, seed, param)
 
@@ -323,8 +334,8 @@ def build_parser():
     b.add_argument("--dgrid", help="lo:hi:count or comma list")
     e.add_argument("--scheme", default="simple",
                    help="simple | resample:step=D | transform | awgn:eta2=V")
-    e.add_argument("--lattice", default="cube:step=0.1",
-                   help="cube:step=D[,dim=K] | hex:scale=S")
+    e.add_argument("--lattice", help="cube:step=D[,dim=K] | hex:scale=S "
+                   "(transform only; default cube:step=0.1)")
     e.add_argument("--check-bound", dest="check_bound", action=_Switch,
                    type=_one_of("check_bound", "", "0", "1", "false", "true"),
                    default="0")

@@ -486,6 +486,39 @@ class TestSchemeSpecs:
         rep = json.loads(out.read_text())
         assert rep["scheme"]["step"] == 0.05 and "param" not in rep
 
+    @pytest.mark.parametrize("scheme,lattice", [
+        ("transform", "cube:step=0.1"), ("simple", None), ("resample", None),
+        ("awgn", None)])
+    def test_lattice_echoed_for_the_transform_only(self, tmp_path, scheme,
+                                                    lattice):
+        # every report echoed the default cube:step=0.1, read or not
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", scheme, "-n", "10000",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"].get("lattice") == lattice
+
+    @pytest.mark.parametrize("scheme,flag,config", [
+        ("resample:step=0.1", "hex:scale=1", None),
+        ("simple", "cube:step=0.1", None),
+        ("awgn", None, "lattice=cube:step=0.5\n"),
+        ("resample", None, "lattice=\n"),
+    ], ids=["resample-flag", "simple-default-flag", "awgn-config",
+            "resample-empty-config"])
+    def test_lattice_off_the_transform_exit(self, tmp_path, capsys, scheme,
+                                            flag, config):
+        # exited 0, and the report echoed a lattice that no stage read
+        argv = ["eval", "--scheme", scheme, "-n", "10000"]
+        if flag is not None:
+            argv += ["--lattice", flag]
+        if config is not None:
+            cfgf = tmp_path / "run.cfg"
+            cfgf.write_text(config)
+            argv += ["--config", str(cfgf)]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "takes no lattice" in capsys.readouterr().err
+
 
 # Every source, lattice and scheme spec that README and these tests use, with
 # the object it has always built; a pmf builds its validated float array.
@@ -547,8 +580,7 @@ class TestSpecGrammar:
     @pytest.mark.parametrize("spec,lattice,want", SCHEME_SPECS,
                              ids=[f"{s}-{l}" for s, l, _ in SCHEME_SPECS])
     def test_scheme_builds_same_scheme(self, spec, lattice, want):
-        cfg = {"scheme": spec, "source": "gaussian:var=1",
-               "lattice": lattice or "cube:step=0.1"}
+        cfg = {"scheme": spec, "source": "gaussian:var=1", "lattice": lattice}
         scheme = _build_scheme(cfg, 5)
         assert type(scheme) is type(want) and scheme == want
 
@@ -596,6 +628,16 @@ class TestSpecGrammar:
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dgrid", ["-0.5,1", "-1:1:3"])
+    def test_negative_distortion_grid_exit(self, tmp_path, capsys, dgrid):
+        # exited 4, "numerical failure: need finite var > 0 and d >= 0"
+        out = tmp_path / "x.out"
+        assert main(["bounds", f"--dgrid={dgrid}",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert dgrid in err and "distortion must be >= 0" in err
 
     @pytest.mark.parametrize("argv", [
         # exited 0 with a header-only CSV
