@@ -51,7 +51,7 @@ OUTPUTS = {
     "dpq eval --config run.cfg --seed 5":
         ("scheme=awgn:eta2=0.5\nn=10000\nseed=2\ncheck_bound=1\n"
          "workers=2\nout=awgn.json\n",
-         {"awgn.json": "4b051ee994bdcf0c"}),
+         {"awgn.json": "f93e041fa59c2d21"}),
     "dpq sweep --config run.cfg --grid 0.5,2":
         ("family=resample\nsource=laplace:scale=2\nn=10000\nseed=4\n",
          {"sweep.csv": "845d8c42f4c1e9b3"}),
