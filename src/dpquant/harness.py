@@ -119,7 +119,7 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
         return mse, _batch_moments(xt.ravel()), payload
 
     # One worker runs here, not in a pool of one: a pool thread allocates
-    # from a second malloc arena, which raised hex-eval's peak RSS by 1.8 MB.
+    # from a second malloc arena, which raised hex-eval's peak RSS by 2 MB.
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run, range(N_BATCHES)))
