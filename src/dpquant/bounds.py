@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import lapack
 
 from .prob import SourceModel
@@ -38,7 +37,6 @@ __all__ = [
     "check_pmf",
     "sinkhorn_coupling",
     "discrete_dp_rdf_curve",
-    "discrete_dp_rdf_bruteforce",
 ]
 
 
@@ -295,89 +293,3 @@ def discrete_dp_rdf_curve(pmf, cost) -> list[RdPoint]:
         points.append(RdPoint(rate=max(0.0, c.mutual_information()),
                               distortion=c.expected_cost()))
     return points
-
-
-# points of the m = 2 search along the coupling polytope's one free entry
-_BRUTE_GRID = 20001
-
-
-def _coupling_entropy_objective(free, p, m):
-    # free parameters are the (m-1) x (m-1) top-left block; the last row and
-    # column are determined by the marginal constraints
-    t = np.empty((m, m))
-    t[: m - 1, : m - 1] = free.reshape(m - 1, m - 1)
-    t[: m - 1, m - 1] = p[: m - 1] - t[: m - 1, : m - 1].sum(axis=1)
-    t[m - 1, : m - 1] = p[: m - 1] - t[: m - 1, : m - 1].sum(axis=0)
-    t[m - 1, m - 1] = p[m - 1] - t[m - 1, : m - 1].sum()
-    return t
-
-
-def discrete_dp_rdf_bruteforce(pmf, cost, d: float) -> float:
-    """Independent oracle for the discrete DP-RDF at distortion budget d.
-
-    m = 2: exact 1-dof search over `_BRUTE_GRID` points of the coupling
-    polytope.
-    m = 3, 4: projected search (SLSQP over the free block with linear marginal
-    constraints), multi-start.  Accurate to ~1e-3 in rate.
-    """
-    p = check_pmf(pmf)
-    e = np.asarray(cost, dtype=float)
-    m = p.size
-    if m > 4:
-        raise ValueError("brute force restricted to m <= 4")
-
-    def mi(t):
-        outer = np.outer(p, p)
-        mask = t > 1e-15
-        return float(np.sum(t[mask] * np.log(t[mask] / outer[mask])))
-
-    if m == 2:
-        # every grid coupling at once, one row of its four entries (row-major)
-        # each; costs and rates add the entries left to right, as np.sum and
-        # `mi` add one coupling's, so each row's numbers are the same bits
-        t00 = np.linspace(max(0.0, 2 * p[0] - 1.0), p[0], _BRUTE_GRID)
-        t = np.column_stack([t00, p[0] - t00, p[0] - t00, 1.0 - 2 * p[0] + t00])
-        te = t * e.ravel()
-        ok = (~np.any(t < -1e-15, axis=1)
-              & (te[:, 0] + te[:, 1] + te[:, 2] + te[:, 3] <= d + 1e-12))
-        if not ok.any():
-            raise ValueError(f"distortion budget {d} infeasible for this pmf/cost")
-        t = np.clip(t[ok], 0.0, None)
-        mask = t > 1e-15
-        ratio = np.divide(t, np.outer(p, p).ravel(), out=np.ones_like(t),
-                          where=mask)
-        r = t * np.log(ratio)  # 0 off the mask, as `mi` leaves those out
-        return max(0.0, float(np.min(r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3])))
-
-    # m in {3, 4}: minimize I over the free block under the budget
-    nfree = (m - 1) ** 2
-
-    def obj(free):
-        t = _coupling_entropy_objective(free, p, m)
-        if np.any(t < 0):
-            return 1e6 + np.sum(np.minimum(t, 0) ** 2)
-        return mi(t)
-
-    cons = [
-        {"type": "ineq",
-         "fun": lambda f: _coupling_entropy_objective(f, p, m).ravel()},
-        {"type": "ineq",
-         "fun": lambda f: d - np.sum(_coupling_entropy_objective(f, p, m) * e)},
-    ]
-    best = None
-    rng = np.random.default_rng(0)
-    starts = [np.outer(p, p)[: m - 1, : m - 1].ravel()]
-    starts += [starts[0] * rng.uniform(0.2, 1.8, size=nfree) for _ in range(7)]
-    for x0 in starts:
-        res = optimize.minimize(obj, x0, method="SLSQP", constraints=cons,
-                                options={"maxiter": 500, "ftol": 1e-12})
-        if res.success:
-            t = np.clip(_coupling_entropy_objective(res.x, p, m), 0.0, None)
-            if (np.sum(t * e) <= d + 1e-6
-                    and np.abs(t.sum(axis=1) - p).max() < 1e-8):
-                r = mi(t)
-                if best is None or r < best:
-                    best = r
-    if best is None:
-        raise ValueError(f"distortion budget {d} infeasible or search failed")
-    return max(0.0, best)

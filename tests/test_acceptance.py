@@ -16,9 +16,8 @@ from scipy.stats import spearmanr
 
 import dpquant.schemes
 import dpquant.transform
-from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_bruteforce,
-                            discrete_dp_rdf_curve, dp_rdf_gaussian,
-                            rdf_gaussian, sinkhorn_coupling)
+from dpquant.bounds import (awgn_oracle_point, discrete_dp_rdf_curve,
+                            dp_rdf_gaussian, rdf_gaussian, sinkhorn_coupling)
 from dpquant.ecdq import ecdq_rate_analytic
 from dpquant.harness import compare_to_bound, evaluate, rd_sweep
 from dpquant.lattice import scaled_integer
@@ -302,29 +301,31 @@ def test_08_dp_rdf_lower_bound(check):
 
 
 def test_09_discrete_solver_vs_oracle(check):
-    # Negative control: the coupling solved only to a residual of 1e-2, whose
-    # rate, cost and residual each miss their gate, must not pass.
-    pmf = [0.5, 0.5]
-    cost = 1.0 - np.eye(2)
-    d = 0.11
+    # The reference is exact: a uniform pmf over m symbols under Hamming cost
+    # has DP-RDF = RDF = ln m - h(d) - d ln(m - 1), as the RDF's symmetric
+    # test channel has two uniform marginals.  Negative control: the coupling
+    # solved only to a residual of 1e-2, whose rate, cost and residual each
+    # miss their gate, must not pass.
+    m, d = 3, 0.11
+    pmf = [1 / m] * m
+    cost = 1.0 - np.eye(m)
     # Lagrange multiplier that puts the symmetric optimum exactly at cost d
-    lam = math.log((1 - d) / d)
-    closed = math.log(2) + d * math.log(d) + (1 - d) * math.log(1 - d)
-    brute = discrete_dp_rdf_bruteforce(pmf, cost, d)
+    lam = math.log((1 - d) * (m - 1) / d)
+    closed = (math.log(m) + d * math.log(d) + (1 - d) * math.log(1 - d)
+              - d * math.log(m - 1))
 
     def passes(coupling):
-        rate = coupling.mutual_information()
-        return (abs(rate - closed) <= 1e-3
-                and abs(rate - brute) <= 1e-3
+        return (abs(coupling.mutual_information() - closed) <= 1e-9
                 and abs(coupling.expected_cost() - d) <= 1e-6
                 and coupling.marginal_residual() <= 1e-8)
 
     coupling = sinkhorn_coupling(pmf, cost, lam)
     loose = sinkhorn_coupling(pmf, cost, lam, tol=1e-2)
     rate, loose_rate = coupling.mutual_information(), loose.mutual_information()
-    check(9, "discrete solver matches brute force and the closed form",
+    check(9, "discrete solver matches the closed form",
            passes(coupling) and not passes(loose),
-           f"rate={rate:.6f}, closed={closed:.6f}, brute={brute:.6f}; "
+           f"m={m}: rate={rate:.10f}, closed={closed:.10f}, "
+           f"off by {abs(rate - closed):.1e}; "
            f"tol=1e-2 control rate off by {abs(loose_rate - closed):.4f}, "
            f"residual={loose.marginal_residual():.1e}, "
            f"rejected={not passes(loose)}")

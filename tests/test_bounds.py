@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from dpquant.bounds import (_EXP_ZERO, _LAMBDAS, RdPoint, _exp,
                             awgn_oracle_point, check_pmf,
-                            discrete_dp_rdf_bruteforce, discrete_dp_rdf_curve,
-                            dp_rdf_gaussian, rdf_gaussian, sinkhorn_coupling,
-                            slb_mse)
+                            discrete_dp_rdf_curve, dp_rdf_gaussian,
+                            rdf_gaussian, sinkhorn_coupling, slb_mse)
 from dpquant.prob import gaussian
 
 # frozen from the jointly-Gaussian mutual-information oracle -0.5 ln(1 - rho^2),
@@ -175,10 +175,6 @@ class TestCheckPmf:
         with pytest.raises(ValueError, match="sum to 1"):
             discrete_dp_rdf_curve([0.25, 0.25, 0.25], 1.0 - np.eye(3))
 
-    def test_oracle_refuses_mass_below_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            discrete_dp_rdf_bruteforce([0.25, 0.25], HAMMING2, 0.5)
-
 
 class TestSinkhorn:
     def test_lambda_zero_is_product_coupling(self):
@@ -293,12 +289,15 @@ class TestSinkhorn:
         assert c.marginal_residual() < 1e-10
         assert np.array_equal(c.joint, c.joint.T)
 
-    @pytest.mark.parametrize("cost", [
-        np.array([[0.0, 1.0], [2.0, 0.0]]),
-        np.array([[0.5, 1.0], [1.0, 0.0]]),
-    ], ids=["asymmetric", "nonzero-diagonal"])
-    def test_cost_outside_distortion_measures_refused(self, cost):
-        with pytest.raises(ValueError, match="symmetric with a zero diagonal"):
+    @pytest.mark.parametrize("cost,match", [
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric with a zero diagonal"),
+        (np.array([[0.5, 1.0], [1.0, 0.0]]), "symmetric with a zero diagonal"),
+        (1.0 - np.eye(3), "m x m"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "nonnegative"),
+        (np.array([[0.0, math.nan], [math.nan, 0.0]]), "finite"),
+    ], ids=["asymmetric", "nonzero-diagonal", "wrong-shape", "negative", "nan"])
+    def test_cost_outside_distortion_measures_refused(self, cost, match):
+        with pytest.raises(ValueError, match=match):
             sinkhorn_coupling([0.5, 0.5], cost, 1.0)
 
     def test_too_few_newton_steps_raise(self):
@@ -322,26 +321,38 @@ class TestSinkhorn:
         assert c.mutual_information() >= -1e-12
 
 
-class TestBruteForce:
-    def test_binary_closed_form(self):
-        r = discrete_dp_rdf_bruteforce([0.5, 0.5], HAMMING2, 0.11)
-        hb = -(0.11 * math.log(0.11) + 0.89 * math.log(0.89))
-        assert r == pytest.approx(math.log(2) - hb, abs=1e-3)
+def _uniform_hamming_gap(m, rate, d):
+    """Rate minus ln m - h(d) - d ln(m - 1), in nats, for 0 < d <= 1 - 1/m:
+    the DP-RDF of a uniform pmf over m symbols under Hamming cost.  It equals
+    the RDF, whose test channel is symmetric and so has two uniform marginals
+    (Cover & Thomas 10.3.1)."""
+    h = -(d * math.log(d) + (1 - d) * math.log1p(-d))
+    return rate - (math.log(m) - h - d * math.log(m - 1))
 
-    def test_independent_coupling_reaches_half(self):
-        assert discrete_dp_rdf_bruteforce([0.5, 0.5], HAMMING2, 0.5) == pytest.approx(0.0, abs=1e-6)
 
-    def test_degenerate_source(self):
-        assert discrete_dp_rdf_bruteforce([1.0, 0.0], HAMMING2, 0.01) == pytest.approx(0.0, abs=1e-9)
+class TestUniformHammingClosedForm:
+    @pytest.mark.parametrize("m", [2, 3, 8, 64])
+    def test_curve_meets_closed_form(self, m):
+        pts = discrete_dp_rdf_curve([1 / m] * m, 1.0 - np.eye(m))
+        gaps = [_uniform_hamming_gap(m, p.rate, p.distortion) for p in pts]
+        assert max(map(abs, gaps)) <= 1e-8
 
-    def test_infeasible_refused(self):
-        with pytest.raises(ValueError):
-            discrete_dp_rdf_bruteforce([0.5, 0.5], HAMMING2, -0.5)
-
-    def test_ternary_against_sinkhorn(self):
-        p = [1 / 3] * 3
-        cost = 1.0 - np.eye(3)
-        c = sinkhorn_coupling(p, cost, 2.5)
-        d = c.expected_cost()
-        r_bf = discrete_dp_rdf_bruteforce(p, cost, d)
-        assert r_bf == pytest.approx(c.mutual_information(), abs=2e-3)
+    def test_perturbed_optimum_rejected(self):
+        # negative control: eps moved around an off-diagonal cycle of the
+        # m = 3 optimum at d = 0.11 keeps both marginals and the cost, yet
+        # raises the rate 0.0173 nats above the closed form
+        m, d, eps = 3, 0.11, 0.01
+        opt = sinkhorn_coupling([1 / m] * m, 1.0 - np.eye(m),
+                                math.log((1 - d) * (m - 1) / d))
+        joint = opt.joint.copy()
+        for i, j, sign in [(0, 1, 1), (0, 2, -1), (1, 2, 1),
+                           (1, 0, -1), (2, 0, 1), (2, 1, -1)]:
+            joint[i, j] += sign * eps
+        moved = dataclasses.replace(opt, joint=joint)
+        assert moved.marginal_residual() < 1e-15
+        assert moved.expected_cost() == pytest.approx(d, abs=1e-15)
+        gap, moved_gap = (_uniform_hamming_gap(m, c.mutual_information(),
+                                               c.expected_cost())
+                          for c in (opt, moved))
+        assert abs(gap) <= 1e-8 < abs(moved_gap)
+        assert moved_gap == pytest.approx(0.0173, abs=1e-4)
