@@ -359,7 +359,8 @@ def main(argv=None) -> int:
     except (UsageError, sch.SchemeError, OSError) as exc:  # OSError: a path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # ArithmeticError: an OverflowError of a source too wide for float64
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -198,6 +198,22 @@ class TestEval:
                      "--out", str(out)]) == EXIT_NUMERIC
         assert "2**51" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["uniform:a=0,b=1e308",
+                                        "laplace:scale=1e200",
+                                        "gaussian:var=1e308"])
+    def test_source_too_wide_for_float64_exit(self, tmp_path, capsys, source):
+        # an OverflowError, of the uniform's variance (b - a)**2 or of the
+        # harness's moment merge, left a traceback and exit 1.  numpy's
+        # overflow and invalid-value warnings on the way are printed in a
+        # shell; here they would fail the test first.
+        out = tmp_path / "r.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["eval", "-n", "10000", "--source", source,
+                       "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert not out.exists()
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_deterministic_and_above_bound(self, tmp_path):
@@ -216,7 +232,8 @@ class TestSweep:
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
-        cfgf.write_text("family=simple\nn=20000\nseed=9\nout=ignored.csv\n")
+        cfgf.write_text("# a comment\n\nfamily=simple\nn=20000\n  # indented\n"
+                        "seed=9\nout=ignored.csv\n")
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", str(cfgf), "--grid", "1",
                      "--out", str(out)]) == EXIT_OK
@@ -295,6 +312,15 @@ class TestUsageErrors:
                      str(cfgf), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
         assert "seed given twice" in capsys.readouterr().err
+
+    def test_bad_config_line_exit(self, tmp_path, capsys):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("seed=1\nn 20000\n")
+        out = tmp_path / "r.json"
+        assert main(["eval", "--scheme", "simple", "-n", "10000", "--config",
+                     str(cfgf), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert "bad config line: 'n 20000'" in capsys.readouterr().err
 
     def test_bad_source_exit(self, tmp_path):
         assert main(["bounds", "--source", "cauchy:x=1",
