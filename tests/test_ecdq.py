@@ -153,6 +153,16 @@ class TestRate:
                  for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: ecdq_rate_empirical([scaled_integer(1.0, 1)], gaussian(0, 1),
+                                     9_999), "n >= 1e4"),
+        (lambda: ecdq_rate_analytic(gaussian(0, 1, dim=2), hexagonal(1.0)),
+         "scalar cubic lattice"),
+    ], ids=["empirical-n-below-1e4", "analytic-hexagon"])
+    def test_refusals(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     def test_shared_seed_dither_contract(self):
         lat = scaled_integer(0.5, 2)
         a = lat.sample_dither(stream_rng(99, 3, 0), 100)

@@ -226,6 +226,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             gaussian(0, 1).sample(seed=0, n=0)
 
+    def test_overflowing_sample_refused(self):
+        # scale 1e308 times a Laplace quantile beyond +-1 overflows to inf;
+        # numpy's overflow warning would otherwise fail the test first
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="non-finite"):
+            laplace(0, 1e308).sample(0, 1000)
+
 
 class TestKs:
     def test_matching_model_passes_usually(self):
@@ -414,6 +421,10 @@ class TestValidation:
             gaussian(dim=2.0)
         model = gaussian(dim=np.int64(2))
         assert type(model.dim) is int and model == gaussian(dim=2)
+
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            gaussian(dim=0)
 
     def test_family_must_be_a_family(self):
         # a family name raised KeyError from the `_LAWS` lookup

@@ -393,6 +393,7 @@ class TestFamilies:
         ("resample", gaussian(0, 1), math.inf),
         ("awgn", gaussian(0, 1), math.nan),
         ("awgn", gaussian(0, 1), math.inf),
+        ("resample", gaussian(0, 1, dim=2), 0.1),  # a scalar scheme
     ])
     def test_bad_build_raises_scheme_error(self, family, source, param):
         with pytest.raises(SchemeError):

@@ -297,6 +297,10 @@ class TestSmoothedCdf:
         with pytest.raises(ValueError):
             smoothed_cdf(gaussian(0, 1), hexagonal(1.0), np.zeros(2))
 
+    def test_hex_refuses_three_columns(self):
+        with pytest.raises(ValueError, match="2-D"):
+            smoothed_cdf(gaussian(0, 1, dim=2), hexagonal(1.0), np.zeros((4, 3)))
+
     def test_out_of_support_conditioning_refused(self):
         with pytest.raises(ValueError):
             smoothed_cdf(uniform(0, 1, dim=2), hexagonal(0.2),
@@ -317,6 +321,11 @@ class TestSmoothedCdf:
 
 
 class TestRosenblatt:
+    @pytest.mark.parametrize("rho", [1.0, -1.0, math.nan])
+    def test_rho_outside_open_interval_refused(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            BivariateGaussian(rho=rho)
+
     def test_bivariate_center(self):
         bg = BivariateGaussian(rho=0.5)
         u = bg.cdf([0.0, 0.0])
@@ -468,3 +477,7 @@ class TestGaussianSmoothedTransform:
     def test_eta_positive_required(self):
         with pytest.raises(ValueError):
             gaussian_smoothed_transform(gaussian(0, 1), 0.0, 1.0)
+
+    def test_scalar_model_required(self):
+        with pytest.raises(ValueError, match="scalar"):
+            gaussian_smoothed_transform(gaussian(0, 1, dim=2), 0.5, [1.0, 2.0])
