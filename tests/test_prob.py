@@ -227,7 +227,7 @@ class TestSampling:
             gaussian(0, 1).sample(seed=0, n=0)
 
     def test_overflowing_sample_refused(self):
-        # scale 1e308 times a Laplace quantile beyond +-1 overflows to inf;
+        # scale 1e308 times a Laplace quantile beyond +-1.8 overflows to inf;
         # numpy's overflow warning would otherwise fail the test first
         with np.errstate(over="ignore"), pytest.raises(ValueError,
                                                        match="non-finite"):
