@@ -29,10 +29,13 @@ __all__ = [
 # Gauss-Legendre nodes on the cube's step, and on each half of the hexagon's
 # x-projection for a source whose density has a kink (`_hex_node_count`)
 _NODES = 32
-# Widest Gaussian cube step, in standard deviations, that takes the 32-node
-# rule: it errs by 2.2e-16 at 1e-4 sigma, where the closed form errs by 1e-12,
-# and by 1.9e-3 at 64 sigma, where the closed form is exact to rounding.
-_CUBE_RULE_SIGMAS = 8.0
+# Gaussian cube steps below this many standard deviations take the 32-node
+# rule, and steps from it up the closed form.  Against 40-digit mpmath the rule
+# errs by 2.2e-16 at 1e-4 to 1 sigma, where the closed form errs by 1e-12 at
+# 1e-4 sigma, 1.3e-15 at 0.1 and 2.2e-16 at 1; from 1 sigma up the closed form
+# is within 2.2e-16 at 2 evaluations of G per item against the rule's 32 of F,
+# and at 64 sigma the rule errs by 1.9e-3.
+_CUBE_RULE_SIGMAS = 1.0
 # Row-wide temporaries that the cube's closed-form cell average forms, which
 # size its blocks as the rule's nodes size theirs: 1 024 rows per block
 _CLOSED_FORM_TEMPS = 16
@@ -92,8 +95,9 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     over the negated basic cell.  Cubic lattice with an independent-coordinate
     source: the conditioning drops out and each value is the cell average of
     the marginal cdf, `SourceModel.cdf_average` over the step; a Gaussian at
-    a step of at most `_CUBE_RULE_SIGMAS` standard deviations takes a
-    `_NODES`-point Gauss-Legendre rule instead.  Hexagonal lattice:
+    a step below `_CUBE_RULE_SIGMAS` standard deviations takes a
+    `_NODES`-point Gauss-Legendre rule instead, which is the more accurate
+    there.  Hexagonal lattice:
     coordinate 0 averages the cdf over the cell's x-projection; coordinate 1
     is the ratio of cell integrals conditioned on coordinate 0, both
     integrated along the cell's chords, each chord's cdf average in closed
@@ -109,7 +113,7 @@ def smoothed_cdf(model: SourceModel, lat: Lattice, x_hat):
     if lat.kind == "scaled_integer":
         half = lat.step / 2.0
         if (model.family is Family.GAUSSIAN
-                and lat.step <= _CUBE_RULE_SIGMAS * math.sqrt(model.variance())):
+                and lat.step < _CUBE_RULE_SIGMAS * math.sqrt(model.variance())):
             t, w = _gl_nodes(_NODES)
             tau = half * t
 

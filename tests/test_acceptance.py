@@ -145,23 +145,29 @@ def test_05_distribution_preservation_all_rates(check, monkeypatch):
     # Negative controls, each decoding the same indices wrongly: without the
     # transform (X + U with U uniform on the cell, whose cdf is the cell
     # average F~ of the source cdf F), with a 2-node rule in place of the
-    # 32-node one, and with a decoder model of variance 1.21.  D is the sup
-    # over the grid of the control's cdf distance from F: |F~ - F|,
-    # |u_2 - u_32| for the smoothed cdfs u_k of the k-node rules, and
-    # |F~(x) - F(F_w^-1(F~_w(x)))| for the wrong model's F_w.  Where KS cannot
-    # resolve D at this n (sqrt(n) D below the 5% coefficient 1.36), a control
-    # cannot fail and its row says so, with how far the transform moves the
-    # outputs.
+    # cube's cell average at every step (the 32-node rule below sigma, the
+    # closed form from sigma up), and with a decoder model of variance 1.21.
+    # D is the sup over the grid of the control's cdf distance from F:
+    # |F~ - F|, |u_2 - u| for the 2-node rule's smoothed cdf u_2 and the
+    # cube's own u, and |F~(x) - F(F_w^-1(F~_w(x)))| for the wrong model's
+    # F_w.  Where KS cannot resolve D at this n (sqrt(n) D below the 5%
+    # coefficient 1.36), a control cannot fail and its row says so, with how
+    # far the transform moves the outputs.
     m = gaussian(0, 1)
     wrong = gaussian(0, 1.21)
     n = 100_000
     grid = np.linspace(-8.0, 8.0, 16_001)
     ok = True
     details = []
+
+    def two_node_rule(mp):  # the cube's Gaussian rule at every step, on 2 nodes
+        mp.setattr(dpquant.transform, "_CUBE_RULE_SIGMAS", math.inf)
+        mp.setattr(dpquant.transform, "_NODES", 2)
+
     for step in (0.1, 1.0, 4.0):
         lat = scaled_integer(step, 1)
         with monkeypatch.context() as mp:
-            mp.setattr(dpquant.transform, "_NODES", 2)
+            two_node_rule(mp)
             u_2 = smoothed_cdf(m, lat, grid)
         cell_cdf = m.cdf_average(grid - step / 2, grid + step / 2)
         wrong_cdf = m.cdf(wrong.icdf(
@@ -185,7 +191,7 @@ def test_05_distribution_preservation_all_rates(check, monkeypatch):
                            lambda model, lat, x_hat: x_hat)
                 controls["untransformed"] = transform_dpq_decode(sc, indices)
             with monkeypatch.context() as mp:
-                mp.setattr(dpquant.transform, "_NODES", 2)
+                two_node_rule(mp)
                 controls["2-node"] = transform_dpq_decode(sc, indices)
             controls["variance-1.21"] = transform_dpq_decode(
                 TransformDpq(source=wrong, seed=seed, lattice=lat), indices)

@@ -10,7 +10,8 @@ from scipy.stats import spearmanr
 
 from dpquant.ecdq import ecdq_encode
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import gaussian, ks_statistic, laplace, uniform
+from dpquant.prob import (EPS, SourceModel, gaussian, ks_statistic, laplace,
+                          uniform)
 from dpquant.rng import stream_rng
 from dpquant.schemes import TransformDpq
 from dpquant import transform
@@ -80,21 +81,51 @@ def _cube_rows(model, step):
                        model.mean() + 8 * sd + step / 2, 401)
 
 
+# the widest Gaussian cube step, in standard deviations, that takes the
+# 32-node rule; one standard deviation takes the closed form
+BELOW_SIGMA = float(np.nextafter(1.0, 0.0))
+
+
+def _gaussian_cell_average_mp(x, step):
+    """The standard Gaussian cdf's mean over [x - step/2, x + step/2] at 40
+    digits, (G(x + step/2) - G(x - step/2)) / step with G(z) = z Phi(z) +
+    phi(z), rounded to float."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        g = lambda z: z * mpmath.ncdf(z) + mpmath.npdf(z)
+        h = mpmath.mpf(step) / 2
+        return np.array([float((g(mpmath.mpf(xi) + h) - g(mpmath.mpf(xi) - h)) / (2 * h))
+                         for xi in x])
+
+
+def _step_id(step):
+    return f"{step:g}" if float(f"{step:g}") == step else repr(step)
+
+
 # (model, the kinks of its density, cube step): the Gaussian steps that take
 # the 32-node rule, then every case that takes the closed form
-CUBE_CASES = [(gaussian(0, 1), [], 1e-4), (gaussian(0, 1), [], 4.0),
+CUBE_CASES = [(gaussian(0, 1), [], 1e-4), (gaussian(0, 1), [], 0.5),
+              (gaussian(0, 1), [], BELOW_SIGMA), (gaussian(0, 1), [], 1.0),
+              (gaussian(0, 1), [], 2.0), (gaussian(0, 1), [], 4.0),
               (gaussian(0, 1), [], 8.0), (gaussian(0, 1), [], 16.0),
               (gaussian(0, 4), [], 128.0), (laplace(0, 1), [0.0], 1e-4),
               (laplace(0.5, 2), [0.5], 0.5), (laplace(0, 1), [0.0], 4.0),
               (laplace(0, 1), [0.0], 32.0), (uniform(-1.7, 1.7), [-1.7, 1.7], 1e-4),
               (uniform(-1.7, 1.7), [-1.7, 1.7], 0.5),
               (uniform(0, 1), [0.0, 1.0], 16.0)]
-CUBE_IDS = [f"{m.family.value}-{step:g}" for m, _, step in CUBE_CASES]
-# the closed-form cases where the 32-node rule errs on these rows: at a step
-# of 1e-4 no row's cell straddles a kink
-CUBE_CONTROLS = [case for case in CUBE_CASES[3:] if case[2] > 1e-4]
+CUBE_IDS = [f"{m.family.value}-{_step_id(step)}" for m, _, step in CUBE_CASES]
+# the closed-form cases where the unsplit 32-node rule errs on these rows: a
+# cell wider than 8 sigma, or one that straddles a kink of the density.  At a
+# step of 1e-4 the rule stays within rounding even on the cell centred on the
+# Laplace kink, and at 1 to 8 sigma it errs by at most 3.3e-16.
+CUBE_CONTROLS = [case for case in CUBE_CASES
+                 if case[2] > 8.0 * math.sqrt(case[0].variance())
+                 or (case[1] and case[2] > 1e-4)]
 # max |u - reference| allowed: a few ulp of 1
 CUBE_TOL = 1e-15
+# max |u - u_mp| allowed against 40-digit arithmetic: one ulp of 1
+CUBE_MP_TOL = 2.5e-16
 
 
 def _gaussian_hex_nodes(scale, var):
@@ -205,7 +236,7 @@ class TestSmoothedCdf:
         assert np.max(np.abs(u - _cube_reference(model, kinks, step, x))) <= CUBE_TOL
 
     @pytest.mark.parametrize("model,kinks,step", CUBE_CONTROLS,
-                             ids=[f"{m.family.value}-{step:g}"
+                             ids=[f"{m.family.value}-{_step_id(step)}"
                                   for m, _, step in CUBE_CONTROLS])
     def test_cube_reference_check_rejects_unsplit_rule(self, model, kinks, step):
         # negative control: the 32-node rule over the whole cell fails the
@@ -214,6 +245,59 @@ class TestSmoothedCdf:
         err = np.max(np.abs(_cube_rule(model, step, x)
                             - _cube_reference(model, kinks, step, x)))
         assert err > 10 * CUBE_TOL, err
+
+    @pytest.mark.parametrize("step", [1.0, 2.0, 4.0, 8.0])
+    def test_cube_closed_form_matches_mpmath(self, step):
+        # From one standard deviation up the cube's Gaussian cell average is
+        # the closed form, within 2.5e-16 of 40-digit arithmetic on 101 rows
+        # in +-9 sigma (the 32-node rule: 2.2e-16 to 4.4e-16)
+        x = np.linspace(-9.0, 9.0, 101)
+        u = smoothed_cdf(gaussian(0, 1), scaled_integer(step), x)
+        err = np.max(np.abs(u - _gaussian_cell_average_mp(x, step)))
+        assert err <= CUBE_MP_TOL, err
+
+    def test_mpmath_check_rejects_closed_form_at_tenth_sigma(self):
+        # negative control: at 0.1 sigma, which keeps the rule, the closed
+        # form's differenced G loses digits and fails the check above
+        x = np.linspace(-9.0, 9.0, 101)
+        u = gaussian(0, 1).cdf_average(x - 0.05, x + 0.05)
+        err = np.max(np.abs(u - _gaussian_cell_average_mp(x, 0.1)))
+        assert err > CUBE_MP_TOL, err
+
+    @pytest.mark.parametrize("step", [1.0, 4.0])
+    def test_cube_closed_form_lower_tail_output(self, step):
+        # Below the median G cancels, and the closed form's relative error
+        # grows to about 3e-13 (the rule's: 3e-15).  After the icdf an output
+        # with EPS <= u <= 1/2 stays within 1e-13 sigma of the 40-digit one.
+        import mpmath
+
+        m = gaussian(0, 1)
+        x = np.linspace(-9.0, 0.0, 101)
+        u_mp = _gaussian_cell_average_mp(x, step)
+        keep = u_mp >= EPS
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1))
+                             for u in u_mp[keep]])
+        got = m.icdf(smoothed_cdf(m, scaled_integer(step), x[keep]))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("var", [1.0, 4.0])
+    @pytest.mark.parametrize("ratio,cdf_per_item", [
+        (0.5, 32), (BELOW_SIGMA, 32), (1.0, 0)], ids=["0.5", "below-1", "1"])
+    def test_cube_takes_rule_below_one_sigma(self, monkeypatch, var, ratio,
+                                             cdf_per_item):
+        # A Gaussian step below sigma evaluates the cdf at 32 nodes per item;
+        # a step of sigma takes one closed-form cell average per item
+        elems = {"cdf": 0, "cdf_average": 0}
+        for name in elems:
+            def counted(model, x, *rest, _name=name, _f=getattr(SourceModel, name)):
+                elems[_name] += np.size(x)
+                return _f(model, x, *rest)
+            monkeypatch.setattr(SourceModel, name, counted)
+        x = np.linspace(-3.0, 3.0, 1000)
+        smoothed_cdf(gaussian(0, var), scaled_integer(ratio * math.sqrt(var)), x)
+        assert elems == {"cdf": cdf_per_item * x.size,
+                         "cdf_average": 0 if cdf_per_item else x.size}
 
     def test_hex_quadrature_integrates_volume(self):
         # 12 nodes per half-cell: the Gaussian rule at 1.7 sigma; 32: the
