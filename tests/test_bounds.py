@@ -213,21 +213,6 @@ class TestSinkhorn:
                                 distortion=c.expected_cost()))
         assert discrete_dp_rdf_curve(pmf, cost) == want
 
-    def test_matches_binary_closed_form(self):
-        # bisect lambda so the expected Hamming cost hits 0.11, then compare
-        # with ln 2 - H_b(0.11)
-        p = [0.5, 0.5]
-        lo, hi = 0.01, 100.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if sinkhorn_coupling(p, HAMMING2, mid).expected_cost() > 0.11:
-                lo = mid
-            else:
-                hi = mid
-        c = sinkhorn_coupling(p, HAMMING2, lo)
-        hb = -(0.11 * math.log(0.11) + 0.89 * math.log(0.89))
-        assert c.mutual_information() == pytest.approx(math.log(2) - hb, abs=1e-3)
-
     def test_lambda_negative_refused(self):
         with pytest.raises(ValueError):
             sinkhorn_coupling([0.5, 0.5], HAMMING2, -1.0)
