@@ -120,12 +120,12 @@ GOLDEN = {'awgn_mean': {'ks_per_axis': [[0.00640862222130989, True]],
                                                  'family': 'gaussian',
                                                  'params': [0.0, 1.0]}},
                            'seed': 106},
-          'sweep_transform': {'ks_per_axis': [[0.010078770237905377, True]],
-                              'moment_errors': {'mean': -0.006088834223476748,
-                                                'skewness': 0.017810188383673882,
-                                                'variance': -0.010243645709819837},
+          'sweep_transform': {'ks_per_axis': [[0.010078770237905266, True]],
+                              'moment_errors': {'mean': -0.0060888342234764565,
+                                                'skewness': 0.017810188383677716,
+                                                'variance': -0.010243645709818838},
                               'mse_per_dim': 0.07857128422489126,
-                              'mse_se': 0.0006338577502148275,
+                              'mse_se': 0.0006338577502148383,
                               'n': 10000,
                               'param': 1.0,
                               'rate_nats_per_dim': 1.4579920383768616,
