@@ -31,10 +31,10 @@ __all__ = [
 _NODES = 32
 # Gaussian cube steps below this many standard deviations take the 32-node
 # rule, and steps from it up the closed form.  Against 40-digit mpmath the rule
-# errs by 2.2e-16 at 1e-4 to 1 sigma, where the closed form errs by 1e-12 at
-# 1e-4 sigma, 1.3e-15 at 0.1 and 2.2e-16 at 1; from 1 sigma up the closed form
-# is within 2.2e-16 at 2 evaluations of G per item against the rule's 32 of F,
-# and at 64 sigma the rule errs by 1.9e-3.
+# errs by 2.2e-16 up to 1 sigma, where the closed form's differenced G errs by
+# 1e-12 at 1e-4 sigma and 1.6e-15 at 0.1.  From 1 sigma up the closed form errs
+# by at most 2.2e-16 at 2 G evaluations per item, against the rule's 32 cdf
+# evaluations, and the rule errs by 1.9e-3 at 64 sigma.
 _CUBE_RULE_SIGMAS = 1.0
 # Row-wide temporaries that the cube's closed-form cell average forms, which
 # size its blocks as the rule's nodes size theirs: 1 024 rows per block

@@ -95,8 +95,8 @@ def _gaussian_cell_average_mp(x, step):
     with mpmath.workdps(40):
         g = lambda z: z * mpmath.ncdf(z) + mpmath.npdf(z)
         h = mpmath.mpf(step) / 2
-        return np.array([float((g(mpmath.mpf(xi) + h) - g(mpmath.mpf(xi) - h)) / (2 * h))
-                         for xi in x])
+        return np.array([float((g(xi + h) - g(xi - h)) / (2 * h))
+                         for xi in map(mpmath.mpf, x)])
 
 
 def _step_id(step):
@@ -276,8 +276,8 @@ class TestSmoothedCdf:
         u_mp = _gaussian_cell_average_mp(x, step)
         keep = u_mp >= EPS
         with mpmath.workdps(40):
-            want = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1))
-                             for u in u_mp[keep]])
+            want = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * u - 1))
+                             for u in map(mpmath.mpf, u_mp[keep])])
         got = m.icdf(smoothed_cdf(m, scaled_integer(step), x[keep]))
         assert np.max(np.abs(got - want)) <= 1e-13
 
