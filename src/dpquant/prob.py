@@ -213,8 +213,8 @@ class SourceModel:
         quadrature for a Gaussian cell narrower than 1 sigma, and takes this
         form from 1 sigma up, where it is within 2.2e-16.  Far in the lower
         tail G(z) = z Phi(z) + phi(z) cancels, so the relative error there is
-        about 3e-13 against the rule's 3e-15; the absolute error stays at
-        rounding.
+        about 3e-13 against the rule's 2e-15 to 1e-14; the absolute error stays
+        at rounding.
         """
         law, c, s = self._place()
         dl = np.asarray(lo, dtype=float) - c

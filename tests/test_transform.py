@@ -267,7 +267,7 @@ class TestSmoothedCdf:
     @pytest.mark.parametrize("step", [1.0, 4.0])
     def test_cube_closed_form_lower_tail_output(self, step):
         # Below the median G cancels, and the closed form's relative error
-        # grows to about 3e-13 (the rule's: 3e-15).  After the icdf an output
+        # grows to about 3e-13 (the rule's: 1e-14).  After the icdf an output
         # with EPS <= u <= 1/2 stays within 1e-13 sigma of the 40-digit one.
         import mpmath
 
