@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import math
 import operator
+import threading
 import time
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .bounds import dp_rdf_gaussian
 from .ecdq import ecdq_rate_empirical
-from .prob import Family, SourceModel, ks_statistic
+from .prob import Family, SourceModel, ks_buckets, ks_counts, ks_statistic
 from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
@@ -56,11 +57,14 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     Each batch is reduced where it is run: to its MSE, its moments
     (`_batch_moments`), its payload for ``scheme.rate`` (a batch statistic or
     None) and its columns of the probability integral transform,
-    ``cdf(output)``, a (k, n) array with one row per axis.  Each row is sorted
-    in place and the KS test compares it with U(0, 1), so the PIT is the one
-    n-sized array an evaluation keeps.  The moments pool every coordinate of
-    the n outputs, merged in batch order; the variance is the population
-    variance.
+    ``cdf(output)``, a (k, n) array with one row per axis, the one n-sized
+    array an evaluation keeps.  The KS test compares each row with U(0, 1).
+    At one worker the row is sorted in place.  At two or more, each batch
+    also counts its columns into ``prob.ks_buckets(n)`` buckets, and
+    `prob.ks_statistic` sorts only the values of the buckets that may hold
+    the largest gap, extracted on the pool; D_n has the same bits either
+    way.  The moments pool every coordinate of the n outputs, merged in
+    batch order; the variance is the population variance.
 
     A worker holds at most three arrays of its batch's size: the sample,
     the scheme's output and the squared error.  The sample is dropped
@@ -95,7 +99,13 @@ def _evaluate_all(schemes, n: int, seed: int, workers: int) -> list:
 
 def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     """`evaluate`, with the (rate, se, seconds) of a TransformDpq handed in by
-    `_evaluate_all` and its seconds counted into wall_time."""
+    `_evaluate_all` and its seconds counted into wall_time.
+
+    At two or more workers each batch adds its PIT columns' `ks_counts` to
+    per-axis int64 totals under a lock, which any order sums alike, after
+    its own arrays are dropped; KS then runs its extraction on the same
+    pool.  One worker sorts the PIT in place and scans it.
+    """
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
     model = scheme.source
@@ -103,7 +113,11 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     sizes = [n // N_BATCHES + (1 if b < n % N_BATCHES else 0)
              for b in range(N_BATCHES)]
     starts = np.cumsum([0] + sizes)
-    pit = np.empty((k, n))  # one contiguous row per axis, sorted for KS
+    pit = np.empty((k, n))  # one contiguous row per axis, for KS
+    if workers > 1:  # each batch counts its PIT columns for ks_statistic
+        buckets = ks_buckets(n)
+        totals = np.zeros((k, buckets), dtype=np.int64)
+        lock = threading.Lock()
 
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
@@ -115,16 +129,27 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
         mse = np.mean(err)
         del err
         xt = np.reshape(xt, (-1, k))
-        pit[:, starts[b]:starts[b + 1]] = model.cdf(xt).T
-        return mse, _batch_moments(xt.ravel()), payload
+        cols = pit[:, starts[b]:starts[b + 1]]
+        cols[...] = model.cdf(xt).T
+        moments = _batch_moments(xt.ravel())
+        del xt
+        if workers > 1:
+            counts = [ks_counts(row, buckets) for row in cols]
+            with lock:
+                totals[...] += counts
+        return mse, moments, payload
 
     # One worker runs here, not in a pool of one: a pool thread allocates
     # from a second malloc arena, which raised hex-eval's peak RSS by 2 MB.
+    # It sorts and scans the PIT, which is faster there than counting it.
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run, range(N_BATCHES)))
+            ks = [ks_statistic(pit[i], totals[i], ex.map) for i in range(k)]
     else:
         results = [run(b) for b in range(N_BATCHES)]
+        pit.sort(axis=1)  # in place; ks_statistic reads a sorted row as it is
+        ks = [ks_statistic(pit[i]) for i in range(k)]
 
     batch_mse = np.array([mse for mse, _, _ in results])
     mse = float(np.average(batch_mse, weights=sizes))
@@ -132,9 +157,6 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
 
     rate, rate_se, rate_seconds = (
         ecdq_rate or (*scheme.rate([p for _, _, p in results]), 0.0))
-
-    pit.sort(axis=1)  # in place; ks_statistic reads a sorted row as it is
-    ks = [ks_statistic(pit[i]) for i in range(k)]
 
     count, m1, m2, m3 = functools.reduce(_merge_moments,
                                          [m for _, m, _ in results])

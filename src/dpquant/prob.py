@@ -27,6 +27,8 @@ __all__ = [
     "uniform",
     "laplace",
     "ks_statistic",
+    "ks_buckets",
+    "ks_counts",
     "plugin_entropy",
 ]
 
@@ -36,6 +38,7 @@ EPS = 1e-12
 
 KS_ALPHA_005_COEFF = 1.36  # asymptotic two-sided 5% critical coefficient
 _KS_CHUNK = 1 << 16  # rows of the KS grid formed at a time
+_KS_BLOCK = 1 << 12  # KS buckets whose gap bounds are formed at a time: 32 KB
 _ICDF_BLOCK = 8192  # elements of the Laplace icdf formed at a time
 
 
@@ -269,37 +272,165 @@ def laplace(loc: float = 0.0, scale: float = 1.0, dim: int = 1) -> SourceModel:
 
 # ---- empirical statistics ----------------------------------------------------
 
-def ks_statistic(u) -> tuple[float, bool]:
+def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
     """Two-sided KS distance of a sample u from U(0, 1).
 
     Pass the probability integral transform ``model.cdf(x)`` to test a scalar
     sample x against a continuous model: the cdf is monotone, so this is the
     KS distance of x from the model.  With u sorted, D_n is the larger of
-    max(i/n - u_(i)) and max(u_(i) - (i-1)/n), formed in chunks of
-    `_KS_CHUNK`.  A chunk holds one scratch array at a time: the steps
-    above it less u, then u less the steps below it.  Returns (D_n, pass)
-    where pass means D_n < 1.36/sqrt(n), the asymptotic 5% critical value.
+    max(i/n - u_(i)) and max(u_(i) - (i-1)/n).  Returns (D_n, pass) where
+    pass means D_n < 1.36/sqrt(n), the asymptotic 5% critical value.
     Refuses n < 20, where the asymptotic threshold is invalid, and u outside
     [0, 1].
 
-    u is sorted into a copy only when it is not already ascending, which one
-    chunked pass checks: an ascending float array is read where it lies, with
-    no n-sized copy, and the caller's u is never changed.  NaN fails the
-    check, sorts to the end and is refused.
+    Without counts, the gaps are formed in chunks of `_KS_CHUNK`, each
+    holding one scratch array at a time: the steps above it less u, then u
+    less the steps below it.  u is sorted into a copy only when it is not
+    already ascending, which one chunked pass checks: an ascending float
+    array is read where it lies, with no n-sized copy, and the caller's u is
+    never changed.  NaN fails the check, sorts to the end and is refused.
+
+    counts, ``ks_counts(u, ks_buckets(n))`` or the sum of the counts of u's
+    parts, spares the sort (after Gonzalez, Sahni & Franta, 1977).  They
+    leave a few candidate buckets (`_ks_candidates`) that may hold the
+    largest gap; ``map`` runs the pass that extracts their values over
+    chunks of u, and a pool's map runs it in parallel.  Only those values are
+    sorted, and each gets its gaps at its exact sorted position, so D_n has
+    the bits of the scan's.  Refuses counts of another length or total.
     """
     u = np.asarray(u, dtype=float).ravel()
-    if not _ascending(u):
-        u = np.sort(u)
     n = u.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
+    d = _ks_scan(u) if counts is None else _ks_bucketed(u, counts, map)
+    return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
+
+
+def ks_buckets(n: int) -> int:
+    """B, the buckets of [0, 1] that the KS counts of an n-row sample use:
+    the power of two in (n/64, n/32], or 1 below n = 64."""
+    return 1 << (n // 64).bit_length()
+
+
+def ks_counts(u, buckets: int) -> np.ndarray:
+    """How many values of u fall in each of B = buckets equal buckets of
+    [0, 1], as int64: v is in bucket min(floor(v·B), B - 1), so the last
+    bucket also holds 1.  B is a power of two, so v·B is exact.  The counts of
+    a sample's parts add up to its counts, in any order.  Formed in chunks of
+    `_KS_CHUNK`; refuses u outside [0, 1], before any cast to int.
+    """
+    if buckets < 1 or buckets & (buckets - 1):
+        raise ValueError("need a power of two of buckets")
+    u = np.asarray(u, dtype=float).ravel()
+    counts = np.zeros(buckets + 1, dtype=np.int64)
+    for lo in range(0, u.size, _KS_CHUNK):
+        counts += np.bincount(_ks_bucket_of(u[lo:lo + _KS_CHUNK], buckets),
+                              minlength=buckets + 1)
+    counts[-2] += counts[-1]  # 1 is in the last bucket
+    return counts[:-1]
+
+
+def _ks_bucket_of(f, buckets: int):
+    """floor(f·B) for each value of the non-empty flat array f, so B for 1;
+    refuses f outside [0, 1], NaN included, before the cast."""
+    s = f * buckets
+    if not (s.min() >= 0.0 and s.max() <= buckets):
+        raise ValueError("KS test needs u in [0, 1]: pass model.cdf(x)")
+    return s.astype(np.intp)
+
+
+def _ks_scan(u) -> float:
+    """D_n of u by sorting and scanning every gap; see `ks_statistic`."""
+    if not _ascending(u):
+        u = np.sort(u)
+    n = u.size
     if not (u[0] >= 0.0 and u[-1] <= 1.0):
         raise ValueError("KS test needs u in [0, 1]: pass model.cdf(x)")
     d = 0.0
     for lo in range(0, n, _KS_CHUNK):
         f = u[lo:lo + _KS_CHUNK]
         d = max(d, _ks_side(f, lo, n, above=True), _ks_side(f, lo, n, above=False))
-    return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
+    return d
+
+
+def _ks_bucketed(u, counts, map) -> float:
+    """D_n of u from the gaps of its candidate buckets' values; see
+    `ks_statistic`."""
+    n = u.size
+    buckets = ks_buckets(n)
+    counts = np.asarray(counts)
+    if counts.shape != (buckets,) or counts.sum() != n:
+        raise ValueError(f"need the ks_counts of u in {buckets} buckets")
+    chosen = _ks_candidates(counts, n)
+    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
+    # At most n/32 rows a chunk: a pool thread's scratch arrays then fit in
+    # what `evaluate`'s batches of n/20 rows freed there.  Chunks of
+    # `_KS_CHUNK` rows raised by 1.5 MB the peak RSS of the benchmark's
+    # one-worker workloads, whose set-up evaluates n = 2e5 at two workers.
+    rows = min(_KS_CHUNK, -(-n // 32))
+
+    def extract(lo):
+        f = u[lo:lo + rows]
+        return f[keep[_ks_bucket_of(f, buckets)]]
+
+    v = np.concatenate(list(map(extract, range(0, n, rows))))
+    v.sort()
+    chosen = np.flatnonzero(chosen)
+    sizes = counts[chosen]
+    if v.size != sizes.sum():
+        raise ValueError("counts do not match u")
+    # v[j] of candidate bucket b, which starts at v[start_b], is at sorted
+    # position C_b + j - start_b of u
+    below = np.cumsum(counts)[chosen] - sizes
+    p = np.arange(v.size, dtype=float)
+    p += np.repeat(below - (np.cumsum(sizes) - sizes), sizes)
+    above = (p + 1.0) / n - v
+    p /= n
+    return max(0.0, float(above.max()), float((v - p).max()))
+
+
+def _ks_candidates(counts, n: int):
+    """Whether each bucket may hold the largest KS gap, from the counts alone.
+
+    Bucket b holds the u in [b/B, (b+1)/B), at sorted positions C_b to
+    C_{b+1} - 1, where C_b counts the values below it.  Rounding is monotone,
+    so each gap the scan forms there at position p, fl(fl((p+1)/n) - u) and
+    fl(u - fl(p/n)), is at most fl(fl(C_{b+1}/n) - b/B) and
+    fl((b+1)/B - fl(C_b/n)) respectively.  Its last value's first gap reaches
+    at least fl(fl(C_{b+1}/n) - (b+1)/B), and its first value's second gap
+    fl(b/B - fl(C_b/n)), so D_n is at least the largest of these floors over
+    the non-empty buckets.  A non-empty bucket is a candidate unless both of
+    its bounds fall below that.  The bounds are formed in blocks of
+    `_KS_BLOCK` buckets, one pass for the floor and one for the candidates.
+    """
+    size = counts.size
+    ends = np.cumsum(counts)  # C_{b+1}
+
+    def blocks():
+        # buckets lo to hi - 1: whether each is non-empty, and fl(C_b/n)
+        # and b/B for b = lo ... hi
+        for lo in range(0, size, _KS_BLOCK):
+            hi = min(lo + _KS_BLOCK, size)
+            steps = np.empty(hi - lo + 1)
+            steps[0] = ends[lo - 1] if lo else 0
+            steps[1:] = ends[lo:hi]
+            steps /= n
+            edges = np.arange(lo, hi + 1, dtype=float)
+            edges /= size  # exact
+            yield lo, counts[lo:hi] > 0, steps, edges
+
+    floor = -math.inf
+    for _, full, steps, edges in blocks():
+        gaps = steps - edges  # floors gaps[1:] and -gaps[:-1], exactly
+        floor = max(floor, np.max(gaps[1:], where=full, initial=-math.inf),
+                    -np.min(gaps[:-1], where=full, initial=math.inf))
+    chosen = np.empty(size, dtype=bool)
+    for lo, full, steps, edges in blocks():
+        part = chosen[lo:lo + full.size]
+        np.greater_equal(steps[1:] - edges[:-1], floor, out=part)
+        part |= edges[1:] - steps[:-1] >= floor
+        part &= full
+    return chosen
 
 
 def _ks_side(f, lo: int, n: int, above: bool) -> float:

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,34 +92,56 @@ class TestEvaluate:
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100, seed=0)
 
     # every reduction runs per batch, in the batch's worker; the merge goes
-    # in batch order, so the worker count cannot move any field
-    @pytest.mark.parametrize("scheme", [
-        SimpleDpq(gaussian(0, 1), 0),
-        ResampleDpq(laplace(0, 1), 0, 0.3),
-        TransformDpq(gaussian(0, 1, dim=2), 0, hexagonal(0.5)),
-        AwgnOracle(gaussian(0.5, 2), 0, 0.5),
-    ], ids=["simple", "resample", "transform-hex", "awgn"])
-    def test_report_independent_of_worker_count(self, scheme):
+    # in batch order, so the worker count cannot move any field.  Two or
+    # more workers count the PIT into buckets for KS, 256 at n = 1e4 and
+    # 4096 at 2e5, where one sorts it
+    @pytest.mark.parametrize("scheme, n", [
+        pytest.param(scheme, n, id=name + suffix)
+        for n, suffix in [(10_000, ""), (200_000, "-2e5")]
+        for scheme, name in [
+            (SimpleDpq(gaussian(0, 1), 0), "simple"),
+            (ResampleDpq(laplace(0, 1), 0, 0.3), "resample"),
+            (TransformDpq(gaussian(0, 1, dim=2), 0, hexagonal(0.5)),
+             "transform-hex"),
+            (AwgnOracle(gaussian(0.5, 2), 0, 0.5), "awgn")]])
+    def test_report_independent_of_worker_count(self, scheme, n):
         one, two, three = (
-            dataclasses.replace(evaluate(scheme, 10_000, 9, workers=w),
+            dataclasses.replace(evaluate(scheme, n, 9, workers=w),
                                 wall_time=0.0)
             for w in (1, 2, 3))
         assert one == two == three
 
-    def test_shared_pit_survives_thread_switching(self):
-        # The batches write their PIT rows into one shared array; with more
-        # workers than cores and threads switched every microsecond, a lost
-        # or misplaced write would move the KS fields.
+    def test_shared_pit_survives_thread_switching(self, n=20_000):
+        # The batches write their PIT rows into one shared array and add
+        # their bucket counts to shared totals; with more workers than cores
+        # and threads switched every microsecond, a lost or misplaced write
+        # would move the KS fields.
         scheme = ResampleDpq(gaussian(0, 1), 0, 0.3)
-        serial = evaluate(scheme, 20_000, 5)
+        serial = evaluate(scheme, n, 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = evaluate(scheme, 20_000, 5, workers=8)
+            threaded = evaluate(scheme, n, 5, workers=8)
         finally:
             sys.setswitchinterval(interval)
         assert dataclasses.replace(threaded, wall_time=0.0) == \
             dataclasses.replace(serial, wall_time=0.0)
+
+    def test_shared_counts_survive_thread_switching_at_2e5(self):
+        # the same at 4096 buckets
+        self.test_shared_pit_survives_thread_switching(n=200_000)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_output_refused(self, workers):
+        # one worker's sort puts the NaN last, where KS refuses it; two
+        # workers' batches refuse it as they count, before a cast to int
+        # could warn
+        scheme = _Recorded(gaussian(0, 1), 0,
+                           lambda x: np.where(x > 2.0, math.nan, x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"KS test needs u in \[0, 1\]"):
+                evaluate(scheme, 20_000, 0, workers=workers)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_refused(self, workers):

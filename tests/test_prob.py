@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
 
-from dpquant.prob import (EPS, Family, SourceModel, gaussian, ks_statistic,
-                          laplace, plugin_entropy, uniform)
+import dpquant.prob
+from dpquant.prob import (EPS, Family, SourceModel, gaussian, ks_buckets,
+                          ks_counts, ks_statistic, laplace, plugin_entropy,
+                          uniform)
 from dpquant.rng import stream_rng
 
 # frozen from numeric integration of the standard normal pdf
@@ -318,6 +322,108 @@ class TestKs:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 8 * u.size
+
+
+class TestKsBuckets:
+    """With its counts, ks_statistic extracts a few candidate buckets' values
+    instead of sorting u; D_n must keep the bits of the scan's."""
+
+    @staticmethod
+    def _counts(u, cuts):
+        # summed over uneven parts, as evaluate's batches count theirs
+        buckets = ks_buckets(u.size)
+        return sum(ks_counts(part, buckets) for part in np.split(u, cuts))
+
+    @staticmethod
+    def _both(u, counts, map=map):
+        (d, ok), (d_scan, ok_scan) = ks_statistic(u, counts, map), ks_statistic(u)
+        assert d.hex() == d_scan.hex() and ok == ok_scan
+        return d
+
+    # ties, values on the bucket edges b/B and next to them, 0, 1, subnormals
+    # and rows of one value, mixed into uniform or skewed draws
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(n=st.integers(20, 30_000), seed=st.integers(0, 2 ** 32 - 1),
+           power=st.sampled_from([1.0, 0.05, 12.0]),
+           special=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           decimals=st.sampled_from([None, 1, 3]), constant=st.booleans(),
+           parts=st.integers(1, 7))
+    def test_matches_the_scan_bit_for_bit(self, n, seed, power, special,
+                                          decimals, constant, parts):
+        rng = np.random.default_rng(seed)
+        buckets = ks_buckets(n)
+        edges = rng.integers(0, buckets + 1, 8) / buckets
+        pool = np.concatenate([
+            [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1 - 2 ** -53],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        u = rng.random(n) ** power
+        if decimals is not None:
+            tied = rng.random(n) < 0.5
+            u[tied] = np.round(u[tied], decimals)
+        swap = rng.random(n) < special
+        u[swap] = rng.choice(pool, int(swap.sum()))
+        if constant:
+            u[:] = rng.choice(pool)
+        cuts = np.sort(rng.integers(0, n + 1, parts - 1))
+        self._both(u, self._counts(u, cuts))
+
+    @pytest.mark.parametrize("n", [123_457, 2_000_000])
+    @pytest.mark.parametrize("power", [1.0, 0.2], ids=["uniform", "skewed"])
+    def test_matches_the_scan_at_large_n_in_a_pool(self, n, power):
+        u = gaussian(0, 1).cdf(gaussian(0, 1).sample(6, n).values.ravel())
+        u **= power
+        cuts = np.cumsum([n // 3, n // 7])
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+            self._both(u, self._counts(u, cuts), ex.map)
+
+    def test_one_sided_candidates_miss_a_lower_gap(self, monkeypatch):
+        # negative control: every value in [1/2, 1), so D_n = 1/2 is the
+        # lower gap u_(0) - 0; a candidate rule that bounds only the upper
+        # gaps keeps the top buckets alone and misses it
+        n = 10_000
+        u = 0.5 + np.arange(n) / (2 * n)
+        counts = self._counts(u, [])
+        assert self._both(u, counts) == 0.5
+
+        def upper_only(counts, n):
+            above = np.cumsum(counts) / n
+            edges = np.arange(counts.size + 1) / counts.size
+            full = counts > 0
+            return full & (above - edges[:-1]
+                           >= np.max((above - edges[1:])[full]))
+
+        monkeypatch.setattr(dpquant.prob, "_ks_candidates", upper_only)
+        assert ks_statistic(u, counts)[0] < 0.01
+
+    def test_buckets_a_power_of_two_near_n_over_64(self):
+        assert [ks_buckets(n) for n in (20, 64, 10_000, 200_000, 2_000_000)] \
+            == [1, 2, 256, 4096, 32768]
+
+    @pytest.mark.parametrize("change", ["length", "total"])
+    def test_counts_of_another_length_or_total_refused(self, change):
+        u = np.linspace(0.0, 1.0, 10_000)
+        counts = ks_counts(u, ks_buckets(u.size))
+        if change == "length":
+            counts = ks_counts(u, 2 * counts.size)
+        else:
+            counts[0] += 1
+        with pytest.raises(ValueError, match="ks_counts"):
+            ks_statistic(u, counts)
+
+    @pytest.mark.parametrize("u", [[-0.1] + [0.5] * 30, [0.5] * 30 + [1.5],
+                                   [0.5] * 30 + [math.nan]],
+                             ids=["below", "above", "nan"])
+    def test_outside_unit_interval_refused_before_the_cast(self, u):
+        # a NaN or out-of-range value cast to int would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                ks_counts(u, 16)
+
+    @pytest.mark.parametrize("buckets", [0, 3, 12])
+    def test_buckets_not_a_power_of_two_refused(self, buckets):
+        with pytest.raises(ValueError, match="power of two"):
+            ks_counts([0.5] * 30, buckets)
 
 
 class TestEntropy:
