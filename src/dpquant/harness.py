@@ -59,11 +59,10 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     None) and its columns of the probability integral transform,
     ``cdf(output)``, a (k, n) array with one row per axis, the one n-sized
     array an evaluation keeps.  The KS test compares each row with U(0, 1).
-    At one worker the row is sorted in place.  At two or more, each batch
-    also counts its columns into ``prob.ks_buckets(n)`` buckets, and
-    `prob.ks_statistic` sorts only the values of the buckets that may hold
-    the largest gap, extracted on the pool; D_n has the same bits either
-    way.  The moments pool every coordinate of the n outputs, merged in
+    Each batch also counts its columns into ``prob.ks_buckets(n)`` buckets,
+    and `prob.ks_statistic` sorts only the values of the buckets that may
+    hold the largest gap, extracted by the workers; the PIT is never
+    sorted.  The moments pool every coordinate of the n outputs, merged in
     batch order; the variance is the population variance.
 
     A worker holds at most three arrays of its batch's size: the sample,
@@ -101,10 +100,9 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     """`evaluate`, with the (rate, se, seconds) of a TransformDpq handed in by
     `_evaluate_all` and its seconds counted into wall_time.
 
-    At two or more workers each batch adds its PIT columns' `ks_counts` to
-    per-axis int64 totals under a lock, which any order sums alike, after
-    its own arrays are dropped; KS then runs its extraction on the same
-    pool.  One worker sorts the PIT in place and scans it.
+    Each batch adds its PIT columns' `ks_counts` to per-axis int64 totals
+    under a lock, which any order sums alike, after its own arrays are
+    dropped; KS then runs its extraction through the batches' map.
     """
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
@@ -114,10 +112,9 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
              for b in range(N_BATCHES)]
     starts = np.cumsum([0] + sizes)
     pit = np.empty((k, n))  # one contiguous row per axis, for KS
-    if workers > 1:  # each batch counts its PIT columns for ks_statistic
-        buckets = ks_buckets(n)
-        totals = np.zeros((k, buckets), dtype=np.int64)
-        lock = threading.Lock()
+    buckets = ks_buckets(n)
+    totals = np.zeros((k, buckets), dtype=np.int64)  # each row's ks_counts
+    lock = threading.Lock()
 
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
@@ -133,23 +130,22 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
         cols[...] = model.cdf(xt).T
         moments = _batch_moments(xt.ravel())
         del xt
-        if workers > 1:
-            counts = [ks_counts(row, buckets) for row in cols]
-            with lock:
-                totals[...] += counts
+        counts = [ks_counts(row, buckets) for row in cols]
+        with lock:
+            totals[...] += counts
         return mse, moments, payload
+
+    def run_all(map):
+        results = list(map(run, range(N_BATCHES)))
+        return results, [ks_statistic(pit[i], totals[i], map) for i in range(k)]
 
     # One worker runs here, not in a pool of one: a pool thread allocates
     # from a second malloc arena, which raised hex-eval's peak RSS by 2 MB.
-    # It sorts and scans the PIT, which is faster there than counting it.
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, range(N_BATCHES)))
-            ks = [ks_statistic(pit[i], totals[i], ex.map) for i in range(k)]
+            results, ks = run_all(ex.map)
     else:
-        results = [run(b) for b in range(N_BATCHES)]
-        pit.sort(axis=1)  # in place; ks_statistic reads a sorted row as it is
-        ks = [ks_statistic(pit[i]) for i in range(k)]
+        results, ks = run_all(map)
 
     batch_mse = np.array([mse for mse, _, _ in results])
     mse = float(np.average(batch_mse, weights=sizes))

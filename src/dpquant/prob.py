@@ -37,7 +37,7 @@ __all__ = [
 EPS = 1e-12
 
 KS_ALPHA_005_COEFF = 1.36  # asymptotic two-sided 5% critical coefficient
-_KS_CHUNK = 1 << 16  # rows of the KS grid formed at a time
+_KS_CHUNK = 1 << 16  # rows of u counted or extracted for KS at a time
 _KS_BLOCK = 1 << 12  # KS buckets whose gap bounds are formed at a time: 32 KB
 _ICDF_BLOCK = 8192  # elements of the Laplace icdf formed at a time
 
@@ -281,28 +281,53 @@ def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
     max(i/n - u_(i)) and max(u_(i) - (i-1)/n).  Returns (D_n, pass) where
     pass means D_n < 1.36/sqrt(n), the asymptotic 5% critical value.
     Refuses n < 20, where the asymptotic threshold is invalid, and u outside
-    [0, 1].
+    [0, 1], NaN included.
 
-    Without counts, the gaps are formed in chunks of `_KS_CHUNK`, each
-    holding one scratch array at a time: the steps above it less u, then u
-    less the steps below it.  u is sorted into a copy only when it is not
-    already ascending, which one chunked pass checks: an ascending float
-    array is read where it lies, with no n-sized copy, and the caller's u is
-    never changed.  NaN fails the check, sorts to the end and is refused.
-
-    counts, ``ks_counts(u, ks_buckets(n))`` or the sum of the counts of u's
-    parts, spares the sort (after Gonzalez, Sahni & Franta, 1977).  They
-    leave a few candidate buckets (`_ks_candidates`) that may hold the
-    largest gap; ``map`` runs the pass that extracts their values over
-    chunks of u, and a pool's map runs it in parallel.  Only those values are
-    sorted, and each gets its gaps at its exact sorted position, so D_n has
-    the bits of the scan's.  Refuses counts of another length or total.
+    u is not sorted (after Gonzalez, Sahni & Franta, 1977).  Its counts,
+    ``ks_counts(u, ks_buckets(n))`` or the sum of the counts of u's parts,
+    formed here when none are given, leave a few candidate buckets
+    (`_ks_candidates`) that may hold the largest gap; ``map`` runs the pass
+    that extracts their values over chunks of u, and a pool's map runs it
+    in parallel.  Only those values are sorted, and each gets its gaps at
+    its exact sorted position, so D_n has the bits of a scan of sorted u.
+    The caller's u is never changed, and a contiguous float u is read where
+    it lies, with no n-sized copy.  Refuses counts of another length or
+    total.
     """
     u = np.asarray(u, dtype=float).ravel()
     n = u.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
-    d = _ks_scan(u) if counts is None else _ks_bucketed(u, counts, map)
+    buckets = ks_buckets(n)
+    counts = ks_counts(u, buckets) if counts is None else np.asarray(counts)
+    if counts.shape != (buckets,) or counts.sum() != n:
+        raise ValueError(f"need the ks_counts of u in {buckets} buckets")
+    chosen = _ks_candidates(counts, n)
+    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
+    # At most n/32 rows a chunk: a pool thread's scratch arrays then fit in
+    # what `evaluate`'s batches of n/20 rows freed there.  Chunks of
+    # `_KS_CHUNK` rows raised by 1.5 MB the peak RSS of the benchmark's
+    # one-worker workloads, whose set-up evaluates n = 2e5 at two workers.
+    rows = min(_KS_CHUNK, -(-n // 32))
+
+    def extract(lo):
+        f = u[lo:lo + rows]
+        return f[keep[_ks_bucket_of(f, buckets)]]
+
+    v = np.concatenate(list(map(extract, range(0, n, rows))))
+    v.sort()
+    chosen = np.flatnonzero(chosen)
+    sizes = counts[chosen]
+    if v.size != sizes.sum():
+        raise ValueError("counts do not match u")
+    # v[j] of candidate bucket b, which starts at v[start_b], is at sorted
+    # position C_b + j - start_b of u
+    below = np.cumsum(counts)[chosen] - sizes
+    p = np.arange(v.size, dtype=float)
+    p += np.repeat(below - (np.cumsum(sizes) - sizes), sizes)
+    above = (p + 1.0) / n - v
+    p /= n
+    d = max(0.0, float(above.max()), float((v - p).max()))
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
 
 
@@ -339,63 +364,13 @@ def _ks_bucket_of(f, buckets: int):
     return s.astype(np.intp)
 
 
-def _ks_scan(u) -> float:
-    """D_n of u by sorting and scanning every gap; see `ks_statistic`."""
-    if not _ascending(u):
-        u = np.sort(u)
-    n = u.size
-    if not (u[0] >= 0.0 and u[-1] <= 1.0):
-        raise ValueError("KS test needs u in [0, 1]: pass model.cdf(x)")
-    d = 0.0
-    for lo in range(0, n, _KS_CHUNK):
-        f = u[lo:lo + _KS_CHUNK]
-        d = max(d, _ks_side(f, lo, n, above=True), _ks_side(f, lo, n, above=False))
-    return d
-
-
-def _ks_bucketed(u, counts, map) -> float:
-    """D_n of u from the gaps of its candidate buckets' values; see
-    `ks_statistic`."""
-    n = u.size
-    buckets = ks_buckets(n)
-    counts = np.asarray(counts)
-    if counts.shape != (buckets,) or counts.sum() != n:
-        raise ValueError(f"need the ks_counts of u in {buckets} buckets")
-    chosen = _ks_candidates(counts, n)
-    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
-    # At most n/32 rows a chunk: a pool thread's scratch arrays then fit in
-    # what `evaluate`'s batches of n/20 rows freed there.  Chunks of
-    # `_KS_CHUNK` rows raised by 1.5 MB the peak RSS of the benchmark's
-    # one-worker workloads, whose set-up evaluates n = 2e5 at two workers.
-    rows = min(_KS_CHUNK, -(-n // 32))
-
-    def extract(lo):
-        f = u[lo:lo + rows]
-        return f[keep[_ks_bucket_of(f, buckets)]]
-
-    v = np.concatenate(list(map(extract, range(0, n, rows))))
-    v.sort()
-    chosen = np.flatnonzero(chosen)
-    sizes = counts[chosen]
-    if v.size != sizes.sum():
-        raise ValueError("counts do not match u")
-    # v[j] of candidate bucket b, which starts at v[start_b], is at sorted
-    # position C_b + j - start_b of u
-    below = np.cumsum(counts)[chosen] - sizes
-    p = np.arange(v.size, dtype=float)
-    p += np.repeat(below - (np.cumsum(sizes) - sizes), sizes)
-    above = (p + 1.0) / n - v
-    p /= n
-    return max(0.0, float(above.max()), float((v - p).max()))
-
-
 def _ks_candidates(counts, n: int):
     """Whether each bucket may hold the largest KS gap, from the counts alone.
 
     Bucket b holds the u in [b/B, (b+1)/B), at sorted positions C_b to
     C_{b+1} - 1, where C_b counts the values below it.  Rounding is monotone,
-    so each gap the scan forms there at position p, fl(fl((p+1)/n) - u) and
-    fl(u - fl(p/n)), is at most fl(fl(C_{b+1}/n) - b/B) and
+    so the two gaps of its value u at sorted position p, fl(fl((p+1)/n) - u)
+    and fl(u - fl(p/n)), are at most fl(fl(C_{b+1}/n) - b/B) and
     fl((b+1)/B - fl(C_b/n)) respectively.  Its last value's first gap reaches
     at least fl(fl(C_{b+1}/n) - (b+1)/B), and its first value's second gap
     fl(b/B - fl(C_b/n)), so D_n is at least the largest of these floors over
@@ -431,32 +406,6 @@ def _ks_candidates(counts, n: int):
         part |= edges[1:] - steps[:-1] >= floor
         part &= full
     return chosen
-
-
-def _ks_side(f, lo: int, n: int, above: bool) -> float:
-    """max(i/n - f) over the steps i/n above the chunk f = u[lo:], or
-    max(f - i/n) over those below it, formed in one float array.
-
-    The float ``arange`` holds exact integers, so the steps have the bits of
-    ``np.arange(lo, lo + f.size + 1) / n``.
-    """
-    start = lo + 1 if above else lo
-    gaps = np.arange(start, start + f.size, dtype=float)
-    gaps /= n
-    if above:
-        gaps -= f
-    else:
-        np.subtract(f, gaps, out=gaps)
-    return float(gaps.max())
-
-
-def _ascending(u) -> bool:
-    """Whether the flat array u is ascending; False if it holds NaN."""
-    for lo in range(0, u.size - 1, _KS_CHUNK):
-        f = u[lo:lo + _KS_CHUNK + 1]  # one row of overlap with the next chunk
-        if not np.all(f[1:] >= f[:-1]):
-            return False
-    return True
 
 
 def plugin_entropy(counts) -> float:

@@ -92,9 +92,9 @@ class TestEvaluate:
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100, seed=0)
 
     # every reduction runs per batch, in the batch's worker; the merge goes
-    # in batch order, so the worker count cannot move any field.  Two or
-    # more workers count the PIT into buckets for KS, 256 at n = 1e4 and
-    # 4096 at 2e5, where one sorts it
+    # in batch order, so the worker count cannot move any field.  Every
+    # batch counts its PIT columns into buckets for KS, 256 at n = 1e4 and
+    # 4096 at 2e5, and KS extracts the candidates through the batches' map
     @pytest.mark.parametrize("scheme, n", [
         pytest.param(scheme, n, id=name + suffix)
         for n, suffix in [(10_000, ""), (200_000, "-2e5")]
@@ -133,9 +133,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_output_refused(self, workers):
-        # one worker's sort puts the NaN last, where KS refuses it; two
-        # workers' batches refuse it as they count, before a cast to int
-        # could warn
+        # the batches refuse it as they count, before a cast to int could
+        # warn, at any worker count
         scheme = _Recorded(gaussian(0, 1), 0,
                            lambda x: np.where(x > 2.0, math.nan, x))
         with warnings.catch_warnings():
@@ -207,14 +206,14 @@ class TestStreams:
 
 
 class TestMemory:
-    # evaluate keeps one n-sized array, the (k, n) PIT, sorted in place for
-    # KS; a sorted copy of a PIT row for KS alone would read 2.2x here.  The
-    # rest of the peak is each worker's batch arrays, n / 20 rows each: the
-    # sample, the output and one scratch array, and the resample scheme's
-    # cells and masses besides, with its blocks of 16 384 rows.  At n = 1e6
-    # that reads 1.15x for simple and awgn and 1.21x for resample at one
-    # worker; at two, where the workers' peaks may coincide, 1.29-1.32x,
-    # 1.26-1.31x and 1.39-1.41x.  Forming (x - xt) ** 2 and the resample
+    # evaluate keeps one n-sized array, the (k, n) PIT, which KS reads
+    # where it lies; a sorted copy of a PIT row for KS alone would read 2.2x
+    # here.  The rest of the peak is each worker's batch arrays, n / 20 rows
+    # each: the sample, the output and one scratch array, and the resample
+    # scheme's cells and masses besides, with its blocks of 16 384 rows.  At
+    # n = 1e6 that reads 1.17x for simple and awgn and 1.22x for resample at
+    # one worker; at two, where the workers' peaks may coincide, 1.32-1.34x,
+    # 1.32x and 1.41x.  Forming (x - xt) ** 2 and the resample
     # scheme's gathers, inverse cdf and clip bounds whole read 1.42x,
     # 1.31-1.41x and 1.56-1.61x at two workers.
     @pytest.mark.parametrize("scheme, workers", [

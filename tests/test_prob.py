@@ -293,8 +293,8 @@ class TestKs:
         return np.sort(model.cdf(model.sample(5, n).values.ravel()))
 
     def test_sorted_and_shuffled_give_the_same_bits(self):
-        # an ascending u is read as it lies, any other u is sorted first;
-        # more rows than one chunk, and a partial last chunk
+        # the order of u moves no bit of D_n; more rows than one chunk, and
+        # a partial last chunk
         u = self._pit(150_001)
         shuffled = np.random.default_rng(0).permutation(u)
         (d, ok), (d_shuffled, ok_shuffled) = ks_statistic(u), ks_statistic(shuffled)
@@ -312,9 +312,13 @@ class TestKs:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ks_statistic(u)
 
-    def test_ascending_input_not_copied(self):
-        # sorting a copy of u would allocate 8n bytes
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["ascending", "shuffled"])
+    def test_ascending_input_not_copied(self, shuffled):
+        # sorting a copy of u would allocate 8n bytes, in any order
         u = self._pit(1_000_000)
+        if shuffled:
+            u = np.random.default_rng(0).permutation(u)
         tracemalloc.start()
         try:
             ks_statistic(u)
@@ -325,8 +329,9 @@ class TestKs:
 
 
 class TestKsBuckets:
-    """With its counts, ks_statistic extracts a few candidate buckets' values
-    instead of sorting u; D_n must keep the bits of the scan's."""
+    """From u's bucket counts, ks_statistic extracts a few candidate buckets'
+    values instead of sorting u; D_n must keep the bits of a scan of every
+    gap of sorted u, with counts summed over u's parts or formed whole."""
 
     @staticmethod
     def _counts(u, cuts):
@@ -336,9 +341,14 @@ class TestKsBuckets:
 
     @staticmethod
     def _both(u, counts, map=map):
-        (d, ok), (d_scan, ok_scan) = ks_statistic(u, counts, map), ks_statistic(u)
-        assert d.hex() == d_scan.hex() and ok == ok_scan
-        return d
+        v = np.sort(u)
+        n = v.size
+        grid = np.arange(n + 1) / n
+        scan = float(max(np.max(grid[1:] - v), np.max(v - grid[:-1])))
+        for d, ok in ks_statistic(u, counts, map), ks_statistic(u):
+            assert d.hex() == scan.hex()
+            assert ok == (scan < 1.36 / math.sqrt(n))
+        return scan
 
     # ties, values on the bucket edges b/B and next to them, 0, 1, subnormals
     # and rows of one value, mixed into uniform or skewed draws
