@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import math
 import operator
-import threading
 import time
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .bounds import dp_rdf_gaussian
 from .ecdq import ecdq_rate_empirical
-from .prob import Family, SourceModel, ks_buckets, ks_counts, ks_statistic
+from .prob import Family, SourceModel, ks_statistic
 from .schemes import TransformDpq, build
 
 __all__ = ["EvalReport", "evaluate", "rd_sweep", "compare_to_bound",
@@ -58,12 +57,12 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     (`_batch_moments`), its payload for ``scheme.rate`` (a batch statistic or
     None) and its columns of the probability integral transform,
     ``cdf(output)``, a (k, n) array with one row per axis, the one n-sized
-    array an evaluation keeps.  The KS test compares each row with U(0, 1).
-    Each batch also counts its columns into ``prob.ks_buckets(n)`` buckets,
-    and `prob.ks_statistic` sorts only the values of the buckets that may
-    hold the largest gap, extracted by the workers; the PIT is never
-    sorted.  The moments pool every coordinate of the n outputs, merged in
-    batch order; the variance is the population variance.
+    array an evaluation keeps.  The KS test compares each row with U(0, 1):
+    `prob.ks_statistic` counts the row in buckets and sorts only the values
+    of the buckets that may hold the largest gap, both passes run by the
+    workers; the PIT is never sorted.  The moments pool every coordinate of
+    the n outputs, merged in batch order; the variance is the population
+    variance.
 
     A worker holds at most three arrays of its batch's size: the sample,
     the scheme's output and the squared error.  The sample is dropped
@@ -100,9 +99,8 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
     """`evaluate`, with the (rate, se, seconds) of a TransformDpq handed in by
     `_evaluate_all` and its seconds counted into wall_time.
 
-    Each batch adds its PIT columns' `ks_counts` to per-axis int64 totals
-    under a lock, which any order sums alike, after its own arrays are
-    dropped; KS then runs its extraction through the batches' map.
+    Once every batch has written its PIT columns, KS runs through the
+    batches' map, each row read where it lies.
     """
     t0 = time.perf_counter()
     scheme = dataclasses.replace(scheme, seed=seed)
@@ -112,9 +110,6 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
              for b in range(N_BATCHES)]
     starts = np.cumsum([0] + sizes)
     pit = np.empty((k, n))  # one contiguous row per axis, for KS
-    buckets = ks_buckets(n)
-    totals = np.zeros((k, buckets), dtype=np.int64)  # each row's ks_counts
-    lock = threading.Lock()
 
     def run(b):
         x = model.sample(seed, sizes[b], stream=(_TAG_SOURCE << 8) + b).values
@@ -126,18 +121,14 @@ def _evaluate(scheme, n: int, seed: int, workers: int, ecdq_rate) -> EvalReport:
         mse = np.mean(err)
         del err
         xt = np.reshape(xt, (-1, k))
-        cols = pit[:, starts[b]:starts[b + 1]]
-        cols[...] = model.cdf(xt).T
+        pit[:, starts[b]:starts[b + 1]] = model.cdf(xt).T
         moments = _batch_moments(xt.ravel())
         del xt
-        counts = [ks_counts(row, buckets) for row in cols]
-        with lock:
-            totals[...] += counts
         return mse, moments, payload
 
     def run_all(map):
         results = list(map(run, range(N_BATCHES)))
-        return results, [ks_statistic(pit[i], totals[i], map) for i in range(k)]
+        return results, [ks_statistic(pit[i], map) for i in range(k)]
 
     # One worker runs here, not in a pool of one: a pool thread allocates
     # from a second malloc arena, which raised hex-eval's peak RSS by 2 MB.

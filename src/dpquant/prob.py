@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -27,8 +28,6 @@ __all__ = [
     "uniform",
     "laplace",
     "ks_statistic",
-    "ks_buckets",
-    "ks_counts",
     "plugin_entropy",
 ]
 
@@ -272,7 +271,7 @@ def laplace(loc: float = 0.0, scale: float = 1.0, dim: int = 1) -> SourceModel:
 
 # ---- empirical statistics ----------------------------------------------------
 
-def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
+def ks_statistic(u, map=map) -> tuple[float, bool]:
     """Two-sided KS distance of a sample u from U(0, 1).
 
     Pass the probability integral transform ``model.cdf(x)`` to test a scalar
@@ -283,32 +282,37 @@ def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
     Refuses n < 20, where the asymptotic threshold is invalid, and u outside
     [0, 1], NaN included.
 
-    u is not sorted (after Gonzalez, Sahni & Franta, 1977).  Its counts,
-    ``ks_counts(u, ks_buckets(n))`` or the sum of the counts of u's parts,
-    formed here when none are given, leave a few candidate buckets
-    (`_ks_candidates`) that may hold the largest gap; ``map`` runs the pass
-    that extracts their values over chunks of u, and a pool's map runs it
-    in parallel.  Only those values are sorted, and each gets its gaps at
-    its exact sorted position, so D_n has the bits of a scan of sorted u.
-    The caller's u is never changed, and a contiguous float u is read where
-    it lies, with no n-sized copy.  Refuses counts of another length or
-    total.
+    u is not sorted (after Gonzalez, Sahni & Franta, 1977).  Its counts in
+    `_ks_buckets(n)` equal buckets of [0, 1] leave a few candidate buckets
+    (`_ks_candidates`) that may hold the largest gap.  ``map`` runs two
+    passes over chunks of u, and a pool's map runs them in parallel: one
+    counts each chunk and adds its counts to the totals under a lock, the
+    other extracts the candidates' values.  Only those values are sorted,
+    and each gets its gaps at its exact sorted position, so D_n has the bits
+    of a scan of sorted u.  The caller's u is never changed, and a
+    contiguous float u is read where it lies, with no n-sized copy.
     """
     u = np.asarray(u, dtype=float).ravel()
     n = u.size
     if n < 20:
         raise ValueError("KS test requires n >= 20 for the asymptotic threshold")
-    buckets = ks_buckets(n)
-    counts = ks_counts(u, buckets) if counts is None else np.asarray(counts)
-    if counts.shape != (buckets,) or counts.sum() != n:
-        raise ValueError(f"need the ks_counts of u in {buckets} buckets")
-    chosen = _ks_candidates(counts, n)
-    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
+    buckets = _ks_buckets(n)
     # At most n/32 rows a chunk: a pool thread's scratch arrays then fit in
     # what `evaluate`'s batches of n/20 rows freed there.  Chunks of
     # `_KS_CHUNK` rows raised by 1.5 MB the peak RSS of the benchmark's
     # one-worker workloads, whose set-up evaluates n = 2e5 at two workers.
     rows = min(_KS_CHUNK, -(-n // 32))
+    counts = np.zeros(buckets, dtype=np.int64)
+    lock = threading.Lock()
+
+    def count(lo):
+        part = _ks_counts(u[lo:lo + rows], buckets)
+        with lock:
+            counts[...] += part
+
+    list(map(count, range(0, n, rows)))
+    chosen = _ks_candidates(counts, n)
+    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
 
     def extract(lo):
         f = u[lo:lo + rows]
@@ -318,8 +322,6 @@ def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
     v.sort()
     chosen = np.flatnonzero(chosen)
     sizes = counts[chosen]
-    if v.size != sizes.sum():
-        raise ValueError("counts do not match u")
     # v[j] of candidate bucket b, which starts at v[start_b], is at sorted
     # position C_b + j - start_b of u
     below = np.cumsum(counts)[chosen] - sizes
@@ -331,26 +333,20 @@ def ks_statistic(u, counts=None, map=map) -> tuple[float, bool]:
     return d, d < KS_ALPHA_005_COEFF / math.sqrt(n)
 
 
-def ks_buckets(n: int) -> int:
+def _ks_buckets(n: int) -> int:
     """B, the buckets of [0, 1] that the KS counts of an n-row sample use:
     the power of two in (n/64, n/32], or 1 below n = 64."""
     return 1 << (n // 64).bit_length()
 
 
-def ks_counts(u, buckets: int) -> np.ndarray:
-    """How many values of u fall in each of B = buckets equal buckets of
-    [0, 1], as int64: v is in bucket min(floor(v·B), B - 1), so the last
-    bucket also holds 1.  B is a power of two, so v·B is exact.  The counts of
-    a sample's parts add up to its counts, in any order.  Formed in chunks of
-    `_KS_CHUNK`; refuses u outside [0, 1], before any cast to int.
+def _ks_counts(f, buckets: int) -> np.ndarray:
+    """How many values of the non-empty flat array f fall in each of
+    B = buckets equal buckets of [0, 1], as int64: v is in bucket
+    min(floor(v·B), B - 1), so the last bucket also holds 1.  B is a power of
+    two, so v·B is exact.  The counts of a sample's parts add up to its
+    counts, in any order.  Refuses f outside [0, 1], before any cast to int.
     """
-    if buckets < 1 or buckets & (buckets - 1):
-        raise ValueError("need a power of two of buckets")
-    u = np.asarray(u, dtype=float).ravel()
-    counts = np.zeros(buckets + 1, dtype=np.int64)
-    for lo in range(0, u.size, _KS_CHUNK):
-        counts += np.bincount(_ks_bucket_of(u[lo:lo + _KS_CHUNK], buckets),
-                              minlength=buckets + 1)
+    counts = np.bincount(_ks_bucket_of(f, buckets), minlength=buckets + 1)
     counts[-2] += counts[-1]  # 1 is in the last bucket
     return counts[:-1]
 

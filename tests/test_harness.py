@@ -92,9 +92,9 @@ class TestEvaluate:
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 100, seed=0)
 
     # every reduction runs per batch, in the batch's worker; the merge goes
-    # in batch order, so the worker count cannot move any field.  Every
-    # batch counts its PIT columns into buckets for KS, 256 at n = 1e4 and
-    # 4096 at 2e5, and KS extracts the candidates through the batches' map
+    # in batch order, so the worker count cannot move any field.  KS counts
+    # each PIT row into buckets, 256 at n = 1e4 and 4096 at 2e5, and
+    # extracts the candidates, both through the batches' map
     @pytest.mark.parametrize("scheme, n", [
         pytest.param(scheme, n, id=name + suffix)
         for n, suffix in [(10_000, ""), (200_000, "-2e5")]
@@ -112,10 +112,10 @@ class TestEvaluate:
         assert one == two == three
 
     def test_shared_pit_survives_thread_switching(self, n=20_000):
-        # The batches write their PIT rows into one shared array and add
-        # their bucket counts to shared totals; with more workers than cores
-        # and threads switched every microsecond, a lost or misplaced write
-        # would move the KS fields.
+        # The batches write their PIT columns into one shared array, and KS
+        # adds its chunks' bucket counts to its totals; with more workers
+        # than cores and threads switched every microsecond, a lost or
+        # misplaced write would move the KS fields.
         scheme = ResampleDpq(gaussian(0, 1), 0, 0.3)
         serial = evaluate(scheme, n, 5)
         interval = sys.getswitchinterval()
@@ -133,8 +133,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_output_refused(self, workers):
-        # the batches refuse it as they count, before a cast to int could
-        # warn, at any worker count
+        # KS refuses it as it counts, before a cast to int could warn, at
+        # any worker count
         scheme = _Recorded(gaussian(0, 1), 0,
                            lambda x: np.where(x > 2.0, math.nan, x))
         with warnings.catch_warnings():
@@ -211,9 +211,9 @@ class TestMemory:
     # here.  The rest of the peak is each worker's batch arrays, n / 20 rows
     # each: the sample, the output and one scratch array, and the resample
     # scheme's cells and masses besides, with its blocks of 16 384 rows.  At
-    # n = 1e6 that reads 1.17x for simple and awgn and 1.22x for resample at
-    # one worker; at two, where the workers' peaks may coincide, 1.32-1.34x,
-    # 1.32x and 1.41x.  Forming (x - xt) ** 2 and the resample
+    # n = 1e6 that reads 1.15x for simple and awgn and 1.21x for resample at
+    # one worker; at two, where the workers' peaks may coincide, 1.31-1.32x,
+    # 1.31x and 1.40-1.41x.  Forming (x - xt) ** 2 and the resample
     # scheme's gathers, inverse cdf and clip bounds whole read 1.42x,
     # 1.31-1.41x and 1.56-1.61x at two workers.
     @pytest.mark.parametrize("scheme, workers", [

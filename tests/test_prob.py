@@ -1,7 +1,8 @@
 import concurrent.futures
 import math
+import sys
+import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 import dpquant.prob
-from dpquant.prob import (EPS, Family, SourceModel, gaussian, ks_buckets,
-                          ks_counts, ks_statistic, laplace, plugin_entropy,
-                          uniform)
+from dpquant.prob import (EPS, Family, SourceModel, gaussian, ks_statistic,
+                          laplace, plugin_entropy, uniform)
 from dpquant.rng import stream_rng
 
 # frozen from numeric integration of the standard normal pdf
@@ -329,39 +329,33 @@ class TestKs:
 
 
 class TestKsBuckets:
-    """From u's bucket counts, ks_statistic extracts a few candidate buckets'
-    values instead of sorting u; D_n must keep the bits of a scan of every
-    gap of sorted u, with counts summed over u's parts or formed whole."""
+    """From u's bucket counts, summed over its chunks, ks_statistic extracts
+    a few candidate buckets' values instead of sorting u; D_n must keep the
+    bits of a scan of every gap of sorted u, on a pool's map or in series."""
 
     @staticmethod
-    def _counts(u, cuts):
-        # summed over uneven parts, as evaluate's batches count theirs
-        buckets = ks_buckets(u.size)
-        return sum(ks_counts(part, buckets) for part in np.split(u, cuts))
-
-    @staticmethod
-    def _both(u, counts, map=map):
+    def _both(u, map=map):
         v = np.sort(u)
         n = v.size
         grid = np.arange(n + 1) / n
         scan = float(max(np.max(grid[1:] - v), np.max(v - grid[:-1])))
-        for d, ok in ks_statistic(u, counts, map), ks_statistic(u):
+        for d, ok in ks_statistic(u, map), ks_statistic(u):
             assert d.hex() == scan.hex()
             assert ok == (scan < 1.36 / math.sqrt(n))
         return scan
 
     # ties, values on the bucket edges b/B and next to them, 0, 1, subnormals
-    # and rows of one value, mixed into uniform or skewed draws
+    # and rows of one value, mixed into uniform or skewed draws; the counts
+    # of 17 to 32 chunks are summed, the last one mostly partial
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(n=st.integers(20, 30_000), seed=st.integers(0, 2 ** 32 - 1),
            power=st.sampled_from([1.0, 0.05, 12.0]),
            special=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
-           decimals=st.sampled_from([None, 1, 3]), constant=st.booleans(),
-           parts=st.integers(1, 7))
+           decimals=st.sampled_from([None, 1, 3]), constant=st.booleans())
     def test_matches_the_scan_bit_for_bit(self, n, seed, power, special,
-                                          decimals, constant, parts):
+                                          decimals, constant):
         rng = np.random.default_rng(seed)
-        buckets = ks_buckets(n)
+        buckets = dpquant.prob._ks_buckets(n)
         edges = rng.integers(0, buckets + 1, 8) / buckets
         pool = np.concatenate([
             [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1 - 2 ** -53],
@@ -374,17 +368,41 @@ class TestKsBuckets:
         u[swap] = rng.choice(pool, int(swap.sum()))
         if constant:
             u[:] = rng.choice(pool)
-        cuts = np.sort(rng.integers(0, n + 1, parts - 1))
-        self._both(u, self._counts(u, cuts))
+        self._both(u)
 
     @pytest.mark.parametrize("n", [123_457, 2_000_000])
     @pytest.mark.parametrize("power", [1.0, 0.2], ids=["uniform", "skewed"])
     def test_matches_the_scan_at_large_n_in_a_pool(self, n, power):
         u = gaussian(0, 1).cdf(gaussian(0, 1).sample(6, n).values.ravel())
         u **= power
-        cuts = np.cumsum([n // 3, n // 7])
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
-            self._both(u, self._counts(u, cuts), ex.map)
+            self._both(u, ex.map)
+
+    def test_chunk_counts_added_under_a_lock(self, monkeypatch):
+        # 8 workers count 32 chunks and, held at a barrier after counting,
+        # add their counts to the totals at once, with threads switched
+        # every microsecond; an add outside the lock loses counts in some
+        # trials, and D_n moves
+        n, trials = 2_000_000, 40
+        u = gaussian(0, 1).cdf(gaussian(0, 1).sample(7, n).values.ravel())
+        serial = ks_statistic(u)[0]
+        barrier = threading.Barrier(8, timeout=10)  # cannot hang
+        count = dpquant.prob._ks_counts
+
+        def held(f, buckets):
+            counts = count(f, buckets)
+            barrier.wait()
+            return counts
+
+        monkeypatch.setattr(dpquant.prob, "_ks_counts", held)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+                ds = [ks_statistic(u, ex.map)[0] for _ in range(trials)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [d.hex() for d in ds] == [serial.hex()] * trials
 
     def test_one_sided_candidates_miss_a_lower_gap(self, monkeypatch):
         # negative control: every value in [1/2, 1), so D_n = 1/2 is the
@@ -392,8 +410,7 @@ class TestKsBuckets:
         # gaps keeps the top buckets alone and misses it
         n = 10_000
         u = 0.5 + np.arange(n) / (2 * n)
-        counts = self._counts(u, [])
-        assert self._both(u, counts) == 0.5
+        assert self._both(u) == 0.5
 
         def upper_only(counts, n):
             above = np.cumsum(counts) / n
@@ -403,37 +420,12 @@ class TestKsBuckets:
                            >= np.max((above - edges[1:])[full]))
 
         monkeypatch.setattr(dpquant.prob, "_ks_candidates", upper_only)
-        assert ks_statistic(u, counts)[0] < 0.01
+        assert ks_statistic(u)[0] < 0.01
 
     def test_buckets_a_power_of_two_near_n_over_64(self):
-        assert [ks_buckets(n) for n in (20, 64, 10_000, 200_000, 2_000_000)] \
+        assert [dpquant.prob._ks_buckets(n)
+                for n in (20, 64, 10_000, 200_000, 2_000_000)] \
             == [1, 2, 256, 4096, 32768]
-
-    @pytest.mark.parametrize("change", ["length", "total"])
-    def test_counts_of_another_length_or_total_refused(self, change):
-        u = np.linspace(0.0, 1.0, 10_000)
-        counts = ks_counts(u, ks_buckets(u.size))
-        if change == "length":
-            counts = ks_counts(u, 2 * counts.size)
-        else:
-            counts[0] += 1
-        with pytest.raises(ValueError, match="ks_counts"):
-            ks_statistic(u, counts)
-
-    @pytest.mark.parametrize("u", [[-0.1] + [0.5] * 30, [0.5] * 30 + [1.5],
-                                   [0.5] * 30 + [math.nan]],
-                             ids=["below", "above", "nan"])
-    def test_outside_unit_interval_refused_before_the_cast(self, u):
-        # a NaN or out-of-range value cast to int would warn
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                ks_counts(u, 16)
-
-    @pytest.mark.parametrize("buckets", [0, 3, 12])
-    def test_buckets_not_a_power_of_two_refused(self, buckets):
-        with pytest.raises(ValueError, match="power of two"):
-            ks_counts([0.5] * 30, buckets)
 
 
 class TestEntropy:
