@@ -57,12 +57,10 @@ def evaluate(scheme, n: int, seed: int, workers: int = 1) -> EvalReport:
     (`_batch_moments`), its payload for ``scheme.rate`` (a batch statistic or
     None) and its columns of the probability integral transform,
     ``cdf(output)``, a (k, n) array with one row per axis, the one n-sized
-    array an evaluation keeps.  The KS test compares each row with U(0, 1):
-    `prob.ks_statistic` counts the row in buckets and sorts only the values
-    of the buckets that may hold the largest gap, both passes run by the
-    workers; the PIT is never sorted.  The moments pool every coordinate of
-    the n outputs, merged in batch order; the variance is the population
-    variance.
+    array an evaluation keeps.  The KS test compares each row with U(0, 1)
+    by `prob.ks_statistic`, run on the batches' map without sorting the row.
+    The moments pool every coordinate of the n outputs, merged in batch
+    order; the variance is the population variance.
 
     A worker holds at most three arrays of its batch's size: the sample,
     the scheme's output and the squared error.  The sample is dropped

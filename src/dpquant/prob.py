@@ -37,7 +37,6 @@ EPS = 1e-12
 
 KS_ALPHA_005_COEFF = 1.36  # asymptotic two-sided 5% critical coefficient
 _KS_CHUNK = 1 << 16  # rows of u counted or extracted for KS at a time
-_KS_BLOCK = 1 << 12  # KS buckets whose gap bounds are formed at a time: 32 KB
 _ICDF_BLOCK = 8192  # elements of the Laplace icdf formed at a time
 
 
@@ -242,6 +241,10 @@ class SourceModel:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        if self._place()[2] > 2.0 ** 200:
+            raise ValueError(f"{self.family.value} parameters {self.params} "
+                             "give a scale over 2**200, too wide for float64: "
+                             "its squared errors may be non-finite")
         u = stream_rng(seed, stream).random((n, self.dim))
         return EmpiricalSample(self._icdf_in_place(u))
 
@@ -283,14 +286,14 @@ def ks_statistic(u, map=map) -> tuple[float, bool]:
     [0, 1], NaN included.
 
     u is not sorted (after Gonzalez, Sahni & Franta, 1977).  Its counts in
-    `_ks_buckets(n)` equal buckets of [0, 1] leave a few candidate buckets
-    (`_ks_candidates`) that may hold the largest gap.  ``map`` runs two
-    passes over chunks of u, and a pool's map runs them in parallel: one
-    counts each chunk and adds its counts to the totals under a lock, the
-    other extracts the candidates' values.  Only those values are sorted,
-    and each gets its gaps at its exact sorted position, so D_n has the bits
-    of a scan of sorted u.  The caller's u is never changed, and a
-    contiguous float u is read where it lies, with no n-sized copy.
+    B buckets of [0, 1) and one for u = 1, B = `_ks_buckets(n)`, leave a few
+    candidate buckets (`_ks_candidates`) that may hold the largest gap.
+    ``map`` runs two passes over chunks of u, and a pool's map runs them in
+    parallel: one counts each chunk and adds its counts to the totals under
+    a lock, the other extracts the candidates' values.  Only those values
+    are sorted, and each gets its gaps at its exact sorted position, so D_n
+    has the bits of a scan of sorted u.  The caller's u is never changed,
+    and a contiguous float u is read where it lies, with no n-sized copy.
     """
     u = np.asarray(u, dtype=float).ravel()
     n = u.size
@@ -301,8 +304,10 @@ def ks_statistic(u, map=map) -> tuple[float, bool]:
     # what `evaluate`'s batches of n/20 rows freed there.  Chunks of
     # `_KS_CHUNK` rows raised by 1.5 MB the peak RSS of the benchmark's
     # one-worker workloads, whose set-up evaluates n = 2e5 at two workers.
+    # The candidates' B-sized arrays are formed on the map for the same
+    # reason: in the calling thread they raised light-schemes' by 0.3-0.6 MB.
     rows = min(_KS_CHUNK, -(-n // 32))
-    counts = np.zeros(buckets, dtype=np.int64)
+    counts = np.zeros(buckets + 1, dtype=np.int64)
     lock = threading.Lock()
 
     def count(lo):
@@ -311,12 +316,11 @@ def ks_statistic(u, map=map) -> tuple[float, bool]:
             counts[...] += part
 
     list(map(count, range(0, n, rows)))
-    chosen = _ks_candidates(counts, n)
-    keep = np.append(chosen, chosen[-1])  # bucket B is 1, in bucket B - 1
+    [chosen] = map(_ks_candidates, [counts], [n])
 
     def extract(lo):
         f = u[lo:lo + rows]
-        return f[keep[_ks_bucket_of(f, buckets)]]
+        return f[chosen[_ks_bucket_of(f, buckets)]]
 
     v = np.concatenate(list(map(extract, range(0, n, rows))))
     v.sort()
@@ -334,21 +338,19 @@ def ks_statistic(u, map=map) -> tuple[float, bool]:
 
 
 def _ks_buckets(n: int) -> int:
-    """B, the buckets of [0, 1] that the KS counts of an n-row sample use:
+    """B, the buckets of [0, 1) that the KS counts of an n-row sample use:
     the power of two in (n/64, n/32], or 1 below n = 64."""
     return 1 << (n // 64).bit_length()
 
 
 def _ks_counts(f, buckets: int) -> np.ndarray:
-    """How many values of the non-empty flat array f fall in each of
-    B = buckets equal buckets of [0, 1], as int64: v is in bucket
-    min(floor(v·B), B - 1), so the last bucket also holds 1.  B is a power of
+    """How many values of the non-empty flat array f fall in each of the
+    B + 1 buckets, B = buckets, as int64: v is in bucket floor(v·B), so
+    bucket b < B holds [b/B, (b+1)/B) and bucket B holds 1.  B is a power of
     two, so v·B is exact.  The counts of a sample's parts add up to its
     counts, in any order.  Refuses f outside [0, 1], before any cast to int.
     """
-    counts = np.bincount(_ks_bucket_of(f, buckets), minlength=buckets + 1)
-    counts[-2] += counts[-1]  # 1 is in the last bucket
-    return counts[:-1]
+    return np.bincount(_ks_bucket_of(f, buckets), minlength=buckets + 1)
 
 
 def _ks_bucket_of(f, buckets: int):
@@ -363,44 +365,27 @@ def _ks_bucket_of(f, buckets: int):
 def _ks_candidates(counts, n: int):
     """Whether each bucket may hold the largest KS gap, from the counts alone.
 
-    Bucket b holds the u in [b/B, (b+1)/B), at sorted positions C_b to
-    C_{b+1} - 1, where C_b counts the values below it.  Rounding is monotone,
-    so the two gaps of its value u at sorted position p, fl(fl((p+1)/n) - u)
-    and fl(u - fl(p/n)), are at most fl(fl(C_{b+1}/n) - b/B) and
-    fl((b+1)/B - fl(C_b/n)) respectively.  Its last value's first gap reaches
-    at least fl(fl(C_{b+1}/n) - (b+1)/B), and its first value's second gap
-    fl(b/B - fl(C_b/n)), so D_n is at least the largest of these floors over
-    the non-empty buckets.  A non-empty bucket is a candidate unless both of
-    its bounds fall below that.  The bounds are formed in blocks of
-    `_KS_BLOCK` buckets, one pass for the floor and one for the candidates.
+    Bucket b < B = counts.size - 1 holds the u in [b/B, (b+1)/B), at sorted
+    positions C_b to C_{b+1} - 1, where C_b counts the values below it.
+    Rounding is monotone, so the two gaps of its value u at sorted position
+    p, fl(fl((p+1)/n) - u) and fl(u - fl(p/n)), are at most
+    fl(fl(C_{b+1}/n) - b/B) and fl((b+1)/B - fl(C_b/n)) respectively.  Its
+    last value's first gap reaches at least fl(fl(C_{b+1}/n) - (b+1)/B), and
+    its first value's second gap fl(b/B - fl(C_b/n)), so D_n is at least the
+    largest of these floors over the non-empty buckets.  A non-empty bucket
+    is a candidate unless both of its bounds fall below that.  Bucket B holds
+    only the value 1, so its nominal upper edge (B+1)/B can only loosen its
+    upper bound and its floor, never tighten them: D_n keeps its bits.
     """
-    size = counts.size
-    ends = np.cumsum(counts)  # C_{b+1}
-
-    def blocks():
-        # buckets lo to hi - 1: whether each is non-empty, and fl(C_b/n)
-        # and b/B for b = lo ... hi
-        for lo in range(0, size, _KS_BLOCK):
-            hi = min(lo + _KS_BLOCK, size)
-            steps = np.empty(hi - lo + 1)
-            steps[0] = ends[lo - 1] if lo else 0
-            steps[1:] = ends[lo:hi]
-            steps /= n
-            edges = np.arange(lo, hi + 1, dtype=float)
-            edges /= size  # exact
-            yield lo, counts[lo:hi] > 0, steps, edges
-
-    floor = -math.inf
-    for _, full, steps, edges in blocks():
-        gaps = steps - edges  # floors gaps[1:] and -gaps[:-1], exactly
-        floor = max(floor, np.max(gaps[1:], where=full, initial=-math.inf),
-                    -np.min(gaps[:-1], where=full, initial=math.inf))
-    chosen = np.empty(size, dtype=bool)
-    for lo, full, steps, edges in blocks():
-        part = chosen[lo:lo + full.size]
-        np.greater_equal(steps[1:] - edges[:-1], floor, out=part)
-        part |= edges[1:] - steps[:-1] >= floor
-        part &= full
+    steps = np.concatenate(([0], np.cumsum(counts))) / n  # fl(C_b/n)
+    edges = np.arange(steps.size) / (counts.size - 1)  # b/B, exact
+    full = counts > 0
+    gaps = steps - edges  # floors gaps[1:] and -gaps[:-1], exactly
+    floor = max(np.max(gaps[1:], where=full, initial=-math.inf),
+                -np.min(gaps[:-1], where=full, initial=math.inf))
+    chosen = steps[1:] - edges[:-1] >= floor
+    chosen |= edges[1:] - steps[:-1] >= floor
+    chosen &= full
     return chosen
 
 

@@ -18,7 +18,7 @@ from dpquant.bounds import awgn_oracle_point
 from dpquant.harness import (MIN_N, N_BATCHES, EvalReport, compare_to_bound,
                              evaluate, rd_sweep)
 from dpquant.lattice import hexagonal, scaled_integer
-from dpquant.prob import gaussian, laplace, plugin_entropy
+from dpquant.prob import gaussian, laplace, plugin_entropy, uniform
 from dpquant.rng import stream_rng
 from dpquant.schemes import (AwgnOracle, ResampleDpq, SimpleDpq, TransformDpq,
                              build)
@@ -147,6 +147,36 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="workers"):
             evaluate(SimpleDpq(source=gaussian(0, 1), seed=0), 10_000, seed=0,
                      workers=workers)
+
+    # A scale above 2**200 could overflow the batches' squared errors and
+    # moments; sampling refuses it, so neither the rate pass nor any batch
+    # runs, at any worker count.
+    @pytest.mark.parametrize("source", [
+        gaussian(0, 2.0 ** 402), laplace(0, 2.0 ** 201),
+        uniform(0, 2.0 ** 201)], ids=["gaussian", "laplace", "uniform"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_source_too_wide_refused_before_any_batch(self, source, workers,
+                                                      monkeypatch):
+        runs = []
+        for cls in (SimpleDpq, TransformDpq):
+            monkeypatch.setattr(cls, "run", lambda s, x, b: runs.append(b))
+        for scheme in (SimpleDpq(source, 0),
+                       TransformDpq(source, 0, scaled_integer(2.0 ** 200))):
+            with pytest.raises(ValueError, match=rf"^{source.family.value} "
+                               r"parameters .* over 2\*\*200"):
+                evaluate(scheme, MIN_N, 0, workers=workers)
+        assert runs == []
+
+    # ... and a scale of 2**200 runs, with no overflow warning (pyproject
+    # makes warnings errors)
+    @pytest.mark.parametrize("source", [
+        gaussian(0, 2.0 ** 400), laplace(0, 2.0 ** 200),
+        uniform(-2.0 ** 199, 2.0 ** 199)],
+        ids=["gaussian", "laplace", "uniform"])
+    def test_source_of_scale_2_200_accepted(self, source):
+        rep = evaluate(SimpleDpq(source, 0), MIN_N, 1)
+        assert 0 < rep.mse_per_dim < math.inf
+        assert all(ok for _, ok in rep.ks_per_axis)
 
     @pytest.mark.parametrize("n, workers", [(1e5, 1), (MIN_N, 1.5)],
                              ids=["float-n", "float-workers"])

@@ -329,9 +329,10 @@ class TestKs:
 
 
 class TestKsBuckets:
-    """From u's bucket counts, summed over its chunks, ks_statistic extracts
-    a few candidate buckets' values instead of sorting u; D_n must keep the
-    bits of a scan of every gap of sorted u, on a pool's map or in series."""
+    """From u's counts in B buckets of [0, 1) and one for u = 1, summed over
+    its chunks, ks_statistic extracts a few candidate buckets' values instead
+    of sorting u; D_n must keep the bits of a scan of every gap of sorted u,
+    on a pool's map or in series."""
 
     @staticmethod
     def _both(u, map=map):
@@ -378,6 +379,19 @@ class TestKsBuckets:
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
             self._both(u, ex.map)
 
+    # bucket B holds u = 1 alone: rows all 1, half 1 or a few 1, with values
+    # just below 1 that share the top bucket of [0, 1)
+    @pytest.mark.parametrize("n", [20, 64, 10_000, 300_001])
+    @pytest.mark.parametrize("ones", [1.0, 0.5, 0.01])
+    def test_ones_in_a_bucket_of_their_own(self, n, ones):
+        rng = np.random.default_rng(n)
+        u = rng.random(n) ** 0.1
+        u[rng.random(n) < ones] = 1.0
+        top = 1 - 1 / dpquant.prob._ks_buckets(n)
+        u[:3] = [1 - 2 ** -53, 1 - 2 ** -52, top]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as ex:
+            self._both(u, ex.map)
+
     def test_chunk_counts_added_under_a_lock(self, monkeypatch):
         # 8 workers count 32 chunks and, held at a barrier after counting,
         # add their counts to the totals at once, with threads switched
@@ -414,7 +428,7 @@ class TestKsBuckets:
 
         def upper_only(counts, n):
             above = np.cumsum(counts) / n
-            edges = np.arange(counts.size + 1) / counts.size
+            edges = np.arange(counts.size + 1) / (counts.size - 1)
             full = counts > 0
             return full & (above - edges[:-1]
                            >= np.max((above - edges[1:])[full]))
